@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-check bench-compare soak soak-smoke experiments manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke examples clean
+.PHONY: all build vet test race bench bench-json bench-check bench-compare soak soak-smoke experiments experiments-check manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke examples clean
 
 all: build vet test
 
@@ -64,9 +64,16 @@ soak-smoke:
 	$(GO) run ./cmd/manifestcheck .soak-smoke.json BENCH_stream.json
 	rm -f .soak-smoke.json
 
-# Regenerate every table and figure (several minutes at full trial counts).
+# Regenerate every table and figure (~12 s at full trial counts).
 experiments:
 	$(GO) run ./cmd/experiments all
+
+# Golden check: the full experiment suite is seeded, so its stdout must
+# match the committed results/experiments_all.md byte for byte. After an
+# intended change, refresh it with
+#   go run ./cmd/experiments all > results/experiments_all.md
+experiments-check:
+	$(GO) run ./cmd/experiments all | diff -u results/experiments_all.md -
 
 # Smoke-test the observability contract: run a small sweep with -manifest
 # and validate the emitted JSON against the checked-in schema checker.
