@@ -109,27 +109,26 @@ func (f *FIR) FilterSameInto(dst, x []complex128) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("dsp: FilterSameInto dst %d != src %d", len(dst), len(x)))
 	}
-	d := f.GroupDelay()
 	for i := range dst {
-		// same[i] = Σ_j taps[j]·x[i+d−j] over valid input indices.
-		var acc complex128
-		lo := i + d - (len(f.taps) - 1)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + d
-		if hi > len(x)-1 {
-			hi = len(x) - 1
-		}
-		for k := lo; k <= hi; k++ {
-			v := x[k]
-			if v == 0 {
-				continue
-			}
-			acc += v * complex(f.taps[i+d-k], 0)
-		}
-		dst[i] = acc
+		dst[i] = f.sameAt(x, i)
 	}
+}
+
+// sameAt returns output i of FilterSame(x): Σ_j taps[j]·x[i+d−j] over valid
+// input indices, skipping zero inputs.
+func (f *FIR) sameAt(x []complex128, i int) complex128 {
+	d := f.GroupDelay()
+	lo := max(i+d-(len(f.taps)-1), 0)
+	hi := min(i+d, len(x)-1)
+	var acc complex128
+	for k := lo; k <= hi; k++ {
+		v := x[k]
+		if v == 0 {
+			continue
+		}
+		acc += v * complex(f.taps[i+d-k], 0)
+	}
+	return acc
 }
 
 // FrequencyResponse evaluates H(e^{j2πf}) at the given normalized frequency

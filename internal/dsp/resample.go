@@ -7,13 +7,18 @@ import "fmt"
 // attacker uses factor 5 to lift the 4 MS/s ZigBee capture to WiFi's
 // 20 MS/s clock.
 //
+// The filter runs in polyphase form: each output visits only the inputs the
+// zero-stuffed stream would hold at its taps, in the same order and with
+// the same operations as filtering the stuffed stream, so the result is bit
+// for bit that of the textbook zero-stuff-then-filter design.
+//
 // Process allocates per call and is safe for concurrent use; ProcessInto
-// reuses an internal zero-stuffing scratch buffer and is NOT — give each
+// reuses an internal gain-scaled input buffer and is NOT — give each
 // worker goroutine its own Interpolator.
 type Interpolator struct {
-	factor  int
-	lp      *FIR
-	stuffed []complex128 // ProcessInto scratch
+	factor int
+	lp     *FIR
+	scaled []complex128 // ProcessInto scratch: x·factor
 }
 
 // NewInterpolator builds an interpolator for the given factor. tapsPerPhase
@@ -52,12 +57,12 @@ func (ip *Interpolator) Process(x []complex128) []complex128 {
 		return nil
 	}
 	out := make([]complex128, len(x)*ip.factor)
-	ip.processInto(out, x, make([]complex128, len(x)*ip.factor))
+	ip.processInto(out, x, make([]complex128, len(x)))
 	return out
 }
 
 // ProcessInto is Process with a caller-provided destination of length
-// len(x)·factor (dst must not alias x). The zero-stuffing stage reuses an
+// len(x)·factor (dst must not alias x). The gain-scaled input lives in an
 // internal scratch buffer, so repeated same-size calls allocate nothing —
 // and the Interpolator is therefore not goroutine-safe through this path.
 func (ip *Interpolator) ProcessInto(dst, x []complex128) {
@@ -71,21 +76,38 @@ func (ip *Interpolator) ProcessInto(dst, x []complex128) {
 	if len(x) == 0 {
 		return
 	}
-	if cap(ip.stuffed) < len(dst) {
-		ip.stuffed = make([]complex128, len(dst))
+	if cap(ip.scaled) < len(x) {
+		ip.scaled = make([]complex128, len(x))
 	}
-	ip.processInto(dst, x, ip.stuffed[:len(dst)])
+	ip.processInto(dst, x, ip.scaled[:len(x)])
 }
 
-func (ip *Interpolator) processInto(dst, x, stuffed []complex128) {
-	gain := complex(float64(ip.factor), 0) // compensate zero-stuffing energy loss
-	for i := range stuffed {
-		stuffed[i] = 0
-	}
+// processInto filters the zero-stuffed stream s (s[m·factor] = scaled[m],
+// zero elsewhere) into dst. Output i is FilterSameInto's Σ taps[i+d−k]·s[k]
+// over k in [i+d−(len(taps)−1), i+d] ∩ [0, len(s)), with the zero inputs
+// skipped — so only k = m·factor is visited.
+func (ip *Interpolator) processInto(dst, x, scaled []complex128) {
+	f := ip.factor
+	gain := complex(float64(f), 0) // compensate zero-stuffing energy loss
 	for i, v := range x {
-		stuffed[i*ip.factor] = v * gain
+		scaled[i] = v * gain
 	}
-	ip.lp.FilterSameInto(dst, stuffed)
+	taps := ip.lp.taps
+	d := ip.lp.GroupDelay()
+	last := len(dst) - 1
+	for i := range dst {
+		lo := max(i+d-(len(taps)-1), 0)
+		hi := min(i+d, last)
+		var acc complex128
+		for m := (lo + f - 1) / f; m*f <= hi; m++ {
+			v := scaled[m]
+			if v == 0 {
+				continue
+			}
+			acc += v * complex(taps[i+d-m*f], 0)
+		}
+		dst[i] = acc
+	}
 }
 
 // Decimate keeps every factor-th sample of x after low-pass filtering to
@@ -100,13 +122,13 @@ func Decimate(x []complex128, factor int) ([]complex128, error) {
 	return d.Process(x), nil
 }
 
-// Decimator caches the anti-alias low-pass design and a filtering scratch
-// buffer so repeated decimations of one stream shape cost only the output
-// allocation. The scratch makes it NOT safe for concurrent use.
+// Decimator caches the anti-alias low-pass design so repeated decimations
+// cost only the output allocation. It filters only at the kept sample
+// positions and holds no mutable state, so one Decimator is safe for
+// concurrent use.
 type Decimator struct {
-	factor   int
-	lp       *FIR
-	filtered []complex128 // Process scratch
+	factor int
+	lp     *FIR
 }
 
 // NewDecimator builds a decimator for the given integer factor.
@@ -129,9 +151,9 @@ func NewDecimator(factor int) (*Decimator, error) {
 // Factor returns the downsampling ratio.
 func (d *Decimator) Factor() int { return d.factor }
 
-// Process low-pass filters and downsamples x. The returned slice is freshly
-// allocated (it is the only per-call allocation); the intermediate filtered
-// stream lives in the reused scratch buffer.
+// Process low-pass filters and downsamples x, returning samples 0, factor,
+// 2·factor, … of FilterSame(x) in a freshly allocated slice (the only
+// per-call allocation). Only those outputs are computed.
 func (d *Decimator) Process(x []complex128) []complex128 {
 	if d.factor == 1 {
 		out := make([]complex128, len(x))
@@ -141,14 +163,9 @@ func (d *Decimator) Process(x []complex128) []complex128 {
 	if len(x) == 0 {
 		return nil
 	}
-	if cap(d.filtered) < len(x) {
-		d.filtered = make([]complex128, len(x))
-	}
-	filtered := d.filtered[:len(x)]
-	d.lp.FilterSameInto(filtered, x)
-	out := make([]complex128, 0, (len(x)+d.factor-1)/d.factor)
-	for i := 0; i < len(filtered); i += d.factor {
-		out = append(out, filtered[i])
+	out := make([]complex128, (len(x)+d.factor-1)/d.factor)
+	for j := range out {
+		out[j] = d.lp.sameAt(x, j*d.factor)
 	}
 	return out
 }

@@ -363,14 +363,7 @@ func OptimizeAlpha(c *wifi.Constellation, points []complex128, grid AlphaGrid) (
 	if len(points) == 0 {
 		return 0, 0, fmt.Errorf("emulation: no points to quantize")
 	}
-	eval := func(a float64) float64 {
-		var sum float64
-		for _, v := range points {
-			_, e := c.Quantize(v, a)
-			sum += e
-		}
-		return sum
-	}
+	eval := func(a float64) float64 { return c.QuantizeErrorSum(points, a) }
 	best, bestErr := grid.Min, math.Inf(1)
 	step := (grid.Max - grid.Min) / float64(grid.Steps-1)
 	for i := 0; i < grid.Steps; i++ {

@@ -61,10 +61,3 @@ func Preamble() []complex128 {
 	out := ShortTrainingField()
 	return append(out, LongTrainingField()...)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -146,9 +146,9 @@ func (c *Constellation) nearestAxisIndex(v float64) int {
 	return best
 }
 
-// Quantize returns the nearest constellation point (unit-power grid scaled
-// by alpha) to v, along with the squared quantization error. It is the
-// inner step of the paper's Eq. (4) optimization.
+// Quantize returns the nearest point of the odd-integer grid (±1, ±3, …
+// per axis) scaled by alpha to v, along with the squared quantization
+// error. It is the inner step of the paper's Eq. (4) optimization.
 func (c *Constellation) Quantize(v complex128, alpha float64) (complex128, float64) {
 	if alpha <= 0 {
 		return 0, real(v)*real(v) + imag(v)*imag(v)
@@ -160,8 +160,66 @@ func (c *Constellation) Quantize(v complex128, alpha float64) (complex128, float
 	return p, real(d)*real(d) + imag(d)*imag(d)
 }
 
-// nearestOddLevel clamps x to the closest level in the axis table.
+// QuantizeErrorSum returns the sum, in slice order, of the squared errors
+// Quantize reports for every point at scale alpha — Eq. (4)'s objective,
+// bit for bit what a loop over Quantize accumulates.
+func (c *Constellation) QuantizeErrorSum(points []complex128, alpha float64) float64 {
+	var sum float64
+	if alpha <= 0 {
+		for _, v := range points {
+			sum += real(v)*real(v) + imag(v)*imag(v)
+		}
+		return sum
+	}
+	top := int64(len(c.levels) - 1)
+	for _, v := range points {
+		x, y := real(v)/alpha, imag(v)/alpha
+		i, iok := oddLevel(x, top)
+		q, qok := oddLevel(y, top)
+		if !iok || !qok {
+			i, q = scanLevels(x, c.levels), scanLevels(y, c.levels)
+		}
+		dr := real(v) - i*alpha
+		di := imag(v) - q*alpha
+		sum += dr*dr + di*di
+	}
+	return sum
+}
+
+// nearestOddLevel returns the entry of the axis table levels (the odd
+// integers ±1…±(len−1), in Gray order) that scanLevels picks for x.
 func nearestOddLevel(x float64, levels []float64) float64 {
+	if l, ok := oddLevel(x, int64(len(levels)-1)); ok {
+		return l
+	}
+	return scanLevels(x, levels)
+}
+
+// oddLevel is the O(1) form of scanLevels over the odd integers in
+// [−top, top]: the nearest odd integer to x, clamped. ok reports whether it
+// provably equals the scan's answer. It does for 2⁻⁵⁰ ≤ |x| < 2⁴⁰ when x is
+// not an even integer: rounding is monotone, so the computed distances
+// |x−l| keep the exact distances' order, and in that range the nearest and
+// second-nearest levels still differ after rounding. Outside it — an even
+// integer (an exact tie), a tiny |x| where 1−|x| and 1+|x| both round to
+// 1, a huge |x| where every distance rounds alike, NaN or ±Inf — the scan's
+// first-in-Gray-order tie rule decides, so ok is false.
+func oddLevel(x float64, top int64) (level float64, ok bool) {
+	if ax := math.Abs(x); !(ax >= 0x1p-50 && ax < 0x1p40) {
+		return 0, false
+	}
+	h := x / 2
+	f := int64(h) // truncates toward zero; exact for |h| < 2³⁹
+	t := float64(f)
+	if t > h {
+		f-- // floor for negative non-integers
+	}
+	return float64(min(max(2*f+1, -top), top)), t != h
+}
+
+// scanLevels is the reference nearest-level rule: the first table entry
+// with the strictly smallest computed distance |x−l|.
+func scanLevels(x float64, levels []float64) float64 {
 	best, bestDist := levels[0], math.Abs(x-levels[0])
 	for _, l := range levels[1:] {
 		if d := math.Abs(x - l); d < bestDist {
