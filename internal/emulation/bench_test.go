@@ -46,6 +46,9 @@ func BenchmarkEmulateFixedBins(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeAlpha times Eq. (4)'s grid search on the raw kept
+// frequency points Emulate optimizes over: the 3.2 µs tail spectra of the
+// interpolated observation at the selected bins, not yet on the QAM grid.
 func BenchmarkOptimizeAlpha(b *testing.B) {
 	obs := benchObservation(b)
 	em, err := NewEmulator(AttackConfig{})
@@ -60,9 +63,15 @@ func BenchmarkOptimizeAlpha(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var points []complex128
-	for _, seg := range res.QAMPoints {
-		points = append(points, seg...)
+	spec := make([]complex128, wifi.NumSubcarriers)
+	points := make([]complex128, 0, res.NumSegments*len(res.Bins))
+	for s := 0; s < res.NumSegments; s++ {
+		if err := wifi.AnalyzeSymbolInto(spec, res.Observed20M[s*wifi.SymbolSamples:(s+1)*wifi.SymbolSamples]); err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range res.Bins {
+			points = append(points, spec[k])
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
