@@ -22,9 +22,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable perf trajectory: run the sync- and decode-path
-# benchmarks (FFT and direct variants side by side, plus the stream scan
-# stage and the defense detector) and aggregate ns/op, B/op, allocs/op
-# into schema-versioned BENCH_sync.json.
+# benchmarks (FFT and direct sync correlation side by side, the hard
+# despreader and frame decode, plus the stream scan stage and the defense
+# detector) and aggregate ns/op, B/op, allocs/op into schema-versioned
+# BENCH_sync.json.
 bench-json:
 	$(GO) run ./cmd/benchreport -out BENCH_sync.json -benchtime 100ms \
 		-bench 'Synchronize|ReceiveAll|Correlator|StreamScan|DecodeAt|Despread|DetectorAnalyze' \

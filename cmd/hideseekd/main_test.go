@@ -14,6 +14,7 @@ import (
 
 	"hideseek/internal/emulation"
 	"hideseek/internal/iq"
+	"hideseek/internal/phy"
 	"hideseek/internal/stream"
 	"hideseek/internal/zigbee"
 )
@@ -46,12 +47,23 @@ func testCapture(t *testing.T, seed int64) ([]byte, []bool) {
 	return buf.Bytes(), []bool{false, true}
 }
 
+// zigbeePipelines serves ZigBee with the low sync threshold the test
+// captures need.
+func zigbeePipelines(t *testing.T) []*phy.Pipeline {
+	t.Helper()
+	zb, err := phy.Build("zigbee", phy.Options{SyncThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*phy.Pipeline{zb}
+}
+
 func testDaemon(t *testing.T, workers int) (*daemon, *httptest.Server) {
 	t.Helper()
 	fleet, err := stream.NewFleet(stream.FleetConfig{
 		Config: stream.Config{
-			Workers:  workers,
-			Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+			Workers:   workers,
+			Pipelines: zigbeePipelines(t),
 		},
 		Shards: 2,
 	})
@@ -237,8 +249,8 @@ func TestObsEndpointExposesDropCounter(t *testing.T) {
 func TestAdmissionShedsWith503(t *testing.T) {
 	fleet, err := stream.NewFleet(stream.FleetConfig{
 		Config: stream.Config{
-			Workers:  2,
-			Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+			Workers:   2,
+			Pipelines: zigbeePipelines(t),
 		},
 		Admission: stream.AdmissionConfig{
 			Enabled:          true,

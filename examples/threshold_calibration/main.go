@@ -9,6 +9,7 @@ import (
 	"log"
 	"math/rand"
 
+	"hideseek/internal/calib"
 	"hideseek/internal/channel"
 	"hideseek/internal/emulation"
 	"hideseek/internal/zigbee"
@@ -68,9 +69,12 @@ func main() {
 
 	// Training phase.
 	trainAuth, trainEmul := collect(100, train/len(snrs))
-	q, err := emulation.CalibrateThreshold(trainAuth, trainEmul)
+	q, cost, err := calib.FitBoundary(trainAuth, trainEmul)
 	if err != nil {
 		log.Fatalf("calibration failed: %v", err)
+	}
+	if cost > 0 {
+		log.Fatalf("calibration failed: classes overlap (fit cost %.4f)", cost)
 	}
 	fmt.Printf("training: %d authentic + %d emulated waveforms across SNR %v dB\n",
 		len(trainAuth), len(trainEmul), snrs)

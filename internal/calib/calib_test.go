@@ -15,22 +15,25 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestFitBoundarySeparated(t *testing.T) {
-	auth := []float64{0.01, 0.02, 0.03, 0.05}
-	emul := []float64{0.40, 0.45, 0.55, 0.60}
-	cut, cost, err := FitBoundary(auth, emul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 0 {
-		t.Fatalf("separated classes: cost %v, want 0", cost)
-	}
-	// The minimizing plateau spans [0.05, 0.40); its midpoint keeps equal
-	// margin to both classes.
-	if cut <= 0.05 || cut >= 0.40 {
-		t.Fatalf("cut %v outside the class gap (0.05, 0.40)", cut)
-	}
-	if math.Abs(cut-0.225) > 1e-9 {
-		t.Fatalf("cut %v, want plateau midpoint 0.225", cut)
+	for _, tc := range []struct {
+		auth, emul []float64
+		aMax, eMin float64
+	}{
+		{[]float64{0.01, 0.02, 0.03, 0.05}, []float64{0.40, 0.45, 0.55, 0.60}, 0.05, 0.40},
+		{[]float64{0.1, 0.2, 0.15}, []float64{1.5, 1.7, 1.6}, 0.2, 1.5}, // unsorted input
+	} {
+		cut, cost, err := FitBoundary(tc.auth, tc.emul)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost != 0 {
+			t.Fatalf("separated classes: cost %v, want 0", cost)
+		}
+		// The minimizing plateau spans [aMax, eMin); its midpoint keeps
+		// equal margin to both classes, bit for bit the midpoint rule.
+		if want := (tc.aMax + tc.eMin) / 2; cut != want {
+			t.Fatalf("cut %v, want plateau midpoint %v", cut, want)
+		}
 	}
 }
 

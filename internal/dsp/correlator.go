@@ -8,11 +8,9 @@ import (
 
 // CorrelatorConfig parameterizes a Correlator plan.
 type CorrelatorConfig struct {
-	// UseDirect forces the direct O(lags×len(ref)) accumulation path.
-	// When false the correlator uses FFT overlap-save fast convolution
-	// unless the slowsync build tag is set, which makes direct the
-	// default everywhere (the escape hatch that keeps the two paths
-	// comparable forever).
+	// UseDirect forces the direct O(lags×len(ref)) accumulation path,
+	// the reference implementation the parity tests compare against.
+	// When false the correlator uses FFT overlap-save fast convolution.
 	UseDirect bool
 	// FFTSize overrides the overlap-save block size. 0 picks the
 	// smallest power of two ≥ 2·len(ref). An explicit size must be a
@@ -65,8 +63,8 @@ func NewCorrelator(ref []complex128, cfg CorrelatorConfig) (*Correlator, error) 
 		return nil, fmt.Errorf("dsp: correlator with empty reference")
 	}
 	c := &Correlator{
-		ref:       append([]complex128(nil), ref...),
-		direct:    cfg.UseDirect || defaultDirectCorrelation,
+		ref:    append([]complex128(nil), ref...),
+		direct: cfg.UseDirect,
 	}
 	c.refEnergy = Energy(c.ref)
 	if c.direct {

@@ -7,9 +7,7 @@ import (
 	"testing"
 )
 
-// newFFTCorrelator builds a correlator on the FFT path (a no-op request
-// under the slowsync build tag, where every plan is direct and the
-// FFT-vs-direct comparisons below collapse to direct-vs-direct).
+// newFFTCorrelator builds a correlator on the FFT overlap-save path.
 func newFFTCorrelator(t *testing.T, ref []complex128) *Correlator {
 	t.Helper()
 	c, err := NewCorrelator(ref, CorrelatorConfig{})
@@ -136,17 +134,17 @@ func TestCorrelatorConfigValidation(t *testing.T) {
 		t.Error("accepted empty reference")
 	}
 	ref := randSignal(100, 35)
-	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 100}); err == nil && !defaultDirectCorrelation {
+	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 100}); err == nil {
 		t.Error("accepted non-power-of-two FFT size")
 	}
-	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 128}); err == nil && !defaultDirectCorrelation {
+	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 128}); err == nil {
 		t.Error("accepted FFT size below 2×ref")
 	}
 	c, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 512})
 	if err != nil {
 		t.Fatalf("rejected valid FFT size: %v", err)
 	}
-	if !c.Direct() && c.FFTSize() != 512 {
+	if c.FFTSize() != 512 {
 		t.Errorf("FFTSize() = %d, want 512", c.FFTSize())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hideseek/internal/calib"
 	"hideseek/internal/zigbee"
 )
 
@@ -79,9 +80,10 @@ func (a *AdaptiveDetector) Analyze(rec *zigbee.Reception) (*Verdict, error) {
 }
 
 // CalibrateAdaptive builds the bucket table from per-SNR training
-// distances: each bucket's Q is the midpoint between the authentic max and
-// emulated min at that SNR. Buckets whose classes overlap are skipped; at
-// least one bucket must survive.
+// distances: each bucket's Q is calib.FitBoundary's cut at that SNR, the
+// midpoint between the authentic max and emulated min. Buckets whose
+// classes overlap (nonzero fit cost) are skipped; at least one bucket must
+// survive.
 func CalibrateAdaptive(snrsDB []float64, authentic, emulated [][]float64) ([]ThresholdBucket, error) {
 	if len(snrsDB) != len(authentic) || len(snrsDB) != len(emulated) {
 		return nil, fmt.Errorf("emulation: calibration shape mismatch: %d SNRs, %d/%d sample sets",
@@ -89,9 +91,9 @@ func CalibrateAdaptive(snrsDB []float64, authentic, emulated [][]float64) ([]Thr
 	}
 	var out []ThresholdBucket
 	for i, snr := range snrsDB {
-		q, err := CalibrateThreshold(authentic[i], emulated[i])
-		if err != nil {
-			continue // overlapping classes at this SNR — no reliable bucket
+		q, cost, err := calib.FitBoundary(authentic[i], emulated[i])
+		if err != nil || cost > 0 {
+			continue // empty or overlapping classes at this SNR — no reliable bucket
 		}
 		out = append(out, ThresholdBucket{SNRdB: snr, Q: q})
 	}

@@ -16,7 +16,7 @@ import (
 // "authentic ZigBee transmitter", above it "WiFi attacker". The paper
 // calibrates Q from training waveforms and lands on 0.5 for its USRP/GNU
 // Radio pipeline (Sec. VII-C-4); the same calibration procedure
-// (CalibrateThreshold) on this implementation's receiver front end lands
+// (calib.FitBoundary) on this implementation's receiver front end lands
 // on ≈0.2 — authentic waveforms sit at D² ≲ 0.06 and emulated ones at
 // ≳ 0.35 across the 7–17 dB range, preserving the paper's order-of-
 // magnitude separation at a different absolute operating point.
@@ -295,23 +295,6 @@ func (d *Detector) CloneWithThreshold(t float64) (*Detector, error) {
 	return &clone, nil
 }
 
-// CalibrateThreshold picks a decision threshold from training D² samples of
-// both classes (the paper uses the first 50 waveforms of each link,
-// Sec. VII-B): the midpoint between the maximum authentic distance and the
-// minimum emulated distance. An overlap between the classes is an error —
-// the feature does not separate them at this operating point.
-func CalibrateThreshold(zigbeeD2, emulatedD2 []float64) (float64, error) {
-	if len(zigbeeD2) == 0 || len(emulatedD2) == 0 {
-		return 0, fmt.Errorf("emulation: both training sets must be non-empty")
-	}
-	zMax := maxFloat(zigbeeD2)
-	eMin := minFloat(emulatedD2)
-	if zMax >= eMin {
-		return 0, fmt.Errorf("emulation: classes overlap (authentic max %.4f ≥ emulated min %.4f)", zMax, eMin)
-	}
-	return (zMax + eMin) / 2, nil
-}
-
 // DetectionStats summarizes a batch of verdicts against ground truth.
 type DetectionStats struct {
 	TruePositives  int // attacks flagged
@@ -378,24 +361,4 @@ func removeMeanInPlace(points []complex128) {
 	for i, p := range points {
 		points[i] = p - mean
 	}
-}
-
-func maxFloat(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range xs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func minFloat(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range xs {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }

@@ -243,25 +243,6 @@ func TestDetectorMinSamplesGuard(t *testing.T) {
 	}
 }
 
-func TestCalibrateThreshold(t *testing.T) {
-	q, err := CalibrateThreshold([]float64{0.1, 0.2, 0.15}, []float64{1.5, 1.7, 1.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q-0.85) > 1e-12 {
-		t.Errorf("threshold = %g, want 0.85", q)
-	}
-	if _, err := CalibrateThreshold(nil, []float64{1}); err == nil {
-		t.Error("accepted empty authentic set")
-	}
-	if _, err := CalibrateThreshold([]float64{1}, nil); err == nil {
-		t.Error("accepted empty emulated set")
-	}
-	if _, err := CalibrateThreshold([]float64{0.5, 2.0}, []float64{1.0}); err == nil {
-		t.Error("accepted overlapping classes")
-	}
-}
-
 func TestDetectionStats(t *testing.T) {
 	var s DetectionStats
 	s.Score(true, true)

@@ -12,8 +12,9 @@ type ReceiverConfig struct {
 	// to declare a frame. Defaults to 0.5.
 	SyncThreshold float64
 	// DirectSync forces the direct preamble correlation instead of the
-	// FFT overlap-save plan (see dsp.Correlator; the global default flips
-	// under the slowsync build tag).
+	// FFT overlap-save plan. The two paths make the same sync decisions
+	// and report bit-identical peaks (see dsp.Correlator); direct remains
+	// available as the reference implementation.
 	DirectSync bool
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/cmplx"
 
+	"hideseek/internal/calib"
 	"hideseek/internal/channel"
 	"hideseek/internal/emulation"
 	"hideseek/internal/hos"
@@ -411,9 +412,12 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 		allTrO = append(allTrO, trO[i]...)
 		allTrE = append(allTrE, trE[i]...)
 	}
-	q, err := emulation.CalibrateThreshold(allTrO, allTrE)
+	q, cost, err := calib.FitBoundary(allTrO, allTrE)
 	if err != nil {
 		return nil, fmt.Errorf("sim: fig12 calibration: %w", err)
+	}
+	if cost > 0 {
+		return nil, fmt.Errorf("sim: fig12 calibration: classes overlap (fit cost %.4f)", cost)
 	}
 	teO, teE, err := distanceSamples(seed+1, snrsDB, test)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 func admissionForTest(t *testing.T, cfg AdmissionConfig) *admission {
 	t.Helper()
-	base := Config{Receiver: testConfig().Receiver}
+	base := testConfig(t)
 	if err := base.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAdmissionRecoveryHysteresis(t *testing.T) {
 // TestAdmissionConfigDefaultsAndValidation pins the derived defaults and
 // the rejection of inconsistent thresholds.
 func TestAdmissionConfigDefaultsAndValidation(t *testing.T) {
-	base := Config{Receiver: testConfig().Receiver}
+	base := testConfig(t)
 	if err := base.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hideseek/internal/obs"
+	"hideseek/internal/phy"
 	"hideseek/internal/zigbee"
 )
 
@@ -29,7 +30,7 @@ func BenchmarkStreamScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3}}
+	cfg := Config{Pipelines: []*phy.Pipeline{zigbeePipeline(b)}}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -85,7 +86,7 @@ func BenchmarkEngineSaturation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f, err := NewFleet(FleetConfig{
-					Config:    Config{Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3}},
+					Config:    Config{Pipelines: []*phy.Pipeline{zigbeePipeline(b)}},
 					Shards:    4,
 					Admission: AdmissionConfig{Enabled: true},
 				})

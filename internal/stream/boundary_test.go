@@ -19,11 +19,11 @@ func TestChunkBoundarySyncEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.ChunkSize = chunk
 	for off := 0; off < chunk; off++ {
 		shifted := capture[off:] // moves every sample's chunk-grid position by −off
-		want := batchVerdicts(t, shifted, cfg)
+		want := batchVerdicts(t, shifted)
 		if len(want) != 2 {
 			t.Fatalf("offset %d: batch found %d frames, want 2", off, len(want))
 		}
@@ -71,8 +71,8 @@ func TestBadSFDFrameMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	want := batchVerdicts(t, capture, cfg)
+	cfg := testConfig(t)
+	want := batchVerdicts(t, capture)
 	if len(want) != 2 {
 		t.Fatalf("batch found %d frames, want 2 (bad-SFD frame rejected)", len(want))
 	}

@@ -40,8 +40,8 @@ func (c *tickClock) jump(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func calibTestConfig(clk *tickClock) Config {
-	cfg := testConfig()
+func calibTestConfig(tb testing.TB, clk *tickClock) Config {
+	cfg := testConfig(tb)
 	cfg.Calibration = &calib.Config{
 		WarmupPerClass:  6,
 		MinWindowCount:  4,
@@ -90,7 +90,7 @@ func TestCalibDisabledVerdictsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := streamVerdicts(t, capture, testConfig())
+	got, _ := streamVerdicts(t, capture, testConfig(t))
 	if len(got) != 2 {
 		t.Fatalf("%d verdicts, want 2", len(got))
 	}
@@ -116,7 +116,7 @@ func TestCalibDisabledVerdictsUnchanged(t *testing.T) {
 func TestCalibWarmupFitAndOverride(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("calib-fit"))
 	clk := newTickClock()
-	e, err := NewEngine(calibTestConfig(clk))
+	e, err := NewEngine(calibTestConfig(t, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCalibDriftCounterAndSpan(t *testing.T) {
 	clk := newTickClock()
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: 64})
 	defer tracer.Close()
-	cfg := calibTestConfig(clk)
+	cfg := calibTestConfig(t, clk)
 	cfg.Tracer = tracer
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -269,7 +269,7 @@ func TestCalibDriftCounterAndSpan(t *testing.T) {
 func TestCalibSharedAcrossFleetShards(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("calib-fleet"))
 	clk := newTickClock()
-	f, err := NewFleet(FleetConfig{Config: calibTestConfig(clk), Shards: 3})
+	f, err := NewFleet(FleetConfig{Config: calibTestConfig(t, clk), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

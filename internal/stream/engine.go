@@ -75,10 +75,8 @@ type Engine struct {
 }
 
 // NewEngine validates cfg, builds the served pipelines, and starts the
-// worker pool. Close must be called to release the workers.
-// applyDefaults has already synthesized Config.Pipelines from the
-// deprecated legacy fields if needed, so Pipelines is the only
-// construction path from here on.
+// worker pool. Close must be called to release the workers. At least
+// one pipeline is required.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err

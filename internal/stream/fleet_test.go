@@ -21,8 +21,8 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	want := batchVerdicts(t, capture, cfg)
+	cfg := testConfig(t)
+	want := batchVerdicts(t, capture)
 
 	f, err := NewFleet(FleetConfig{Config: cfg})
 	if err != nil {
@@ -46,7 +46,7 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 // TestFleetShardAffinity: equal keys always land on the same shard,
 // different keys spread out, and keyless sessions cycle every shard.
 func TestFleetShardAffinity(t *testing.T) {
-	f, err := NewFleet(FleetConfig{Config: testConfig(), Shards: 4})
+	f, err := NewFleet(FleetConfig{Config: testConfig(t), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFleetShardAffinity(t *testing.T) {
 // admission with a *ShedError before reading any sample, and counts them.
 func TestFleetShedsUnderOverload(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
-		Config: testConfig(),
+		Config: testConfig(t),
 		Shards: 2,
 		Admission: AdmissionConfig{
 			Enabled:           true,
@@ -133,7 +133,7 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := NewFleet(FleetConfig{
-		Config: testConfig(),
+		Config: testConfig(t),
 		Admission: AdmissionConfig{
 			Enabled:           true,
 			DegradeQueueDepth: 4, ShedQueueDepth: 1 << 20,
@@ -177,7 +177,7 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 // shed under overload, then step down tier by tier as cool samples hold.
 func TestFleetRecoversViaHysteresis(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
-		Config: testConfig(),
+		Config: testConfig(t),
 		Admission: AdmissionConfig{
 			Enabled:           true,
 			DegradeQueueDepth: 4, ShedQueueDepth: 8,
@@ -234,7 +234,7 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Workers = 2
 	f, err := NewFleet(FleetConfig{
 		Config: cfg,
@@ -303,7 +303,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 		t.Fatal(err)
 	}
 	var normal []Verdict
-	if _, err := Process(context.Background(), testConfig(), NewSliceSource(capture), func(v Verdict) {
+	if _, err := Process(context.Background(), testConfig(t), NewSliceSource(capture), func(v Verdict) {
 		normal = append(normal, v)
 	}); err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 	s.drain()
 
 	// Engine-closed tombstone.
-	e2, err := NewEngine(testConfig())
+	e2, err := NewEngine(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 // TestProcessOptionValidation: the variadic API rejects bad options the
 // same way the old positional API rejected bad arguments.
 func TestProcessOptionValidation(t *testing.T) {
-	e, err := NewEngine(testConfig())
+	e, err := NewEngine(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +384,5 @@ func TestProcessOptionValidation(t *testing.T) {
 	}
 	if _, err := e.Process(context.Background(), nil, nil); err == nil {
 		t.Fatal("nil source accepted")
-	}
-	// The deprecated wrapper and the options form stay equivalent.
-	if _, err := e.ProcessProto(context.Background(), "zigbee", NewSliceSource(nil), nil); err != nil {
-		t.Fatalf("ProcessProto wrapper: %v", err)
 	}
 }

@@ -280,7 +280,7 @@ func TestUnknownProtocolRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.ProcessProto(context.Background(), "zigbee", NewSliceSource(make([]complex128, 10)), nil); err == nil {
+	if _, err := e.Process(context.Background(), NewSliceSource(make([]complex128, 10)), nil, WithProto("zigbee")); err == nil {
 		t.Fatal("unserved protocol accepted")
 	}
 }
@@ -325,9 +325,9 @@ func TestConcurrentProtocolsOneEngine(t *testing.T) {
 	}
 	run := func(proto string, capture []complex128) result {
 		var r result
-		r.stats, r.err = e.ProcessProto(context.Background(), proto, NewSliceSource(capture), func(v Verdict) {
+		r.stats, r.err = e.Process(context.Background(), NewSliceSource(capture), func(v Verdict) {
 			r.verdicts = append(r.verdicts, v)
-		})
+		}, WithProto(proto))
 		return r
 	}
 	var wg sync.WaitGroup

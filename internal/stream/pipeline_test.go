@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"hideseek/internal/emulation"
+	"hideseek/internal/phy"
+	"hideseek/internal/phy/zigbeephy"
 	"hideseek/internal/zigbee"
 )
 
@@ -30,10 +32,22 @@ func testFrames(t *testing.T, psdu []byte) (authentic, emulated []complex128) {
 	return authentic, res.Emulated4M
 }
 
-func testConfig() Config {
-	return Config{
-		Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+// testRx is the receiver configuration shared by the test pipeline and
+// the batch reference.
+var testRx = zigbee.ReceiverConfig{SyncThreshold: 0.3}
+
+// zigbeePipeline builds the ZigBee pipeline the stream tests serve.
+func zigbeePipeline(tb testing.TB) *phy.Pipeline {
+	tb.Helper()
+	p, err := zigbeephy.NewPipeline(testRx, emulation.DefenseConfig{})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return p
+}
+
+func testConfig(tb testing.TB) Config {
+	return Config{Pipelines: []*phy.Pipeline{zigbeePipeline(tb)}}
 }
 
 // refVerdict is the batch golden: what the whole-capture receiver plus
@@ -50,13 +64,13 @@ type refVerdict struct {
 
 // batchVerdicts runs the batch reference pipeline (ReceiveAll + Detector)
 // over a capture.
-func batchVerdicts(t *testing.T, capture []complex128, cfg Config) []refVerdict {
+func batchVerdicts(t *testing.T, capture []complex128) []refVerdict {
 	t.Helper()
-	rx, err := zigbee.NewReceiver(cfg.Receiver)
+	rx, err := zigbee.NewReceiver(testRx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := emulation.NewDetector(cfg.Defense)
+	det, err := emulation.NewDetector(emulation.DefenseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +159,8 @@ func TestChunkSizesMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	want := batchVerdicts(t, capture, cfg)
+	cfg := testConfig(t)
+	want := batchVerdicts(t, capture)
 	if len(want) != 3 {
 		t.Fatalf("batch receiver found %d frames, want 3", len(want))
 	}
@@ -176,7 +190,7 @@ func TestVerdictLatenciesPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := streamVerdicts(t, capture, testConfig())
+	got, _ := streamVerdicts(t, capture, testConfig(t))
 	if len(got) != 1 {
 		t.Fatalf("got %d verdicts, want 1", len(got))
 	}
@@ -200,7 +214,7 @@ func TestTruncatedFinalFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := capture[:700+len(authentic)/2] // chop inside the frame
-	got, stats := streamVerdicts(t, cut, testConfig())
+	got, stats := streamVerdicts(t, cut, testConfig(t))
 	if len(got) != 1 {
 		t.Fatalf("got %d verdicts, want 1", len(got))
 	}
@@ -221,7 +235,7 @@ func TestReplaySourceDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []Verdict
-		if _, err := Process(context.Background(), testConfig(), src, func(v Verdict) {
+		if _, err := Process(context.Background(), testConfig(t), src, func(v Verdict) {
 			got = append(got, v)
 		}); err != nil {
 			t.Fatal(err)
@@ -271,12 +285,12 @@ func TestBuildCaptureValidation(t *testing.T) {
 
 // TestConfigValidation covers Config guard rails.
 func TestConfigValidation(t *testing.T) {
+	zb := []*phy.Pipeline{zigbeePipeline(t)}
 	for _, cfg := range []Config{
-		{ChunkSize: -1},
-		{QueueDepth: -1},
-		{MaxPending: -1},
-		{Receiver: zigbee.ReceiverConfig{SyncThreshold: 2}},
-		{Defense: emulation.DefenseConfig{Threshold: -1}},
+		{ChunkSize: -1, Pipelines: zb},
+		{QueueDepth: -1, Pipelines: zb},
+		{MaxPending: -1, Pipelines: zb},
+		{}, // no pipelines
 	} {
 		if e, err := NewEngine(cfg); err == nil {
 			e.Close()

@@ -164,16 +164,6 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 	return e.process(ctx, src, emit, resolveOpts(opts))
 }
 
-// ProcessProto streams src as one session of the named protocol ("" =
-// the default).
-//
-// Deprecated: use Process with WithProto. ProcessProto survives only so
-// pre-fleet callers compile; it is a thin wrapper with identical
-// behavior.
-func (e *Engine) ProcessProto(ctx context.Context, proto string, src Source, emit func(Verdict)) (Stats, error) {
-	return e.Process(ctx, src, emit, WithProto(proto))
-}
-
 // process runs one session from resolved options; Fleet calls it
 // directly after admission so options are parsed exactly once.
 func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so sessionOpts) (Stats, error) {

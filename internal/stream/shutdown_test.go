@@ -16,7 +16,7 @@ import (
 // `make race` / CI this is the pipeline's data-race proof.
 func TestConcurrentSessionsSharedEngine(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("conc"))
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Workers = 4
 	cfg.ChunkSize = 512
 	e, err := NewEngine(cfg)
@@ -38,7 +38,7 @@ func TestConcurrentSessionsSharedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		goldens[i] = batchVerdicts(t, captures[i], cfg)
+		goldens[i] = batchVerdicts(t, captures[i])
 	}
 
 	results := make([][]Verdict, sessions)
@@ -75,7 +75,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		cfg := testConfig()
+		cfg := testConfig(t)
 		cfg.Workers = 8
 		e, err := NewEngine(cfg)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestCancelDrainsDeterministically(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.ChunkSize = 256
 	src := &cancelAfterSource{inner: NewSliceSource(capture), after: 8, cancel: cancel}
 	emitted := 0
@@ -168,7 +168,7 @@ func TestStalledConsumerDoesNotWedgePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Workers = 1 // one shared worker: blocking it would wedge everything
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestStalledConsumerDoesNotWedgePool(t *testing.T) {
 // TestProcessOnClosedEngine: a closed engine refuses new sessions instead
 // of wedging them.
 func TestProcessOnClosedEngine(t *testing.T) {
-	e, err := NewEngine(testConfig())
+	e, err := NewEngine(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestProcessOnClosedEngine(t *testing.T) {
 // TestSourceErrorPropagates: a mid-stream source failure aborts the
 // session with the wrapped error after draining.
 func TestSourceErrorPropagates(t *testing.T) {
-	if _, err := Process(context.Background(), testConfig(), failSource{}, nil); err == nil {
+	if _, err := Process(context.Background(), testConfig(t), failSource{}, nil); err == nil {
 		t.Fatal("source error not propagated")
 	}
 }

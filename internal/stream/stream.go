@@ -52,11 +52,8 @@ import (
 	"time"
 
 	"hideseek/internal/calib"
-	"hideseek/internal/emulation"
 	"hideseek/internal/obs"
 	"hideseek/internal/phy"
-	"hideseek/internal/phy/zigbeephy"
-	"hideseek/internal/zigbee"
 )
 
 // Config parameterizes an Engine (and, via Process, a one-shot pipeline).
@@ -78,24 +75,8 @@ type Config struct {
 	// Pipelines are the victim-PHY pipelines the engine serves, one per
 	// protocol (build them with phy.Build or a protocol adapter's
 	// NewPipeline). The first entry is the default protocol for Process.
-	// Pipelines is the ONE construction path the engine (and Fleet)
-	// reasons about: when empty, applyDefaults synthesizes a single
-	// zigbee pipeline from the deprecated Receiver/Defense fields below,
-	// and from then on only Pipelines is consulted.
+	// At least one is required.
 	Pipelines []*phy.Pipeline
-	// Receiver configures the ZigBee receivers of the legacy
-	// single-protocol path; ignored when Pipelines is set.
-	//
-	// Deprecated: set Pipelines (phy.Build("zigbee", opts) or
-	// zigbeephy.NewPipeline for knobs phy.Options does not carry). The
-	// field survives only so pre-fleet callers compile; its one remaining
-	// behavior is the applyDefaults synthesis above.
-	Receiver zigbee.ReceiverConfig
-	// Defense configures the cumulant detector of the legacy
-	// single-protocol path; ignored when Pipelines is set.
-	//
-	// Deprecated: set Pipelines (see Receiver).
-	Defense emulation.DefenseConfig
 	// Tracer, when set, records a per-frame span trace
 	// (scan→sync→queue→decode→detect→calib→deliver) for every scanned
 	// frame, joined to its Verdict via Verdict.TraceID. nil disables
@@ -142,15 +123,7 @@ func (c *Config) applyDefaults() error {
 		return fmt.Errorf("stream: max pending %d < 1", c.MaxPending)
 	}
 	if len(c.Pipelines) == 0 {
-		// Deprecated single-protocol path: synthesize a zigbee pipeline
-		// from the flat Receiver/Defense fields. Building through the
-		// adapter keeps one code path — the parity tests exercise exactly
-		// this route — and it is the fields' only remaining behavior.
-		p, err := zigbeephy.NewPipeline(c.Receiver, c.Defense)
-		if err != nil {
-			return err
-		}
-		c.Pipelines = []*phy.Pipeline{p}
+		return errors.New("stream: no pipelines configured")
 	}
 	return nil
 }

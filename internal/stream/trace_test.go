@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hideseek/internal/obs"
+	"hideseek/internal/phy"
 )
 
 // TestTraceJoinsVerdicts is the span-trace contract: with a Tracer
@@ -26,7 +27,7 @@ func TestTraceJoinsVerdicts(t *testing.T) {
 	}
 	var sink bytes.Buffer
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: 8, Sink: &sink})
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Tracer = tracer
 
 	var verdicts []Verdict
@@ -116,7 +117,7 @@ func TestTracingDisabledLeavesVerdictsBare(t *testing.T) {
 		t.Fatal(err)
 	}
 	var verdicts []Verdict
-	if _, err := Process(context.Background(), testConfig(), NewSliceSource(capture), func(v Verdict) {
+	if _, err := Process(context.Background(), testConfig(t), NewSliceSource(capture), func(v Verdict) {
 		verdicts = append(verdicts, v)
 	}); err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestTracingDisabledLeavesVerdictsBare(t *testing.T) {
 func TestDroppedFrameTraceRecordsError(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: 16})
 	defer tracer.Close()
-	e, err := NewEngine(Config{Workers: 1, Tracer: tracer})
+	e, err := NewEngine(Config{Workers: 1, Tracer: tracer, Pipelines: []*phy.Pipeline{zigbeePipeline(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,12 +175,11 @@ func BenchmarkClockRecovery(b *testing.B) {
 	}
 }
 
-// benchDecodeAt times the post-synchronization decode of one frame — the
-// stream worker's steady-state unit of work — on the chosen despread path.
-func benchDecodeAt(b *testing.B, directDespread bool) {
-	b.Helper()
+// BenchmarkDecodeAt times the post-synchronization decode of one frame —
+// the stream worker's steady-state unit of work.
+func BenchmarkDecodeAt(b *testing.B) {
 	wave := benchWaveform(b)
-	rx, err := NewReceiver(ReceiverConfig{DirectDespread: directDespread})
+	rx, err := NewReceiver(ReceiverConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,34 +195,3 @@ func benchDecodeAt(b *testing.B, directDespread bool) {
 		}
 	}
 }
-
-func BenchmarkDecodeAt(b *testing.B)       { benchDecodeAt(b, false) }
-func BenchmarkDecodeAtDirect(b *testing.B) { benchDecodeAt(b, true) }
-
-// benchDespread times just the frame-wide soft despreading stage —
-// batched FFT bank vs per-symbol direct correlation — on a decoded
-// frame's matched-filter chip stream.
-func benchDespread(b *testing.B, directDespread bool) {
-	b.Helper()
-	wave := benchWaveform(b)
-	rx, err := NewReceiver(ReceiverConfig{DirectDespread: directDespread})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := rx.Receive(wave)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chips := rec.SoftChips
-	res := make([]DespreadResult, len(chips)/ChipsPerSymbol)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rx.despreadSoftInto(res, chips); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDespreadBatched(b *testing.B)       { benchDespread(b, false) }
-func BenchmarkDespreadBatchedDirect(b *testing.B) { benchDespread(b, true) }

@@ -44,9 +44,9 @@ func buildChipTable() [16][ChipsPerSymbol]bits.Bit {
 }
 
 // chipPM holds the 16 spreading sequences in ±1 float form — the codebook
-// the receiver's batched despreader correlates against (correlation
-// against ±1 codewords reproduces the add/subtract accumulation of
-// DespreadSoft bit for bit).
+// the receiver's soft despreader correlates against (correlation against
+// ±1 codewords reproduces the add/subtract accumulation of DespreadSoft
+// bit for bit).
 var chipPM = func() [16][ChipsPerSymbol]float64 {
 	var pm [16][ChipsPerSymbol]float64
 	for s := range chipTable {

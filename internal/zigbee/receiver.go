@@ -42,16 +42,8 @@ type ReceiverConfig struct {
 	// DirectSync forces the direct O(lags×ref) preamble correlation
 	// instead of the FFT overlap-save plan. The two paths make the same
 	// sync decisions and report bit-identical peaks (see dsp.Correlator);
-	// direct remains available as the reference implementation and is the
-	// global default under the slowsync build tag.
+	// direct remains available as the reference implementation.
 	DirectSync bool
-	// DirectDespread forces per-symbol direct correlation against all 16
-	// chip sequences instead of the batched FFT despreader
-	// (dsp.CorrelatorBank). The two paths make identical symbol decisions
-	// (the bank confirms borderline windows with an exact scan); direct
-	// remains available as the reference implementation and is the global
-	// default under the slowsync build tag.
-	DirectDespread bool
 }
 
 // Receiver demodulates baseband waveforms back into frames and exposes the
@@ -72,20 +64,17 @@ type ReceiverConfig struct {
 // are simultaneously valid.
 type Receiver struct {
 	cfg       ReceiverConfig
-	syncRef   []complex128        // modulated SHR used for preamble correlation
-	refEnergy float64             // Σ|syncRef|², cached for the noise estimate
-	sync      *dsp.Correlator     // overlap-save (or direct) preamble correlation plan
-	bank      *dsp.CorrelatorBank // batched (or direct) chip-sequence despread plan
-	welch     *dsp.Welch          // out-of-band SNR PSD plan
+	syncRef   []complex128    // modulated SHR used for preamble correlation
+	refEnergy float64         // Σ|syncRef|², cached for the noise estimate
+	sync      *dsp.Correlator // overlap-save (or direct) preamble correlation plan
+	welch     *dsp.Welch      // out-of-band SNR PSD plan
 
 	corr  []float64    // Synchronize scratch: correlation lags
 	avail []complex128 // decodeFrom scratch: derotated samples
 	psd   []float64    // oobSNR scratch
 	// Despread scratch, reused by header and frame decodes.
 	chips    []float64  // header demod output (soft or discriminator)
-	pm       []float64  // ±1 chip windows fed to the bank (hard mode)
-	hardBits []bits.Bit // hard decisions for distance reporting
-	best     []int      // bank argmax output
+	hardBits []bits.Bit // hard chip decisions
 	syms     []byte     // despread symbols before byte packing
 	hdrRes   []DespreadResult
 	hdrBytes []byte // packed header bytes
@@ -127,14 +116,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("zigbee: receiver init: %w", err)
 	}
-	code := make([][]float64, len(chipPM))
-	for s := range chipPM {
-		code[s] = chipPM[s][:]
-	}
-	bank, err := dsp.NewCorrelatorBank(code, dsp.CorrelatorBankConfig{UseDirect: cfg.DirectDespread})
-	if err != nil {
-		return nil, fmt.Errorf("zigbee: receiver init: %w", err)
-	}
 	welch, err := dsp.NewWelch(oobSegment, dsp.Hann)
 	if err != nil {
 		return nil, fmt.Errorf("zigbee: receiver init: %w", err)
@@ -144,7 +125,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		syncRef:   ref,
 		refEnergy: dsp.Energy(ref),
 		sync:      cor,
-		bank:      bank,
 		welch:     welch,
 	}, nil
 }
@@ -160,7 +140,6 @@ func (rx *Receiver) Clone() *Receiver {
 		syncRef:   rx.syncRef,
 		refEnergy: rx.refEnergy,
 		sync:      rx.sync.Clone(),
-		bank:      rx.bank.Clone(),
 		welch:     rx.welch.Clone(),
 	}
 }
@@ -482,7 +461,7 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64) (
 	}
 	rec.DiscriminatorChips = disc
 
-	// Despread the whole frame in one batched pass over the chip streams
+	// Despread the whole frame in one pass over the chip streams
 	// demodulated above (bitwise identical to re-demodulating: the
 	// matched filter and discriminator are deterministic).
 	results := rx.arena.results(totalSymbols)
@@ -612,54 +591,60 @@ func (rx *Receiver) decodeHeader(avail []complex128) ([]byte, int, error) {
 
 // despreadHardInto despreads soft chips with the hard-decision rule into
 // res, one result per 32-chip window, matching DespreadHard(HardChips(
-// soft), threshold) decision-for-decision: the bank's argmax over ±1
-// correlations is the argmin Hamming distance (corr = 32−2d exactly, so
-// strict-inequality first-wins order carries over), and distances are
-// recomputed with exact integer counts.
+// soft), threshold): the symbol at minimum Hamming distance, first index
+// winning ties.
 func (rx *Receiver) despreadHardInto(res []DespreadResult, soft []float64) error {
 	defer obsDespread.Since(time.Now())
 	if len(soft)%ChipsPerSymbol != 0 {
 		return fmt.Errorf("zigbee: chip count %d not a multiple of %d", len(soft), ChipsPerSymbol)
 	}
-	n := len(soft) / ChipsPerSymbol
 	hard := ensureBits(&rx.hardBits, len(soft))
-	pm := ensureFloats(&rx.pm, len(soft))
 	for i, v := range soft {
 		if v >= 0 {
-			hard[i], pm[i] = 1, 1
+			hard[i] = 1
 		} else {
-			hard[i], pm[i] = 0, -1
+			hard[i] = 0
 		}
 	}
-	best := ensureInts(&rx.best, n)
-	rx.bank.BestInto(best, pm)
-	for w := 0; w < n; w++ {
-		s := byte(best[w])
-		d, err := bits.HammingDistance(hard[w*ChipsPerSymbol:(w+1)*ChipsPerSymbol], chipTable[s][:])
-		if err != nil {
-			return fmt.Errorf("zigbee: despread: %w", err)
+	for w := range len(soft) / ChipsPerSymbol {
+		window := hard[w*ChipsPerSymbol : (w+1)*ChipsPerSymbol]
+		best, bestDist := byte(0), ChipsPerSymbol+1
+		for s := byte(0); s < 16; s++ {
+			d, err := bits.HammingDistance(window, chipTable[s][:])
+			if err != nil {
+				return fmt.Errorf("zigbee: despread: %w", err)
+			}
+			if d < bestDist {
+				best, bestDist = s, d
+			}
 		}
-		res[w] = DespreadResult{Symbol: s, Distance: d, Dropped: d > rx.cfg.HammingThreshold}
+		res[w] = DespreadResult{Symbol: best, Distance: bestDist, Dropped: bestDist > rx.cfg.HammingThreshold}
 	}
 	return nil
 }
 
 // despreadSoftInto despreads soft chips by maximum ±1 correlation into
-// res, matching DespreadSoft decision-for-decision (the bank's direct
-// reference scan reproduces DespreadSoft's add/subtract accumulation
-// order bit-for-bit, and the FFT path defers to it within the guard).
+// res, matching DespreadSoft: codewords are scored in order and the first
+// maximum wins (multiplying by ±1 is exact, so the sums equal
+// DespreadSoft's add/subtract accumulation bit for bit).
 func (rx *Receiver) despreadSoftInto(res []DespreadResult, soft []float64) error {
 	defer obsDespread.Since(time.Now())
 	if len(soft)%ChipsPerSymbol != 0 {
 		return fmt.Errorf("zigbee: soft chip count %d not a multiple of %d", len(soft), ChipsPerSymbol)
 	}
-	n := len(soft) / ChipsPerSymbol
-	best := ensureInts(&rx.best, n)
-	rx.bank.BestInto(best, soft)
 	hard := ensureBits(&rx.hardBits, ChipsPerSymbol)
-	for w := 0; w < n; w++ {
-		s := byte(best[w])
+	for w := range len(soft) / ChipsPerSymbol {
 		window := soft[w*ChipsPerSymbol : (w+1)*ChipsPerSymbol]
+		best, bestCorr := byte(0), math.Inf(-1)
+		for s := range chipPM {
+			var corr float64
+			for i, c := range chipPM[s][:] {
+				corr += window[i] * c
+			}
+			if corr > bestCorr {
+				best, bestCorr = byte(s), corr
+			}
+		}
 		for i, v := range window {
 			if v >= 0 {
 				hard[i] = 1
@@ -669,19 +654,17 @@ func (rx *Receiver) despreadSoftInto(res []DespreadResult, soft []float64) error
 		}
 		// Report the hard Hamming distance too so both receiver models
 		// expose comparable diagnostics.
-		d, err := bits.HammingDistance(hard, chipTable[s][:])
+		d, err := bits.HammingDistance(hard, chipTable[best][:])
 		if err != nil {
 			return fmt.Errorf("zigbee: soft despread: %w", err)
 		}
-		res[w] = DespreadResult{Symbol: s, Distance: d}
+		res[w] = DespreadResult{Symbol: best, Distance: d}
 	}
 	return nil
 }
 
 // despreadFMInto despreads discriminator chips against the precomputed
 // differential patterns into res, identical to DespreadDiscriminator.
-// The differential codebook is not a cyclic family (the masked boundary
-// chip breaks the shift structure), so this stays a direct scan.
 func (rx *Receiver) despreadFMInto(res []DespreadResult, disc []float64) error {
 	defer obsDespread.Since(time.Now())
 	if len(disc)%ChipsPerSymbol != 0 {
@@ -742,13 +725,6 @@ func ensureComplexes(buf *[]complex128, n int) []complex128 {
 func ensureBytes(buf *[]byte, n int) []byte {
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
-	}
-	return (*buf)[:n]
-}
-
-func ensureInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
 	}
 	return (*buf)[:n]
 }

@@ -12,9 +12,7 @@ import (
 // plus ExactAt value recomputation at the decided lag (same peaks,
 // bitwise). These tests sweep a corpus of captures — clean, noisy down
 // to the sync threshold, offset, multi-frame, truncated, pure noise —
-// through paired receivers and require identical results. Under the
-// slowsync build tag both receivers run the direct path and the
-// comparisons are trivially (but harmlessly) true.
+// through paired receivers and require identical results.
 
 // parityReceivers returns an FFT-path and a direct-path receiver with
 // the same configuration.
