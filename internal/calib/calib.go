@@ -11,7 +11,7 @@
 //
 //   - Every session class (by default one per protocol) tracks the D² of
 //     its frames in two rolling distributions — one per verdict label —
-//     using the same epoch-stamped 10 s slot-ring design as the obs
+//     on obs.EpochRing, the 12 × 10 s epoch-stamped ring behind the obs
 //     package's windowed histograms (fixed memory, stale slots reset in
 //     place), but with linear bins over the defense statistic's actual
 //     range: D² lives in [0, ~2.5], entirely below the resolution floor

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"hideseek/internal/obs"
 )
 
 // fakeClock is a mutable test clock for Config.Now.
@@ -120,13 +122,13 @@ func TestWindowDistStaleRing(t *testing.T) {
 		w.observe(0.3, clk.t)
 	}
 	counts := make([]uint64, 8)
-	if n := w.merged(counts, clk.t, windowFull); n != 20 {
+	if n := w.merged(counts, clk.t, obs.WindowLong); n != 20 {
 		t.Fatalf("fresh ring: merged %d samples, want 20", n)
 	}
 	// Advance past the ring's whole reach: every slot is stale and must
 	// contribute nothing.
-	clk.advance(windowFull + distSlotDur)
-	if n := w.merged(counts, clk.t, windowFull); n != 0 {
+	clk.advance(obs.WindowLong + 10*time.Second)
+	if n := w.merged(counts, clk.t, obs.WindowLong); n != 0 {
 		t.Fatalf("stale ring: merged %d samples, want 0", n)
 	}
 	for b, c := range counts {
@@ -134,7 +136,7 @@ func TestWindowDistStaleRing(t *testing.T) {
 			t.Fatalf("stale ring: bin %d holds %d stale counts", b, c)
 		}
 	}
-	if n := w.total(clk.t, windowFull); n != 0 {
+	if n := w.total(clk.t, obs.WindowLong); n != 0 {
 		t.Fatalf("stale ring: total %d, want 0", n)
 	}
 }
@@ -222,7 +224,7 @@ func TestDriftEventAndThrottle(t *testing.T) {
 
 	// Age the warmup samples out of the drift window, then feed authentic
 	// traffic whose D² has walked an order of magnitude above baseline.
-	clk.advance(windowFull + distSlotDur)
+	clk.advance(obs.WindowLong + 10*time.Second)
 	var ev *DriftEvent
 	for i := 0; i < 8; i++ {
 		if got := c.Observe(0.50, LabelAuthentic); got != nil {
@@ -274,6 +276,35 @@ func TestStableTrafficNoDrift(t *testing.T) {
 	}
 	if c.DriftTotal() != 0 {
 		t.Fatalf("drift total %d on stable traffic", c.DriftTotal())
+	}
+}
+
+// TestCalibratorObserveZeroAllocs: once every ring slot holds its bins,
+// the per-frame Observe path — slot recording, the windowed merge and the
+// drift check — allocates nothing.
+func TestCalibratorObserveZeroAllocs(t *testing.T) {
+	clk := newFakeClock()
+	m, _ := NewManager(testConfig(clk))
+	c := m.Class("zigbee", 0.2)
+	warmUp(t, c, clk, 0.05, 0.80)
+	// Each ring slot gets its bins on first use: touch every slot of both
+	// distributions before measuring.
+	for i := 0; i < 12; i++ {
+		c.Observe(0.05, LabelAuthentic)
+		c.Observe(0.80, LabelEmulated)
+		clk.advance(10 * time.Second)
+	}
+	drifted := false
+	allocs := testing.AllocsPerRun(100, func() {
+		drifted = drifted || c.Observe(0.05, LabelAuthentic) != nil
+		drifted = drifted || c.Observe(0.80, LabelEmulated) != nil
+		clk.advance(time.Second)
+	})
+	if drifted {
+		t.Fatal("stable traffic raised a drift event")
+	}
+	if allocs != 0 {
+		t.Fatalf("Calibrator.Observe allocates %v per frame, want 0", allocs)
 	}
 }
 

@@ -173,8 +173,8 @@ func (c *Calibrator) Observe(d2 float64, label Label) *DriftEvent {
 // rolling distributions and the authentic quantiles become the drift
 // baseline.
 func (c *Calibrator) maybeFitLocked(now time.Time) {
-	an := c.auth.merged(c.scratchA, now, windowFull)
-	en := c.emul.merged(c.scratchE, now, windowFull)
+	an := c.auth.merged(c.scratchA, now, obs.WindowLong)
+	en := c.emul.merged(c.scratchE, now, obs.WindowLong)
 	if an < uint64(c.cfg.WarmupPerClass) || en < uint64(c.cfg.WarmupPerClass) {
 		return
 	}
@@ -201,7 +201,7 @@ func (c *Calibrator) checkDriftLocked(now time.Time) *DriftEvent {
 		return nil
 	}
 	c.lastCheck = now
-	n := c.auth.merged(c.scratchA, now, windowShort)
+	n := c.auth.merged(c.scratchA, now, obs.WindowShort)
 	if n < uint64(c.cfg.MinWindowCount) {
 		return nil
 	}
@@ -293,8 +293,8 @@ func (c *Calibrator) Status() Status {
 		Source:     src.String(),
 		Threshold:  thr,
 		Fallback:   c.fallback,
-		AuthWindow: c.auth.total(now, windowFull),
-		EmulWindow: c.emul.total(now, windowFull),
+		AuthWindow: c.auth.total(now, obs.WindowLong),
+		EmulWindow: c.emul.total(now, obs.WindowLong),
 		DriftTotal: c.driftTotal,
 	}
 	if c.override != nil {

@@ -3,44 +3,31 @@ package calib
 import (
 	"math"
 	"time"
+
+	"hideseek/internal/obs"
 )
 
-// Rolling-distribution geometry: the epoch-stamped slot-ring design of
-// the obs package's histogram windows (12 × 10 s, fixed memory, stale
-// slots reset in place when their ring position comes around), with
-// linear bins instead of log2 buckets — the defense statistics live in
-// [0, ~2.5], entirely below obs.Histogram's bucket resolution.
-const (
-	distSlots   = 12
-	distSlotDur = 10 * time.Second
-	// windowShort is the drift monitor's comparison window.
-	windowShort = 60 * time.Second
-	// windowFull is the fit window (the ring's whole reach).
-	windowFull = distSlots * distSlotDur
-)
-
-// distSlot is one 10 s interval of observations. epoch is the slot's
-// absolute interval index (unix nanos / distSlotDur).
+// distSlot is one 10 s interval of observations. counts is allocated on
+// the slot's first use and reused every time the ring comes around.
 type distSlot struct {
-	epoch  int64
 	n      uint64
 	counts []uint32
 }
 
-// windowDist is a rolling linear-bin distribution over [0, max). It does
-// NOT lock: the owning Calibrator's mutex guards all access.
+// windowDist is a rolling linear-bin distribution over [0, max) on the
+// obs package's epoch ring (12 × 10 s, fixed memory, stale slots reset in
+// place). The bins are linear instead of obs.Histogram's log2 buckets:
+// the defense statistics live in [0, ~2.5], entirely below that bucket
+// resolution. windowDist does NOT lock: the owning Calibrator's mutex
+// guards all access.
 type windowDist struct {
-	bins  int
-	max   float64
-	slots [distSlots]distSlot
+	bins int
+	max  float64
+	ring obs.EpochRing[distSlot]
 }
 
 func newWindowDist(bins int, max float64) *windowDist {
-	w := &windowDist{bins: bins, max: max}
-	for i := range w.slots {
-		w.slots[i].counts = make([]uint32, bins)
-	}
-	return w
+	return &windowDist{bins: bins, max: max}
 }
 
 // bucketOf clamps v into a bin index; values past max collapse into the
@@ -56,88 +43,43 @@ func (w *windowDist) bucketOf(v float64) int {
 	return b
 }
 
-// binMid is the representative value of a bin (its midpoint).
-func (w *windowDist) binMid(b int) float64 {
-	return (float64(b) + 0.5) * w.max / float64(w.bins)
-}
-
 // observe records v into the interval containing now.
 func (w *windowDist) observe(v float64, now time.Time) {
-	epoch := now.UnixNano() / int64(distSlotDur)
-	s := &w.slots[epoch%distSlots]
-	if s.epoch != epoch {
-		s.epoch = epoch
-		s.n = 0
-		for i := range s.counts {
-			s.counts[i] = 0
+	s, stale := w.ring.Slot(now)
+	if stale {
+		if s.counts == nil {
+			s.counts = make([]uint32, w.bins)
 		}
+		s.n = 0
+		clear(s.counts)
 	}
 	s.n++
 	s.counts[w.bucketOf(v)]++
 }
 
 // merged sums every slot inside the last d (ending at now) into one
-// count vector. Slots whose epoch is outside the window — including a
+// count vector. Slots whose interval is outside the window — including a
 // fully-stale ring — contribute nothing, so the caller sees zero counts
 // rather than stale samples.
 func (w *windowDist) merged(counts []uint64, now time.Time, d time.Duration) (n uint64) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	if d <= 0 {
-		return 0
-	}
-	intervals := int64((d + distSlotDur - 1) / distSlotDur)
-	if intervals > distSlots {
-		intervals = distSlots
-	}
-	nowEpoch := now.UnixNano() / int64(distSlotDur)
-	oldest := nowEpoch - intervals + 1
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.n == 0 || s.epoch < oldest || s.epoch > nowEpoch {
-			continue
-		}
+	clear(counts)
+	w.ring.Each(now, d, func(s *distSlot) {
 		n += s.n
 		for b, c := range s.counts {
 			counts[b] += uint64(c)
 		}
-	}
+	})
 	return n
 }
 
 // total counts the samples inside the last d without merging bins.
 func (w *windowDist) total(now time.Time, d time.Duration) (n uint64) {
-	if d <= 0 {
-		return 0
-	}
-	intervals := int64((d + distSlotDur - 1) / distSlotDur)
-	if intervals > distSlots {
-		intervals = distSlots
-	}
-	nowEpoch := now.UnixNano() / int64(distSlotDur)
-	oldest := nowEpoch - intervals + 1
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.epoch < oldest || s.epoch > nowEpoch {
-			continue
-		}
-		n += s.n
-	}
+	w.ring.Each(now, d, func(s *distSlot) { n += s.n })
 	return n
 }
 
-// reset clears every slot (re-armed warmup starts from an empty ring).
-func (w *windowDist) reset() {
-	for i := range w.slots {
-		s := &w.slots[i]
-		s.epoch = 0
-		s.n = 0
-		for b := range s.counts {
-			s.counts[b] = 0
-		}
-	}
-}
+// reset empties the ring (re-armed warmup starts from no samples).
+func (w *windowDist) reset() { w.ring.Clear() }
 
 // quantileOf returns the q-quantile (0 < q < 1) of a merged count vector
 // as the midpoint of the bin holding the ceil(q·n)-th sample; zero when

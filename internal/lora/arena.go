@@ -43,7 +43,7 @@ func (a *frameArena) ints(n int) []int {
 	}
 	off := len(a.i)
 	a.i = a.i[:off+n]
-	return a.i[off:off:off+n]
+	return a.i[off : off : off+n]
 }
 
 // floats carves room for n float64s as a zero-length, capacity-clipped
@@ -58,7 +58,7 @@ func (a *frameArena) floats(n int) []float64 {
 	}
 	off := len(a.f64)
 	a.f64 = a.f64[:off+n]
-	return a.f64[off:off:off+n]
+	return a.f64[off : off : off+n]
 }
 
 // byteBuf carves n bytes, full-length (callers overwrite every element)

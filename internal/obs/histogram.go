@@ -20,16 +20,36 @@ const (
 	histBuckets      = histOctaves * bucketsPerOctave
 )
 
-// histShard is one independently locked slice of a histogram. Shards are
-// padded to a cache line so neighboring shard mutexes do not false-share.
-type histShard struct {
-	mu     sync.Mutex
+// histCounts is one accumulator of observations: count, sum, exact
+// extremes and log-bucket counts. Histogram shards and window slots are
+// both histCounts.
+type histCounts struct {
 	n      uint64
 	sum    float64
 	min    float64
 	max    float64
 	counts [histBuckets]uint32
-	_      [64]byte
+}
+
+// add records n observations of v.
+func (c *histCounts) add(v float64, n uint64) {
+	if c.n == 0 || v < c.min {
+		c.min = v
+	}
+	if c.n == 0 || v > c.max {
+		c.max = v
+	}
+	c.n += n
+	c.sum += v * float64(n)
+	c.counts[bucketOf(v)] += clampUint32(n)
+}
+
+// histShard is one independently locked slice of a histogram. Shards are
+// padded to a cache line so neighboring shard mutexes do not false-share.
+type histShard struct {
+	mu sync.Mutex
+	histCounts
+	_ [64]byte
 }
 
 // Histogram is a lock-sharded, fixed-memory log-bucketed value histogram
@@ -86,15 +106,7 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	idx := (math.Float64bits(v) * 0x9E3779B97F4A7C15) >> 61
 	s := &h.shards[idx&(histShards-1)]
 	s.mu.Lock()
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n += n
-	s.sum += v * float64(n)
-	s.counts[bucketOf(v)] += clampUint32(n)
+	s.add(v, n)
 	s.mu.Unlock()
 	h.win.observeN(v, n, time.Now())
 }
@@ -130,26 +142,52 @@ type HistogramStats struct {
 	Buckets []BucketCount `json:"-"`
 }
 
-// statsFromMerged turns merged bucket counts plus exact extremes into the
+// histMerge sums histCounts (shards or window slots) into one summary.
+type histMerge struct {
+	n      uint64
+	sum    float64
+	min    float64
+	max    float64
+	counts [histBuckets]uint64
+}
+
+// add folds c into the merge; empty accumulators contribute nothing.
+func (m *histMerge) add(c *histCounts) {
+	if c.n == 0 {
+		return
+	}
+	if m.n == 0 || c.min < m.min {
+		m.min = c.min
+	}
+	if m.n == 0 || c.max > m.max {
+		m.max = c.max
+	}
+	m.n += c.n
+	m.sum += c.sum
+	for b, k := range c.counts {
+		m.counts[b] += uint64(k)
+	}
+}
+
+// stats turns the merged bucket counts plus exact extremes into the
 // summary: mean, interpolated quantiles, and cumulative buckets.
-func statsFromMerged(merged []uint64, n uint64, min, max, sum float64) HistogramStats {
-	st := HistogramStats{Count: int64(n), Min: min, Max: max, Sum: sum}
-	if n == 0 {
+func (m *histMerge) stats() HistogramStats {
+	if m.n == 0 {
 		return HistogramStats{}
 	}
-	st.Mean = sum / float64(n)
-	st.P50 = quantileFrom(merged, n, 0.50, min, max)
-	st.P95 = quantileFrom(merged, n, 0.95, min, max)
-	st.P99 = quantileFrom(merged, n, 0.99, min, max)
+	st := HistogramStats{Count: int64(m.n), Min: m.min, Max: m.max, Sum: m.sum, Mean: m.sum / float64(m.n)}
+	st.P50 = quantileFrom(m.counts[:], m.n, 0.50, m.min, m.max)
+	st.P95 = quantileFrom(m.counts[:], m.n, 0.95, m.min, m.max)
+	st.P99 = quantileFrom(m.counts[:], m.n, 0.99, m.min, m.max)
 	var cum uint64
-	for b, c := range merged {
+	for b, c := range m.counts {
 		if c == 0 {
 			continue
 		}
 		cum += c
 		st.Buckets = append(st.Buckets, BucketCount{UpperBound: bucketLower(b + 1), Count: cum})
 	}
-	st.Buckets = append(st.Buckets, BucketCount{UpperBound: math.Inf(1), Count: n})
+	st.Buckets = append(st.Buckets, BucketCount{UpperBound: math.Inf(1), Count: m.n})
 	return st
 }
 
@@ -157,28 +195,14 @@ func statsFromMerged(merged []uint64, n uint64, min, max, sum float64) Histogram
 // p50/p95/p99 estimates. It locks each shard briefly, one at a time, so a
 // concurrent Observe stream only delays it, never blocks on it.
 func (h *Histogram) Summary() HistogramStats {
-	var merged [histBuckets]uint64
-	var n uint64
-	var min, max, sum float64
+	var m histMerge
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		if s.n > 0 {
-			if n == 0 || s.min < min {
-				min = s.min
-			}
-			if n == 0 || s.max > max {
-				max = s.max
-			}
-			n += s.n
-			sum += s.sum
-			for b, c := range s.counts {
-				merged[b] += uint64(c)
-			}
-		}
+		m.add(&s.histCounts)
 		s.mu.Unlock()
 	}
-	return statsFromMerged(merged[:], n, min, max, sum)
+	return m.stats()
 }
 
 // Window returns the summary of everything observed during the last d
@@ -187,34 +211,6 @@ func (h *Histogram) Summary() HistogramStats {
 // between d-10s and d of history depending on interval phase.
 func (h *Histogram) Window(d time.Duration) HistogramStats {
 	return h.win.stats(time.Now(), d)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of everything observed
-// so far. 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	st := h.Summary()
-	switch {
-	case st.Count == 0:
-		return 0
-	case q <= 0:
-		return st.Min
-	case q >= 1:
-		return st.Max
-	case q == 0.5:
-		return st.P50
-	}
-	var merged [histBuckets]uint64
-	var n uint64
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		n += s.n
-		for b, c := range s.counts {
-			merged[b] += uint64(c)
-		}
-		s.mu.Unlock()
-	}
-	return quantileFrom(merged[:], n, q, st.Min, st.Max)
 }
 
 // quantileFrom walks the merged bucket counts to the q-quantile rank and

@@ -12,7 +12,7 @@ import (
 // stdlib. Mapping from obs instruments:
 //
 //   - Counter  "stream.frames"   → hideseek_stream_frames_total (counter)
-//   - Timer    "stream.decode"   → hideseek_stream_decode_seconds (summary:
+//   - Timer    "zigbee.sync"     → hideseek_zigbee_sync_seconds (summary:
 //     _sum in seconds, _count)
 //   - Histogram "stream.scan_ns" → hideseek_stream_scan_ns (histogram:
 //     cumulative _bucket{le=...} series from the log buckets, _sum,

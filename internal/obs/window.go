@@ -5,38 +5,14 @@ import (
 	"time"
 )
 
-// Rolling-window geometry: a ring of 12 interval shards of 10 s each, so
-// a histogram can answer "last 60 s" and "last 2 min" quantiles while a
-// long-running daemon keeps its cumulative-since-boot series. Memory is
-// fixed: 12 × histBuckets uint32 per histogram, reused forever.
-const (
-	windowSlots   = 12
-	windowSlotDur = 10 * time.Second
-	// WindowShort and WindowLong are the two window widths snapshots and
-	// endpoints report (see Snapshot.Windows and WindowedStats).
-	WindowShort = 60 * time.Second
-	WindowLong  = windowSlots * windowSlotDur
-)
-
-// winSlot is one 10 s interval of observations. epoch is the slot's
-// absolute interval index (unix time / windowSlotDur); a slot whose epoch
-// is stale is reset in place when its ring position comes around again.
-type winSlot struct {
-	epoch  int64
-	n      uint64
-	sum    float64
-	min    float64
-	max    float64
-	counts [histBuckets]uint32
-}
-
-// histWindow is the rolling ring behind Histogram.Window. One mutex
-// guards the whole ring: windowed observations ride the same per-frame /
-// per-trial event rates as the sharded cumulative path (never per-sample
-// loops), so a single short critical section is cheap enough.
+// histWindow is the rolling ring behind Histogram.Window: one histCounts
+// per 10 s interval. One mutex guards the whole ring: windowed
+// observations ride the same per-frame / per-trial event rates as the
+// sharded cumulative path (never per-sample loops), so a single short
+// critical section is cheap enough.
 type histWindow struct {
-	mu    sync.Mutex
-	slots [windowSlots]winSlot
+	mu   sync.Mutex
+	ring EpochRing[histCounts]
 }
 
 // observe records v into the interval containing now.
@@ -45,61 +21,23 @@ func (w *histWindow) observe(v float64, now time.Time) { w.observeN(v, 1, now) }
 // observeN records n observations of v into the interval containing now
 // (the bulk form behind Histogram.ObserveN).
 func (w *histWindow) observeN(v float64, n uint64, now time.Time) {
-	epoch := now.UnixNano() / int64(windowSlotDur)
-	s := &w.slots[epoch%windowSlots]
 	w.mu.Lock()
-	if s.epoch != epoch {
-		*s = winSlot{epoch: epoch}
+	s, stale := w.ring.Slot(now)
+	if stale {
+		*s = histCounts{}
 	}
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n += n
-	s.sum += v * float64(n)
-	s.counts[bucketOf(v)] += clampUint32(n)
+	s.add(v, n)
 	w.mu.Unlock()
 }
 
 // stats merges every slot that falls inside the last d (ending at now)
-// into one summary. d is rounded up to whole intervals and clamped to the
-// ring's reach.
+// into one summary.
 func (w *histWindow) stats(now time.Time, d time.Duration) HistogramStats {
-	if d <= 0 {
-		return HistogramStats{}
-	}
-	intervals := int64((d + windowSlotDur - 1) / windowSlotDur)
-	if intervals > windowSlots {
-		intervals = windowSlots
-	}
-	nowEpoch := now.UnixNano() / int64(windowSlotDur)
-	oldest := nowEpoch - intervals + 1
-
-	var merged [histBuckets]uint64
-	var n uint64
-	var min, max, sum float64
+	var m histMerge
 	w.mu.Lock()
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.n == 0 || s.epoch < oldest || s.epoch > nowEpoch {
-			continue
-		}
-		if n == 0 || s.min < min {
-			min = s.min
-		}
-		if n == 0 || s.max > max {
-			max = s.max
-		}
-		n += s.n
-		sum += s.sum
-		for b, c := range s.counts {
-			merged[b] += uint64(c)
-		}
-	}
+	w.ring.Each(now, d, m.add)
 	w.mu.Unlock()
-	return statsFromMerged(merged[:], n, min, max, sum)
+	return m.stats()
 }
 
 // WindowedStats pairs the two rolling-window summaries every histogram

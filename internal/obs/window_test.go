@@ -133,3 +133,29 @@ func TestHistogramWindowedFeed(t *testing.T) {
 		t.Fatalf("cumulative count %d, want 1", sum.Count)
 	}
 }
+
+// TestHistogramObserveZeroAllocs: the per-frame recording path — the
+// sharded cumulative counts plus the windowed ring — and the ring walk
+// behind Windowed allocate nothing.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	var h Histogram
+	v := 0.0
+	if n := testing.AllocsPerRun(100, func() { v++; h.Observe(v) }); n != 0 {
+		t.Fatalf("Observe allocates %v per call, want 0", n)
+	}
+	now := time.Now()
+	var merged uint64
+	n := testing.AllocsPerRun(100, func() {
+		var m histMerge
+		h.win.mu.Lock()
+		h.win.ring.Each(now, WindowLong, m.add)
+		h.win.mu.Unlock()
+		merged = m.n
+	})
+	if n != 0 {
+		t.Fatalf("windowed merge allocates %v per call, want 0", n)
+	}
+	if ws := h.Windowed(); ws.Last120s.Count != 101 || merged != 101 {
+		t.Fatalf("windowed count %d (merge %d), want 101", ws.Last120s.Count, merged)
+	}
+}

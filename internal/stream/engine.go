@@ -240,7 +240,6 @@ func (e *Engine) processJob(rx phy.Receiver, j job, wait time.Duration) Verdict 
 	decodeStart := time.Now()
 	rec, err := rx.DecodeAt(j.frame, 0, j.peak)
 	v.DecodeNS = sinceNS(decodeStart)
-	obsDecode.Since(decodeStart)
 	obsDecodeNS.Observe(float64(v.DecodeNS))
 	j.trace.AddSpanDur(StageDecode, decodeStart, time.Duration(v.DecodeNS), err)
 	if err != nil {
@@ -258,7 +257,6 @@ func (e *Engine) processJob(rx phy.Receiver, j job, wait time.Duration) Verdict 
 	detectStart := time.Now()
 	det, err := analyzer.Analyze(rec)
 	v.DetectNS = sinceNS(detectStart)
-	obsDetect.Since(detectStart)
 	obsDetectNS.Observe(float64(v.DetectNS))
 	j.trace.AddSpanDur(StageDetect, detectStart, time.Duration(v.DetectNS), err)
 	if err != nil {

@@ -18,11 +18,8 @@ var (
 	obsDecodeErrors = obs.C("stream.decode_errors")
 	obsDetectErrors = obs.C("stream.detect_errors")
 	obsSessions     = obs.C("stream.sessions")
-	obsScan         = obs.T("stream.scan")
-	obsScanNS       = obs.H("stream.scan_ns") // per-frame scan latency: p50/p95 via /v1/obs + /metrics
-	obsDecode       = obs.T("stream.decode")
+	obsScanNS       = obs.H("stream.scan_ns")   // per-frame scan latency: p50/p95 via /v1/obs + /metrics
 	obsDecodeNS     = obs.H("stream.decode_ns") // per-frame decode latency distribution
-	obsDetect       = obs.T("stream.detect")
 	obsDetectNS     = obs.H("stream.detect_ns") // per-frame defense latency distribution
 	obsQueueDepth   = obs.H("stream.queue_depth")
 	obsQueueWaitUS  = obs.H("stream.queue_wait_us")

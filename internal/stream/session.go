@@ -302,13 +302,16 @@ func (s *Session) scan(eof bool) {
 		}
 		frame := getCF32(end - relStart)
 		copy(frame, w[relStart:end])
-		scanNS := sinceNS(stepStart)
+		// One clock reading ends the scan step: the verdict's ScanNS, the
+		// scan histograms and the scan+sync spans all derive from it.
+		scanEnd := time.Now()
+		scanNS := scanEnd.Sub(stepStart).Nanoseconds()
 		var tr *obs.Trace
 		if s.tracer != nil {
 			tr = s.tracer.StartAt(stepStart, s.sid, s.seq, s.win.offset()+int64(relStart))
 			tr.Proto = s.pipe.name
 			tr.AddSpanDur(traceStageScan, stepStart, syncAt.Sub(stepStart), nil)
-			tr.AddSpan(traceStageSync, syncAt, nil)
+			tr.AddSpanDur(traceStageSync, syncAt, scanEnd.Sub(syncAt), nil)
 		}
 		s.submit(job{
 			sess:   s,
@@ -324,7 +327,6 @@ func (s *Session) scan(eof bool) {
 		s.stats.Frames++
 		obsFrames.Inc()
 		s.pipe.obs.frames.Inc()
-		obsScan.Since(stepStart)
 		obsScanNS.Observe(float64(scanNS))
 		if s.e.shard != nil {
 			s.e.shard.scanNS.Observe(float64(scanNS))
@@ -364,11 +366,12 @@ func (s *Session) submit(j job) {
 		if ev.sess.e.shard != nil {
 			ev.sess.e.shard.topDropped.Add(ev.sess.tenant, 1)
 		}
-		ev.trace.AddSpan(traceStageQueue, ev.enqueued, errDroppedOldest)
+		wait := time.Since(ev.enqueued)
+		ev.trace.AddSpanDur(traceStageQueue, ev.enqueued, wait, errDroppedOldest)
 		putCF32(ev.frame)
 		ev.sess.deliver(Verdict{
 			Seq: ev.seq, Proto: ev.pipe.name, Offset: ev.offset, SyncPeak: ev.peak,
-			Dropped: true, Degraded: ev.sess.degraded, ScanNS: ev.scanNS, QueueNS: sinceNS(ev.enqueued),
+			Dropped: true, Degraded: ev.sess.degraded, ScanNS: ev.scanNS, QueueNS: wait.Nanoseconds(),
 			TraceID: ev.trace.TraceID(), trace: ev.trace,
 		})
 	}
@@ -379,11 +382,12 @@ func (s *Session) submit(j job) {
 		if s.e.shard != nil {
 			s.e.shard.topDropped.Add(s.tenant, 1)
 		}
-		j.trace.AddSpan(traceStageQueue, j.enqueued, errEngineClosed)
+		wait := time.Since(j.enqueued)
+		j.trace.AddSpanDur(traceStageQueue, j.enqueued, wait, errEngineClosed)
 		putCF32(j.frame)
 		s.deliver(Verdict{
 			Seq: j.seq, Proto: j.pipe.name, Offset: j.offset, SyncPeak: j.peak,
-			Dropped: true, Degraded: s.degraded, ScanNS: j.scanNS, QueueNS: sinceNS(j.enqueued),
+			Dropped: true, Degraded: s.degraded, ScanNS: j.scanNS, QueueNS: wait.Nanoseconds(),
 			TraceID: j.trace.TraceID(), trace: j.trace,
 		})
 	}

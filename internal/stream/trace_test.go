@@ -17,7 +17,9 @@ import (
 // configured, every scanned frame's verdict carries a TraceID, the
 // tracer holds a trace whose (ID, Seq, Offset) match that verdict, and
 // the trace's spans cover scan, sync, queue, decode, detect, and deliver
-// with plausible timings.
+// with plausible timings. Every stage's time comes from one clock
+// reading: the spans sum to the verdict's stage fields, and the stage
+// histograms grow by exactly the verdicts' counts and sums.
 func TestTraceJoinsVerdicts(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("trace"))
 	capture, err := BuildCapture(rand.New(rand.NewSource(9)), 1e-3, 700,
@@ -29,6 +31,22 @@ func TestTraceJoinsVerdicts(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: 8, Sink: &sink})
 	cfg := testConfig(t)
 	cfg.Tracer = tracer
+
+	stageHists := []struct {
+		name   string
+		h      *obs.Histogram
+		before obs.HistogramStats
+		field  func(v Verdict) (ns int64, ran bool)
+	}{
+		{"scan_ns", obsScanNS, obsScanNS.Summary(), func(v Verdict) (int64, bool) { return v.ScanNS, true }},
+		{"decode_ns", obsDecodeNS, obsDecodeNS.Summary(), func(v Verdict) (int64, bool) { return v.DecodeNS, !v.Dropped }},
+		{"detect_ns", obsDetectNS, obsDetectNS.Summary(), func(v Verdict) (int64, bool) {
+			return v.DetectNS, !v.Dropped && v.ErrStage != StageDecode
+		}},
+		{"verdict_ns", obsVerdictNS, obsVerdictNS.Summary(), func(v Verdict) (int64, bool) {
+			return v.ScanNS + v.QueueNS + v.DecodeNS + v.DetectNS, !v.Dropped
+		}},
+	}
 
 	var verdicts []Verdict
 	stats, err := Process(context.Background(), cfg, NewSliceSource(capture), func(v Verdict) {
@@ -86,6 +104,25 @@ func TestTraceJoinsVerdicts(t *testing.T) {
 		}
 		if got := stages[StageDetect].DurNS; got != v.DetectNS {
 			t.Errorf("trace %d: detect span %d ns != verdict detect %d ns", tr.ID, got, v.DetectNS)
+		}
+		if got := stages["scan"].DurNS + stages["sync"].DurNS; got != v.ScanNS {
+			t.Errorf("trace %d: scan+sync spans %d ns != verdict scan %d ns", tr.ID, got, v.ScanNS)
+		}
+		if got := stages["queue"].DurNS; got != v.QueueNS {
+			t.Errorf("trace %d: queue span %d ns != verdict queue %d ns", tr.ID, got, v.QueueNS)
+		}
+	}
+	for _, sh := range stageHists {
+		var n, sum int64
+		for _, v := range verdicts {
+			if ns, ran := sh.field(v); ran {
+				n++
+				sum += ns
+			}
+		}
+		after := sh.h.Summary()
+		if dn, ds := after.Count-sh.before.Count, after.Sum-sh.before.Sum; dn != n || ds != float64(sum) {
+			t.Errorf("stream.%s grew by count %d sum %g, verdicts hold count %d sum %d", sh.name, dn, ds, n, sum)
 		}
 	}
 

@@ -14,11 +14,11 @@ package zigbee
 // call simultaneously valid while the next reset reclaims whichever
 // backing generation is current.
 type frameArena struct {
-	f64   []float64       // chip streams: soft, peak, recovered, discriminator
+	f64   []float64 // chip streams: soft, peak, recovered, discriminator
 	res   []DespreadResult
-	bytes []byte          // packed header/frame bytes (PSDU is a view)
-	slots []frameSlot     // Reception + RecoveredChips storage
-	outs  []*Reception    // the slice ReceiveAll returns
+	bytes []byte       // packed header/frame bytes (PSDU is a view)
+	slots []frameSlot  // Reception + RecoveredChips storage
+	outs  []*Reception // the slice ReceiveAll returns
 }
 
 // frameSlot co-locates a Reception with its RecoveredChips so linking the
