@@ -136,7 +136,8 @@ type Result struct {
 	// value unless PerSegmentAlpha).
 	Alphas []float64
 	// QAMPoints holds, per segment, the quantized constellation points in
-	// bin order (nil when SkipQuantization).
+	// bin order (nil when SkipQuantization). The segments share one backing
+	// array; each is capped, so appending to one copies it.
 	QAMPoints [][]complex128
 	// QuantError is the total squared QAM quantization error (Eq. 4's
 	// objective at the optimum).
@@ -219,11 +220,14 @@ func (e *Emulator) Emulate(observed []complex128) (*Result, error) {
 			pts[i] = spec[k]
 		}
 	}
+	// The spectra are spent; their buffer, at least as long as the kept
+	// points, is OptimizeAlpha's level-pinning scratch from here on.
+	pinScratch := e.specBuf
 
 	var globalAlpha float64
 	if !e.cfg.PerSegmentAlpha && !e.cfg.SkipQuantization {
 		var err error
-		globalAlpha, _, err = OptimizeAlpha(e.constellation, e.chosen[:numSegments*len(bins)], e.cfg.Alpha)
+		globalAlpha, _, err = optimizeAlpha(e.constellation, e.chosen[:numSegments*len(bins)], e.cfg.Alpha, pinScratch)
 		if err != nil {
 			return nil, fmt.Errorf("emulation: %w", err)
 		}
@@ -233,8 +237,10 @@ func (e *Emulator) Emulate(observed []complex128) (*Result, error) {
 		e.symSpec = make([]complex128, wifi.NumSubcarriers)
 	}
 	res.Alphas = make([]float64, 0, numSegments)
+	var qamBuf []complex128 // every QAMPoints segment, carved below
 	if !e.cfg.SkipQuantization {
 		res.QAMPoints = make([][]complex128, 0, numSegments)
+		qamBuf = make([]complex128, numSegments*len(bins))
 	}
 	for s := 0; s < numSegments; s++ {
 		spec := e.symSpec[:wifi.NumSubcarriers]
@@ -249,13 +255,13 @@ func (e *Emulator) Emulate(observed []complex128) (*Result, error) {
 			alpha = 0
 		case e.cfg.PerSegmentAlpha:
 			var err error
-			alpha, _, err = OptimizeAlpha(e.constellation, chosen(s), e.cfg.Alpha)
+			alpha, _, err = optimizeAlpha(e.constellation, chosen(s), e.cfg.Alpha, pinScratch)
 			if err != nil {
 				return nil, fmt.Errorf("emulation: segment %d: %w", s, err)
 			}
 			fallthrough
 		default:
-			segPts = make([]complex128, len(bins))
+			segPts = qamBuf[s*len(bins) : (s+1)*len(bins) : (s+1)*len(bins)]
 			for i, v := range chosen(s) {
 				q, errSq := e.constellation.Quantize(v, alpha)
 				segPts[i] = q
@@ -355,7 +361,26 @@ func (g AlphaGrid) validate() error {
 // OptimizeAlpha solves Eq. (4): a coarse grid search followed by one
 // refinement pass around the best cell, minimizing the total squared
 // distance between the chosen frequency points and the α-scaled QAM grid.
+// It returns the first grid candidate with the least error, as an
+// exhaustive scan would, but prunes the work:
+//
+//   - A candidate's running error sum never falls (every term is ≥ 0), so
+//     it stops as soon as it reaches the best error so far; it could not
+//     win the strict < anyway.
+//   - The coarse pass first scores the candidate nearest the RMS-matched
+//     scaler and also stops candidates whose sum passes that score. The
+//     first candidate at the minimum never does, so ties keep going to
+//     the lowest index.
+//   - In the refine pass, x/α is monotone in α, so a point whose QAM
+//     level is the same at both ends of the interval keeps it throughout
+//     and skips the level choice.
 func OptimizeAlpha(c *wifi.Constellation, points []complex128, grid AlphaGrid) (alpha, totalErr float64, err error) {
+	return optimizeAlpha(c, points, grid, nil)
+}
+
+// optimizeAlpha is OptimizeAlpha with a caller's buffer for the pinned
+// levels, used when its capacity holds one entry per point.
+func optimizeAlpha(c *wifi.Constellation, points []complex128, grid AlphaGrid, pin []complex128) (alpha, totalErr float64, err error) {
 	grid.applyDefaults()
 	if err := grid.validate(); err != nil {
 		return 0, 0, err
@@ -363,12 +388,28 @@ func OptimizeAlpha(c *wifi.Constellation, points []complex128, grid AlphaGrid) (
 	if len(points) == 0 {
 		return 0, 0, fmt.Errorf("emulation: no points to quantize")
 	}
-	eval := func(a float64) float64 { return c.QuantizeErrorSum(points, a) }
-	best, bestErr := grid.Min, math.Inf(1)
 	step := (grid.Max - grid.Min) / float64(grid.Steps-1)
+
+	// Seed the bound with the candidate nearest the RMS-matched scaler
+	// α₀ = sqrt(mean|v|² / mean|level|²). Starting bestErr one ulp above
+	// its error keeps the strict < rule: the first candidate at the
+	// minimum (≤ the seed's error) still wins, and the seed itself is a
+	// candidate, so some candidate does. A NaN seed error bounds nothing.
+	var power float64
+	for _, v := range points {
+		power += real(v)*real(v) + imag(v)*imag(v)
+	}
+	seed := 0
+	if f := math.Round((math.Sqrt(power/float64(len(points)))*c.Norm() - grid.Min) / step); f > 0 {
+		seed = int(min(f, float64(grid.Steps-1)))
+	}
+	best, bestErr := grid.Min, math.Inf(1)
+	if e := c.QuantizeErrorSum(points, grid.Min+float64(seed)*step); !math.IsNaN(e) {
+		bestErr = math.Nextafter(e, math.Inf(1))
+	}
 	for i := 0; i < grid.Steps; i++ {
 		a := grid.Min + float64(i)*step
-		if e := eval(a); e < bestErr {
+		if e := c.QuantizeErrorSumBelow(points, nil, a, bestErr); e < bestErr {
 			best, bestErr = a, e
 		}
 	}
@@ -377,9 +418,10 @@ func OptimizeAlpha(c *wifi.Constellation, points []complex128, grid AlphaGrid) (
 	hi := math.Min(grid.Max, best+step)
 	fineStep := (hi - lo) / float64(grid.Steps-1)
 	if fineStep > 0 {
+		pin = c.PinLevels(pin, points, lo, lo+float64(grid.Steps-1)*fineStep)
 		for i := 0; i < grid.Steps; i++ {
 			a := lo + float64(i)*fineStep
-			if e := eval(a); e < bestErr {
+			if e := c.QuantizeErrorSumBelow(points, pin, a, bestErr); e < bestErr {
 				best, bestErr = a, e
 			}
 		}

@@ -285,6 +285,10 @@ func TestOptimizeAlphaIsGridOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The pruned search returns exactly what the exhaustive one does.
+	if wantAlpha, wantErr := exhaustiveAlpha(c, pts, grid); math.Float64bits(alpha) != math.Float64bits(wantAlpha) || math.Float64bits(bestErr) != math.Float64bits(wantErr) {
+		t.Fatalf("OptimizeAlpha = (%v, %v), exhaustive = (%v, %v)", alpha, bestErr, wantAlpha, wantErr)
+	}
 	// No grid point may beat the returned optimum.
 	step := (grid.Max - grid.Min) / float64(grid.Steps-1)
 	for i := 0; i < grid.Steps; i++ {
@@ -294,7 +298,7 @@ func TestOptimizeAlphaIsGridOptimal(t *testing.T) {
 			_, e := c.Quantize(v, a)
 			sum += e
 		}
-		if sum < bestErr-1e-9 {
+		if sum < bestErr {
 			t.Fatalf("grid α=%g has error %g < returned %g (α=%g)", a, sum, bestErr, alpha)
 		}
 	}

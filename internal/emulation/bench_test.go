@@ -50,15 +50,36 @@ func BenchmarkEmulateFixedBins(b *testing.B) {
 // frequency points Emulate optimizes over: the 3.2 µs tail spectra of the
 // interpolated observation at the selected bins, not yet on the QAM grid.
 func BenchmarkOptimizeAlpha(b *testing.B) {
-	obs := benchObservation(b)
 	em, err := NewEmulator(AttackConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := em.Emulate(obs)
+	res, err := em.Emulate(benchObservation(b))
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchOptimizeAlpha(b, res)
+}
+
+// BenchmarkOptimizeAlphaLoRa is BenchmarkOptimizeAlpha on a Wi-Lo forgery
+// of a 16-byte LoRa payload (~11.6k kept points): the attacker's largest
+// inputs.
+func BenchmarkOptimizeAlphaLoRa(b *testing.B) {
+	em, err := NewEmulator(AttackConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := ForgeLoRaPayload(em, digestPSDU(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchOptimizeAlpha(b, res)
+}
+
+// benchOptimizeAlpha re-derives the kept points of res and times
+// OptimizeAlpha on them.
+func benchOptimizeAlpha(b *testing.B, res *Result) {
+	b.Helper()
 	c, err := wifi.NewConstellation(wifi.QAM64)
 	if err != nil {
 		b.Fatal(err)

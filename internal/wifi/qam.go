@@ -153,17 +153,28 @@ func (c *Constellation) Quantize(v complex128, alpha float64) (complex128, float
 	if alpha <= 0 {
 		return 0, real(v)*real(v) + imag(v)*imag(v)
 	}
-	i := nearestOddLevel(real(v)/alpha, c.levels)
-	q := nearestOddLevel(imag(v)/alpha, c.levels)
-	p := complex(i*alpha, q*alpha)
-	d := v - p
-	return p, real(d)*real(d) + imag(d)*imag(d)
+	i, q, _ := c.levelsAt(v, alpha)
+	return complex(i*alpha, q*alpha), sqErr(v, i, q, alpha)
 }
 
 // QuantizeErrorSum returns the sum, in slice order, of the squared errors
 // Quantize reports for every point at scale alpha — Eq. (4)'s objective,
 // bit for bit what a loop over Quantize accumulates.
 func (c *Constellation) QuantizeErrorSum(points []complex128, alpha float64) float64 {
+	return c.QuantizeErrorSumBelow(points, nil, alpha, math.NaN()) // no sum reaches NaN
+}
+
+// QuantizeErrorSumBelow is QuantizeErrorSum that gives up once its running
+// sum reaches bound. The result is below bound exactly when
+// QuantizeErrorSum's is, and then equals it bit for bit: every term is
+// ≥ 0 or NaN, and a round-to-nearest add of a non-negative term never
+// lowers a float sum, so a partial sum at or above bound stays there. A NaN
+// partial sum never reaches bound and runs to the end.
+//
+// pinned is nil, or PinLevels' output for points over an interval that
+// holds alpha; each pinned point skips the level choice and only pays for
+// its error term.
+func (c *Constellation) QuantizeErrorSumBelow(points, pinned []complex128, alpha, bound float64) float64 {
 	var sum float64
 	if alpha <= 0 {
 		for _, v := range points {
@@ -171,28 +182,71 @@ func (c *Constellation) QuantizeErrorSum(points []complex128, alpha float64) flo
 		}
 		return sum
 	}
-	top := int64(len(c.levels) - 1)
-	for _, v := range points {
-		x, y := real(v)/alpha, imag(v)/alpha
-		i, iok := oddLevel(x, top)
-		q, qok := oddLevel(y, top)
-		if !iok || !qok {
-			i, q = scanLevels(x, c.levels), scanLevels(y, c.levels)
+	if pinned == nil {
+		for _, v := range points {
+			i, q, _ := c.levelsAt(v, alpha)
+			if sum += sqErr(v, i, q, alpha); sum >= bound {
+				break
+			}
 		}
-		dr := real(v) - i*alpha
-		di := imag(v) - q*alpha
-		sum += dr*dr + di*di
+		return sum
+	}
+	pinned = pinned[:len(points)]
+	for k, v := range points {
+		i, q := real(pinned[k]), imag(pinned[k])
+		if math.IsNaN(i) { // not pinned
+			i, q, _ = c.levelsAt(v, alpha)
+		}
+		if sum += sqErr(v, i, q, alpha); sum >= bound {
+			break
+		}
 	}
 	return sum
 }
 
-// nearestOddLevel returns the entry of the axis table levels (the odd
-// integers ±1…±(len−1), in Gray order) that scanLevels picks for x.
-func nearestOddLevel(x float64, levels []float64) float64 {
-	if l, ok := oddLevel(x, int64(len(levels)-1)); ok {
-		return l
+// PinLevels stores in dst[k], as complex(i, q), the axis levels Quantize
+// picks for points[k] at every scale in [lo, hi], 0 < lo ≤ hi, and NaN
+// where it cannot promise one pair. A point is pinned when the closed
+// form decides its levels at both ends and they agree: x/α is monotone in
+// α, and so is the nearest-level rule, so every scale between the ends
+// lands x in the same level's cell. dst is grown as needed and returned.
+func (c *Constellation) PinLevels(dst, points []complex128, lo, hi float64) []complex128 {
+	if cap(dst) < len(points) {
+		dst = make([]complex128, len(points))
 	}
-	return scanLevels(x, levels)
+	dst = dst[:len(points)]
+	for k, v := range points {
+		i0, q0, ok0 := c.levelsAt(v, lo)
+		i1, q1, ok1 := c.levelsAt(v, hi)
+		if ok0 && ok1 && i0 == i1 && q0 == q1 {
+			dst[k] = complex(i0, q0)
+		} else {
+			dst[k] = complex(math.NaN(), 0)
+		}
+	}
+	return dst
+}
+
+// levelsAt returns the axis levels Quantize picks for v at scale
+// alpha > 0 — the table scan's choice — and whether the closed form
+// decided both. This is the one place the oddLevel-or-scan fallback lives.
+func (c *Constellation) levelsAt(v complex128, alpha float64) (i, q float64, closed bool) {
+	x, y := real(v)/alpha, imag(v)/alpha
+	top := int64(len(c.levels) - 1)
+	i, iok := oddLevel(x, top)
+	q, qok := oddLevel(y, top)
+	if iok && qok {
+		return i, q, true
+	}
+	return scanLevels(x, c.levels), scanLevels(y, c.levels), false
+}
+
+// sqErr is the squared distance from v to the level pair (i, q) scaled by
+// alpha; pinned and unpinned terms share it, so they round alike.
+func sqErr(v complex128, i, q, alpha float64) float64 {
+	dr := real(v) - i*alpha
+	di := imag(v) - q*alpha
+	return dr*dr + di*di
 }
 
 // oddLevel is the O(1) form of scanLevels over the odd integers in

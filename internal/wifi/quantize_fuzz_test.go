@@ -32,7 +32,8 @@ func quantizeEdges() []float64 {
 
 // FuzzQuantizeMatchesScan checks, for arbitrary float64 bit patterns and
 // every QAM order, that the level Quantize picks equals the reference table
-// scan bit for bit, and that QuantizeErrorSum equals a loop over Quantize.
+// scan bit for bit, that QuantizeErrorSum equals a loop over Quantize, and
+// that QuantizeErrorSumBelow agrees with that loop on every bound.
 // Plain `go test` runs it over quantizeEdges and the committed corpus in
 // testdata/fuzz; `go test -fuzz FuzzQuantizeMatchesScan` explores further.
 func FuzzQuantizeMatchesScan(f *testing.F) {
@@ -51,8 +52,8 @@ func checkLevelsMatchScan(t *testing.T, x float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := nearestOddLevel(x, c.levels), scanLevels(x, c.levels)
-		if math.Float64bits(got) != math.Float64bits(want) {
+		got, _, _ := c.levelsAt(complex(x, 0.75), 1) // x/1 == x
+		if want := scanLevels(x, c.levels); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("QAM%d: level(%v [%#016x]) = %v, scan = %v", order, x, math.Float64bits(x), got, want)
 		}
 		pts := []complex128{complex(x, 0.75), complex(-2.5, x), complex(x, x)}
@@ -64,6 +65,12 @@ func checkLevelsMatchScan(t *testing.T, x float64) {
 			}
 			if sum := c.QuantizeErrorSum(pts, alpha); math.Float64bits(sum) != math.Float64bits(loop) {
 				t.Fatalf("QAM%d: QuantizeErrorSum(α=%v) at x=%v = %v, Quantize loop = %v", order, alpha, x, sum, loop)
+			}
+			for _, bound := range []float64{loop, math.Nextafter(loop, math.Inf(1)), math.Inf(1)} {
+				below := c.QuantizeErrorSumBelow(pts, nil, alpha, bound)
+				if (below < bound) != (loop < bound) || loop < bound && math.Float64bits(below) != math.Float64bits(loop) {
+					t.Fatalf("QAM%d: QuantizeErrorSumBelow(α=%v, bound=%v) at x=%v = %v, Quantize loop = %v", order, alpha, bound, x, below, loop)
+				}
 			}
 		}
 	}
