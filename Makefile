@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-check bench-compare soak soak-smoke experiments experiments-check manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke examples clean
+.PHONY: all build vet test race bench bench-compare experiments experiments-check manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke examples clean
 
 all: build vet test
 
@@ -21,49 +21,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable perf trajectory: run the sync- and decode-path
-# benchmarks (FFT and direct sync correlation side by side, the hard
-# despreader and frame decode, plus the stream scan stage and the defense
-# detector) and aggregate ns/op, B/op, allocs/op into schema-versioned
-# BENCH_sync.json.
-bench-json:
-	$(GO) run ./cmd/benchreport -out BENCH_sync.json -benchtime 100ms \
-		-bench 'Synchronize|ReceiveAll|Correlator|StreamScan|DecodeAt|Despread|DetectorAnalyze' \
-		./internal/dsp ./internal/zigbee ./internal/stream ./internal/emulation
+# Same-host perf gate on the defense's per-frame path: check BASE out
+# into a throwaway git worktree, then run the StreamScan, DecodeAt and
+# DetectorAnalyze benchmarks in it and in the working tree for 10
+# alternating rounds. Fails when a benchmark's fastest repeat is >25%
+# slower than BASE's, allocates more per op, or is missing. The
+# worktree is removed whether the gate passes or fails.
+BASE ?= HEAD~1
 
-# Validate the committed (or freshly generated) bench report schemas.
-bench-check:
-	$(GO) run ./cmd/benchreport -check BENCH_sync.json
-	$(GO) run ./cmd/benchreport -check BENCH_stream.json
-
-# Perf regression gate: re-run the sync-path benchmarks into a throwaway
-# report and compare against the committed BENCH_sync.json baseline —
-# fail on >25% ns/op slowdown or any allocs/op increase on the
-# steady-state hot paths. Runs BEFORE bench-json in CI (bench-json
-# overwrites the committed baseline in the working tree).
 bench-compare:
-	$(GO) run ./cmd/benchreport -out .bench-compare.json -benchtime 100ms -count 3 \
-		-baseline BENCH_sync.json \
-		-gate 'StreamScan|DecodeAt|DetectorAnalyze' \
-		-bench 'Synchronize|ReceiveAll|Correlator|StreamScan|DecodeAt|Despread|DetectorAnalyze' \
-		./internal/dsp ./internal/zigbee ./internal/stream ./internal/emulation
-	rm -f .bench-compare.json
-
-# Fleet soak: stampede the sharded, admission-controlled fleet with
-# 256/1k/4k/10k concurrent replay sessions and aggregate frames/s, p99
-# verdict latency, and drop/shed rate per offered load into
-# BENCH_stream.json (the capacity-planning numbers README quotes).
-soak:
-	$(GO) run ./cmd/benchreport -out BENCH_stream.json -benchtime 1x \
-		-bench 'EngineSaturation' ./internal/stream
-
-# CI-sized soak: the 256-session point only, validated against the bench
-# report schema alongside the committed baselines, then discarded.
-soak-smoke:
-	$(GO) run ./cmd/benchreport -out .soak-smoke.json -benchtime 1x \
-		-bench 'EngineSaturation/sessions=256$$' ./internal/stream
-	$(GO) run ./cmd/manifestcheck .soak-smoke.json BENCH_stream.json
-	rm -f .soak-smoke.json
+	git worktree add --detach .bench-base $(BASE)
+	status=0; $(GO) run ./cmd/benchreport .bench-base . || status=$$?; \
+		git worktree remove --force .bench-base; exit $$status
 
 # Regenerate every table and figure (~12 s at full trial counts).
 experiments:

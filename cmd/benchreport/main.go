@@ -1,367 +1,206 @@
-// Command benchreport runs the repository's benchmarks through
-// `go test -bench -benchmem -json`, aggregates ns/op, B/op, allocs/op
-// (and any custom b.ReportMetric units) per benchmark, and writes a
-// schema-versioned JSON report — the machine-readable perf trajectory
-// (BENCH_sync.json) that records each PR's before/after numbers.
+// Command benchreport is the same-host perf gate for the defense's
+// per-frame path. It takes two checkouts of this module, OLD and NEW,
+// runs the StreamScan, DecodeAt and DetectorAnalyze benchmarks in each
+// for ten rounds, alternating which side goes first, and compares each
+// side's fastest repeat. NEW fails the gate when a benchmark
+//
+//   - runs more than 25 % slower in ns/op than in OLD,
+//   - allocates more per op than in OLD at all, or
+//   - is missing.
+//
+// Both sides run on one host in one job, so the ratio compares like
+// with like; the fastest repeat discounts the host's speed drift.
 //
 // Usage:
 //
-//	benchreport -out BENCH_sync.json -bench 'Synchronize|ReceiveAll' -benchtime 100ms ./internal/...
-//	benchreport -check BENCH_sync.json
-//	benchreport -baseline BENCH_sync.json -out /tmp/new.json ./internal/...
-//	benchreport -baseline BENCH_sync.json -compare /tmp/new.json
+//	benchreport OLD NEW
 //
-// -check validates an existing report against the schema (strict
-// decode + obs.BenchReport.Validate), the same contract manifestcheck
-// applies to run manifests.
-//
-// -baseline turns the run into a regression gate: after the fresh
-// report is written it is compared against the committed baseline, and
-// the run fails when any gated benchmark (-gate regexp, default all)
-// slows down by more than -tolerance (default 25%) ns/op or allocates
-// more per op at all. -compare skips running and gates an existing
-// report file against the baseline instead.
+// `make bench-compare BASE=<rev>` checks BASE out into a git worktree
+// and gates the working tree against it.
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"regexp"
+	"sort"
 	"strconv"
 	"strings"
-
-	"hideseek/internal/obs"
 )
 
+const (
+	benchRegexp = "StreamScan|DecodeAt|DetectorAnalyze"
+	benchtime   = "100ms"
+	rounds      = 10
+	// maxRatio is the largest NEW/OLD fastest-repeat ns/op ratio that
+	// passes.
+	maxRatio = 1.25
+)
+
+var packages = []string{"./internal/zigbee", "./internal/stream", "./internal/emulation"}
+
+// sample is one benchmark's ns/op and allocs/op.
+type sample struct {
+	ns, allocs float64
+}
+
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchreport OLD NEW")
+		os.Exit(2)
+	}
+	if err := run(os.Args[1], os.Args[2], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		out       = fs.String("out", "BENCH_sync.json", "report file to write")
-		bench     = fs.String("bench", ".", "benchmark filter regexp passed to -bench")
-		benchtime = fs.String("benchtime", "100ms", "per-benchmark budget passed to -benchtime")
-		count     = fs.Int("count", 1, "benchmark repetitions passed to -count")
-		check     = fs.String("check", "", "validate an existing report instead of running benchmarks")
-		baseline  = fs.String("baseline", "", "committed report to gate regressions against (enables compare after the run)")
-		compare   = fs.String("compare", "", "existing report to gate against -baseline instead of running benchmarks")
-		gate      = fs.String("gate", "", "regexp of benchmark names the regression gate covers (empty = every baseline benchmark)")
-		tolerance = fs.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown before the gate fails (allocs/op allows none)")
-		goBin     = fs.String("go", "go", "go tool to invoke")
-	)
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: benchreport [flags] [packages...]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	if *check != "" {
-		report, err := obs.ReadBenchReport(*check)
-		if err != nil {
-			return err
-		}
-		if err := report.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", *check, err)
-		}
-		fmt.Fprintf(stdout, "%s: valid %s (%d benchmarks, %s/%s, %s)\n",
-			*check, report.Schema, len(report.Benchmarks), report.GOOS, report.GOARCH, report.GoVersion)
-		return nil
-	}
-
-	var gateRe *regexp.Regexp
-	if *gate != "" {
-		var err error
-		if gateRe, err = regexp.Compile(*gate); err != nil {
-			return fmt.Errorf("-gate: %w", err)
-		}
-	}
-
-	if *compare != "" {
-		if *baseline == "" {
-			return fmt.Errorf("-compare requires -baseline")
-		}
-		old, err := loadReport(*baseline)
-		if err != nil {
-			return err
-		}
-		fresh, err := loadReport(*compare)
-		if err != nil {
-			return err
-		}
-		return compareReports(stdout, *baseline, old, *compare, fresh, gateRe, *tolerance)
-	}
-
-	pkgs := fs.Args()
-	if len(pkgs) == 0 {
-		pkgs = []string{"./internal/dsp", "./internal/zigbee", "./internal/stream"}
-	}
-	cmdArgs := append([]string{
-		// -p 1 serializes the per-package test binaries: with several
-		// packages in one invocation go test runs them concurrently,
-		// and parallel benchmark binaries contend for CPU and inflate
-		// ns/op — fatal for a report used as a regression baseline.
-		"test", "-p", "1", "-run", "^$", "-bench", *bench, "-benchmem",
-		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), "-json",
-	}, pkgs...)
-	cmd := exec.Command(*goBin, cmdArgs...)
-	cmd.Stderr = stderr
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("%s %s: %w", *goBin, strings.Join(cmdArgs, " "), err)
-	}
-
-	results, err := parseTestJSON(&buf)
-	if err != nil {
-		return err
-	}
-	report := obs.NewBenchReport(*benchtime, *bench, pkgs)
-	report.Benchmarks = results
-	if err := report.Validate(); err != nil {
-		return fmt.Errorf("refusing to write invalid report: %w", err)
-	}
-	if err := report.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s: wrote %d benchmarks\n", *out, len(report.Benchmarks))
-	if *baseline != "" {
-		old, err := loadReport(*baseline)
-		if err != nil {
-			return err
-		}
-		return compareReports(stdout, *baseline, old, *out, report, gateRe, *tolerance)
-	}
-	return nil
-}
-
-// loadReport reads and validates a report file.
-func loadReport(path string) (*obs.BenchReport, error) {
-	r, err := obs.ReadBenchReport(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// compareReports is the regression gate: every baseline benchmark the
-// gate regexp covers must exist in the fresh report, run within
-// tolerance of the baseline ns/op, and allocate no more per op. It
-// prints the full comparison table either way and returns an error
-// listing every violation.
-func compareReports(stdout io.Writer, oldPath string, old *obs.BenchReport, newPath string, fresh *obs.BenchReport, gate *regexp.Regexp, tolerance float64) error {
-	index := make(map[string]obs.BenchResult, len(fresh.Benchmarks))
-	for _, b := range fresh.Benchmarks {
-		index[b.Package+"."+b.Name] = b
-	}
-	fmt.Fprintf(stdout, "comparing %s (new) against %s (baseline), tolerance %.0f%% ns/op, 0 allocs/op\n",
-		newPath, oldPath, tolerance*100)
-	var violations []string
-	gated := 0
-	for _, ob := range old.Benchmarks {
-		if gate != nil && !gate.MatchString(ob.Name) {
-			continue
-		}
-		gated++
-		key := ob.Package + "." + ob.Name
-		nb, ok := index[key]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: present in baseline but missing from the new run", key))
-			fmt.Fprintf(stdout, "  %-40s MISSING (baseline %.0f ns/op)\n", key, ob.NsPerOp)
-			continue
-		}
-		delta := 0.0
-		if ob.NsPerOp > 0 {
-			delta = nb.NsPerOp/ob.NsPerOp - 1
-		}
-		status := "ok"
-		if ob.NsPerOp > 0 && delta > tolerance {
-			status = "SLOWER"
-			violations = append(violations, fmt.Sprintf("%s: ns/op %.0f → %.0f (%+.1f%%, tolerance %.0f%%)",
-				key, ob.NsPerOp, nb.NsPerOp, delta*100, tolerance*100))
-		}
-		if nb.AllocsPerOp > ob.AllocsPerOp {
-			status = "ALLOCS"
-			violations = append(violations, fmt.Sprintf("%s: allocs/op %.1f → %.1f (any increase fails)",
-				key, ob.AllocsPerOp, nb.AllocsPerOp))
-		}
-		fmt.Fprintf(stdout, "  %-40s %10.0f → %10.0f ns/op (%+6.1f%%)  %5.1f → %5.1f allocs/op  %s\n",
-			key, ob.NsPerOp, nb.NsPerOp, delta*100, ob.AllocsPerOp, nb.AllocsPerOp, status)
-	}
-	if gated == 0 {
-		return fmt.Errorf("regression gate matched no baseline benchmarks")
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("bench regression gate failed (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
-	}
-	fmt.Fprintf(stdout, "gate passed: %d benchmark(s) within tolerance\n", gated)
-	return nil
-}
-
-// testEvent is the subset of the `go test -json` (test2json) event
-// stream benchreport consumes.
-type testEvent struct {
-	Action  string `json:"Action"`
-	Package string `json:"Package"`
-	Output  string `json:"Output"`
-}
-
-// parseTestJSON extracts benchmark result lines from a test2json event
-// stream. A single result line reaches test2json in several Output
-// chunks (the benchmark name is echoed before the run, the metrics
-// after), so each package's output is reassembled in full before being
-// split into lines. Repetitions of one benchmark (-count > 1) are
-// averaged.
-func parseTestJSON(r io.Reader) ([]obs.BenchResult, error) {
-	var pkgOrder []string
-	outputs := make(map[string]*strings.Builder)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 || line[0] != '{' {
-			continue
-		}
-		var ev testEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("malformed test2json event: %w", err)
-		}
-		if ev.Action != "output" {
-			continue
-		}
-		b, ok := outputs[ev.Package]
-		if !ok {
-			b = &strings.Builder{}
-			outputs[ev.Package] = b
-			pkgOrder = append(pkgOrder, ev.Package)
-		}
-		b.WriteString(ev.Output)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	type agg struct {
-		obs.BenchResult
-		runs int
-	}
-	var order []string
-	byKey := make(map[string]*agg)
-	for _, pkg := range pkgOrder {
-		for _, line := range strings.Split(outputs[pkg].String(), "\n") {
-			res, ok, err := parseBenchLine(line)
+// run measures both checkouts over alternating rounds and gates NEW
+// against OLD.
+func run(oldDir, newDir string, stdout, stderr io.Writer) error {
+	dirs := [2]string{oldDir, newDir}
+	best := [2]map[string]sample{{}, {}}
+	for r := 0; r < rounds; r++ {
+		fmt.Fprintf(stderr, "round %d/%d: %s first\n", r+1, rounds, dirs[r%2])
+		for k := 0; k < 2; k++ {
+			side := (r + k) % 2
+			out, err := benchOnce(dirs[side], stderr)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if !ok {
-				continue
-			}
-			res.Package = pkg
-			key := pkg + "." + res.Name
-			a, seen := byKey[key]
-			if !seen {
-				a = &agg{BenchResult: res, runs: 1}
-				byKey[key] = a
-				order = append(order, key)
-				continue
-			}
-			a.Iterations += res.Iterations
-			a.NsPerOp += res.NsPerOp
-			a.BytesPerOp += res.BytesPerOp
-			a.AllocsPerOp += res.AllocsPerOp
-			for k, v := range res.Extra {
-				if a.Extra == nil {
-					a.Extra = make(map[string]float64)
-				}
-				a.Extra[k] += v
-			}
-			a.runs++
+			keepFastest(best[side], parseBenchOutput(out))
 		}
 	}
-	out := make([]obs.BenchResult, 0, len(order))
-	for _, key := range order {
-		a := byKey[key]
-		if a.runs > 1 {
-			n := float64(a.runs)
-			a.NsPerOp /= n
-			a.BytesPerOp /= n
-			a.AllocsPerOp /= n
-			for k := range a.Extra {
-				a.Extra[k] /= n
-			}
-		}
-		out = append(out, a.BenchResult)
+	return gate(stdout, best[0], best[1])
+}
+
+// benchOnce runs the gated benchmarks once in the module at dir and
+// returns go test's plain-text output. -p 1 serializes the package test
+// binaries so they do not contend for the CPU.
+func benchOnce(dir string, stderr io.Writer) (string, error) {
+	args := append([]string{"test", "-p", "1", "-run", "^$", "-bench", benchRegexp,
+		"-benchmem", "-benchtime", benchtime}, packages...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("%s: go %s: %w\n%s", dir, strings.Join(args, " "), err, out.String())
 	}
-	return out, nil
+	return out.String(), nil
+}
+
+// parseBenchOutput reads plain `go test -bench -benchmem` output and
+// returns each result keyed by package path and benchmark name, e.g.
+// "hideseek/internal/zigbee.DecodeAt".
+func parseBenchOutput(out string) map[string]sample {
+	res := make(map[string]sample)
+	pkg := ""
+	for _, line := range strings.Split(out, "\n") {
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
+		if name, s, ok := parseBenchLine(line); ok {
+			res[pkg+"."+name] = s
+		}
+	}
+	return res
 }
 
 // parseBenchLine parses one benchmark result line, e.g.
 //
-//	BenchmarkSynchronize-4   9253   119748 ns/op   0 B/op   0 allocs/op
+//	BenchmarkDecodeAt-2   438   259403 ns/op   87 B/op   0 allocs/op
 //
-// returning ok=false for non-benchmark output. Value/unit pairs beyond
-// the standard three land in Extra (custom b.ReportMetric units).
-func parseBenchLine(line string) (obs.BenchResult, bool, error) {
-	var res obs.BenchResult
-	line = strings.TrimSuffix(line, "\n")
-	if !strings.HasPrefix(line, "Benchmark") {
-		return res, false, nil
-	}
+// into the name without the Benchmark prefix and -GOMAXPROCS suffix, and
+// its ns/op and allocs/op. ok is false for any other line.
+func parseBenchLine(line string) (name string, s sample, ok bool) {
 	fields := strings.Fields(line)
-	// A result line is "Name iterations {value unit}..."; other
-	// Benchmark-prefixed output (e.g. the bare name test2json echoes
-	// before results) has no numeric second field.
-	if len(fields) < 4 || len(fields)%2 != 0 {
-		return res, false, nil
+	// A result line is "Name iterations {value unit}...".
+	if len(fields) < 4 || len(fields)%2 != 0 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return "", sample{}, false
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return res, false, nil
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", sample{}, false
 	}
-	name := fields[0]
-	res.Procs = 1
+	name = strings.TrimPrefix(fields[0], "Benchmark")
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if p, err := strconv.Atoi(name[i+1:]); err == nil {
-			res.Procs = p
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	res.Name = strings.TrimPrefix(name, "Benchmark")
-	res.Iterations = iters
+	hasNs := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return res, false, fmt.Errorf("benchmark line %q: bad value %q", line, fields[i])
+			return "", sample{}, false
 		}
-		switch unit := fields[i+1]; unit {
+		switch fields[i+1] {
 		case "ns/op":
-			res.NsPerOp = v
-		case "B/op":
-			res.BytesPerOp = v
+			s.ns, hasNs = v, true
 		case "allocs/op":
-			res.AllocsPerOp = v
-		default:
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			res.Extra[unit] = v
+			s.allocs = v
 		}
 	}
-	return res, true, nil
+	return name, s, hasNs
+}
+
+// keepFastest folds one run into best, keeping each benchmark's lowest
+// ns/op and lowest allocs/op seen so far.
+func keepFastest(best, run map[string]sample) {
+	for name, s := range run {
+		b, seen := best[name]
+		if !seen {
+			best[name] = s
+			continue
+		}
+		b.ns = min(b.ns, s.ns)
+		b.allocs = min(b.allocs, s.allocs)
+		best[name] = b
+	}
+}
+
+// gate prints the comparison table and returns an error listing every
+// benchmark of OLD that NEW lacks, runs more than maxRatio slower, or
+// allocates more.
+func gate(w io.Writer, old, fresh map[string]sample) error {
+	if len(old) == 0 {
+		return fmt.Errorf("no %q benchmarks ran in OLD", benchRegexp)
+	}
+	names := make([]string, 0, len(old))
+	for name := range old {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "fastest of %d rounds, NEW/OLD ns/op must stay <= %.2f, allocs/op must not grow\n", rounds, maxRatio)
+	var violations []string
+	for _, name := range names {
+		o := old[name]
+		n, ok := fresh[name]
+		if !ok {
+			violations = append(violations, name+": missing from NEW")
+			fmt.Fprintf(w, "  %-42s %10.0f ns/op  MISSING\n", name, o.ns)
+			continue
+		}
+		ratio := n.ns / o.ns
+		status := "ok"
+		if ratio > maxRatio {
+			status = "SLOWER"
+			violations = append(violations, fmt.Sprintf("%s: ns/op %.0f -> %.0f (x%.2f > x%.2f)", name, o.ns, n.ns, ratio, maxRatio))
+		}
+		if n.allocs > o.allocs {
+			status = "ALLOCS"
+			violations = append(violations, fmt.Sprintf("%s: allocs/op %.0f -> %.0f", name, o.allocs, n.allocs))
+		}
+		fmt.Fprintf(w, "  %-42s %10.0f -> %10.0f ns/op (x%.2f)  %3.0f -> %3.0f allocs/op  %s\n",
+			name, o.ns, n.ns, ratio, o.allocs, n.allocs, status)
+	}
+	if len(violations) > 0 {
+		return fmt.Errorf("perf gate failed (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
+	}
+	fmt.Fprintf(w, "gate passed: %d benchmark(s)\n", len(names))
+	return nil
 }

@@ -2,140 +2,104 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"hideseek/internal/obs"
 )
 
 func TestParseBenchLine(t *testing.T) {
-	res, ok, err := parseBenchLine("BenchmarkSynchronize-4   \t    9253\t    119748 ns/op\t       0 B/op\t       0 allocs/op\n")
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if res.Name != "Synchronize" || res.Procs != 4 || res.Iterations != 9253 {
-		t.Errorf("parsed %+v", res)
-	}
-	if res.NsPerOp != 119748 || res.BytesPerOp != 0 || res.AllocsPerOp != 0 {
-		t.Errorf("parsed metrics %+v", res)
+	name, s, ok := parseBenchLine("BenchmarkDecodeAt-4   \t    9253\t    119748 ns/op\t      87 B/op\t       0 allocs/op")
+	if !ok || name != "DecodeAt" || s != (sample{ns: 119748, allocs: 0}) {
+		t.Errorf("parsed %q %+v ok=%v", name, s, ok)
 	}
 
-	// Custom ReportMetric units land in Extra.
-	res, ok, err = parseBenchLine("BenchmarkStreamScan-2 10 5000000 ns/op 1234 scan-p50-ns 5678 scan-p95-ns 0 B/op 3 allocs/op\n")
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if res.Extra["scan-p50-ns"] != 1234 || res.Extra["scan-p95-ns"] != 5678 {
-		t.Errorf("extra metrics %+v", res.Extra)
-	}
-	if res.AllocsPerOp != 3 {
-		t.Errorf("allocs %v", res.AllocsPerOp)
+	// Custom ReportMetric units are skipped.
+	name, s, ok = parseBenchLine("BenchmarkStreamScan-2 10 5000000 ns/op 1234 scan-p50-ns 5678 scan-p95-ns 131917 B/op 41 allocs/op")
+	if !ok || name != "StreamScan" || s != (sample{ns: 5000000, allocs: 41}) {
+		t.Errorf("parsed %q %+v ok=%v", name, s, ok)
 	}
 
-	// GOMAXPROCS=1 benchmarks have no -N suffix.
-	res, ok, _ = parseBenchLine("BenchmarkFFT64 1000 850 ns/op\n")
-	if !ok || res.Name != "FFT64" || res.Procs != 1 {
-		t.Errorf("no-suffix parse: ok=%v %+v", ok, res)
+	// GOMAXPROCS=1 benchmarks have no -N suffix; sub-benchmarks keep
+	// their path.
+	if name, _, ok = parseBenchLine("BenchmarkFFT64 1000 850 ns/op"); !ok || name != "FFT64" {
+		t.Errorf("no-suffix parse: ok=%v %q", ok, name)
+	}
+	if name, _, ok = parseBenchLine("BenchmarkX/sessions=256-2 1 9 ns/op"); !ok || name != "X/sessions=256" {
+		t.Errorf("sub-benchmark parse: ok=%v %q", ok, name)
 	}
 
-	// Non-result Benchmark output (the bare name echo) is skipped.
-	if _, ok, _ = parseBenchLine("BenchmarkSynchronize\n"); ok {
-		t.Error("bare benchmark name parsed as a result")
-	}
-	if _, ok, _ = parseBenchLine("ok  \thideseek/internal/dsp\t1.2s\n"); ok {
-		t.Error("non-benchmark line parsed as a result")
+	for _, line := range []string{
+		"BenchmarkSynchronize",
+		"ok  \thideseek/internal/dsp\t1.2s",
+		"BenchmarkX-2 10 fast ns/op",
+		"BenchmarkX-2 10 0 B/op 0 allocs/op", // no ns/op
+	} {
+		if _, _, ok := parseBenchLine(line); ok {
+			t.Errorf("%q parsed as a result", line)
+		}
 	}
 }
 
-func TestParseTestJSON(t *testing.T) {
-	stream := strings.Join([]string{
-		`{"Action":"start","Package":"hideseek/internal/dsp"}`,
-		`{"Action":"output","Package":"hideseek/internal/dsp","Output":"goos: linux\n"}`,
-		`{"Action":"output","Package":"hideseek/internal/dsp","Output":"BenchmarkCorrelatorFFT\n"}`,
-		`{"Action":"output","Package":"hideseek/internal/dsp","Output":"BenchmarkCorrelatorFFT-4 100 587155 ns/op 0 B/op 0 allocs/op\n"}`,
-		`{"Action":"output","Package":"hideseek/internal/zigbee","Output":"BenchmarkSynchronize-4 200 119748 ns/op 4 B/op 0 allocs/op\n"}`,
-		`{"Action":"pass","Package":"hideseek/internal/dsp"}`,
+func TestParseBenchOutput(t *testing.T) {
+	out := strings.Join([]string{
+		"goos: linux",
+		"goarch: amd64",
+		"pkg: hideseek/internal/zigbee",
+		"cpu: Intel(R) Xeon(R)",
+		"BenchmarkDecodeAt-2   \t     438\t    259403 ns/op\t      87 B/op\t       0 allocs/op",
+		"PASS",
+		"ok  \thideseek/internal/zigbee\t0.35s",
+		"pkg: hideseek/internal/stream",
+		"BenchmarkStreamScan-2 \t      52\t   2311230 ns/op\t   141669 scan-p50-ns\t 131917 B/op\t      41 allocs/op",
+		"PASS",
 	}, "\n")
-	results, err := parseTestJSON(strings.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
+	got := parseBenchOutput(out)
+	want := map[string]sample{
+		"hideseek/internal/zigbee.DecodeAt":   {ns: 259403, allocs: 0},
+		"hideseek/internal/stream.StreamScan": {ns: 2311230, allocs: 41},
 	}
-	if len(results) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(results), results)
+	if len(got) != len(want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
 	}
-	if results[0].Package != "hideseek/internal/dsp" || results[0].Name != "CorrelatorFFT" {
-		t.Errorf("result 0: %+v", results[0])
-	}
-	if results[1].Name != "Synchronize" || results[1].NsPerOp != 119748 {
-		t.Errorf("result 1: %+v", results[1])
-	}
-}
-
-// TestParseTestJSONSplitOutputEvents pins the real test2json shape: the
-// benchmark name is flushed as its own Output event (no trailing
-// newline) while it runs, and the metrics arrive in a later event.
-func TestParseTestJSONSplitOutputEvents(t *testing.T) {
-	stream := strings.Join([]string{
-		`{"Action":"output","Package":"hideseek/internal/zigbee","Output":"BenchmarkSynchronize-4    \t"}`,
-		`{"Action":"output","Package":"hideseek/internal/dsp","Output":"BenchmarkCorrelatorFFT-4   \t"}`,
-		`{"Action":"output","Package":"hideseek/internal/dsp","Output":"    2042\t    587155 ns/op\t       0 B/op\t       0 allocs/op\n"}`,
-		`{"Action":"output","Package":"hideseek/internal/zigbee","Output":"    9253\t    119748 ns/op\t       0 B/op\t       0 allocs/op\n"}`,
-	}, "\n")
-	results, err := parseTestJSON(strings.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(results), results)
-	}
-	if results[0].Name != "Synchronize" || results[0].Iterations != 9253 || results[0].NsPerOp != 119748 {
-		t.Errorf("result 0: %+v", results[0])
-	}
-	if results[1].Name != "CorrelatorFFT" || results[1].Iterations != 2042 || results[1].NsPerOp != 587155 {
-		t.Errorf("result 1: %+v", results[1])
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s: %+v, want %+v", k, got[k], v)
+		}
 	}
 }
 
-func TestParseTestJSONAveragesRepetitions(t *testing.T) {
-	stream := strings.Join([]string{
-		`{"Action":"output","Package":"p","Output":"BenchmarkX-1 10 100 ns/op\n"}`,
-		`{"Action":"output","Package":"p","Output":"BenchmarkX-1 10 300 ns/op\n"}`,
-	}, "\n")
-	results, err := parseTestJSON(strings.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].NsPerOp != 200 || results[0].Iterations != 20 {
-		t.Fatalf("averaged %+v", results)
+func TestKeepFastest(t *testing.T) {
+	best := map[string]sample{}
+	keepFastest(best, map[string]sample{"p.X": {ns: 300, allocs: 41}})
+	keepFastest(best, map[string]sample{"p.X": {ns: 100, allocs: 42}, "p.Y": {ns: 7}})
+	keepFastest(best, map[string]sample{"p.X": {ns: 200, allocs: 40}})
+	if best["p.X"] != (sample{ns: 100, allocs: 40}) || best["p.Y"] != (sample{ns: 7}) {
+		t.Fatalf("kept %+v", best)
 	}
 }
 
-func TestCheckMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	report := obs.NewBenchReport("100ms", ".", []string{"./x"})
-	report.Benchmarks = []obs.BenchResult{{Package: "p", Name: "X", Procs: 1, Iterations: 10, NsPerOp: 5}}
-	if err := report.WriteFile(path); err != nil {
-		t.Fatal(err)
+func TestGate(t *testing.T) {
+	old := map[string]sample{"p.A": {ns: 1000, allocs: 0}, "p.B": {ns: 2000, allocs: 40}}
+	for _, tc := range []struct {
+		name  string
+		fresh map[string]sample
+		fail  string // "" means the gate passes
+	}{
+		{"equal", map[string]sample{"p.A": {ns: 1000}, "p.B": {ns: 2000, allocs: 40}}, ""},
+		{"at bound", map[string]sample{"p.A": {ns: 1250}, "p.B": {ns: 1000, allocs: 39}}, ""},
+		{"slower", map[string]sample{"p.A": {ns: 1251}, "p.B": {ns: 2000, allocs: 40}}, "p.A: ns/op"},
+		{"allocs", map[string]sample{"p.A": {ns: 1000, allocs: 1}, "p.B": {ns: 2000, allocs: 40}}, "p.A: allocs/op 0 -> 1"},
+		{"missing", map[string]sample{"p.A": {ns: 1000}, "p.Renamed": {ns: 2000, allocs: 40}}, "p.B: missing from NEW"},
+	} {
+		var out bytes.Buffer
+		err := gate(&out, old, tc.fresh)
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("%s: gate failed: %v\n%s", tc.name, err, out.String())
+		case tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)):
+			t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.fail)
+		}
 	}
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-check", path}, &out, &errOut); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	if !strings.Contains(out.String(), "valid") {
-		t.Errorf("check output %q", out.String())
-	}
-
-	report.Benchmarks = nil
-	bad := filepath.Join(dir, "bad.json")
-	if err := report.WriteFile(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-check", bad}, &out, &errOut); err == nil {
-		t.Error("empty report accepted")
-	}
-	if err := run([]string{"-check", filepath.Join(dir, "missing.json")}, &out, &errOut); err == nil {
-		t.Error("missing file accepted")
+	if err := gate(&bytes.Buffer{}, map[string]sample{}, old); err == nil {
+		t.Error("gate passed with no OLD benchmarks")
 	}
 }

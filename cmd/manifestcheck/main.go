@@ -1,18 +1,15 @@
-// Command manifestcheck validates the repo's machine-readable records:
-// run manifests written by `experiments -manifest` or flushed by
-// `hideseekd` on shutdown, and bench reports written by `benchreport`
-// (BENCH_*.json). The file's "schema" field selects the validator;
-// both paths use strict JSON decode (unknown fields fail) plus the
-// schema invariants in obs. CI runs it against fresh files so
-// writer/schema drift is caught at merge time.
+// Command manifestcheck validates run manifests: the ones written by
+// `experiments -manifest` or flushed by `hideseekd` on shutdown. It
+// decodes strictly (unknown fields fail) and applies the schema
+// invariants in obs; a file with another "schema" field is rejected.
+// CI runs it against fresh files so writer/schema drift is caught at
+// merge time.
 //
 // Usage:
 //
-//	manifestcheck <manifest.json | bench-report.json> [more.json ...]
+//	manifestcheck <manifest.json> [more.json ...]
 //
-// Every argument is validated; the run fails on the first invalid file,
-// so CI can check a whole artifact set (BENCH_sync.json BENCH_stream.json
-// manifest.json) in one invocation.
+// Every argument is validated; the run fails on the first invalid file.
 package main
 
 import (
@@ -25,7 +22,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: manifestcheck <manifest.json | bench-report.json> [more.json ...]")
+		fmt.Fprintln(os.Stderr, "usage: manifestcheck <manifest.json> [more.json ...]")
 		os.Exit(2)
 	}
 	for _, path := range os.Args[1:] {
@@ -39,8 +36,8 @@ func main() {
 }
 
 // check validates path and returns the one-line success summary. The
-// schema field is sniffed first so the right strict decoder runs; an
-// unknown schema is an error, not a silent pass.
+// schema field is sniffed first so that a file of another kind fails
+// with a clear error rather than a field-by-field decode failure.
 func check(path string) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -50,39 +47,26 @@ func check(path string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
 	}
-	switch schema {
-	case obs.ManifestSchema:
-		m, err := obs.DecodeManifest(data)
-		if err != nil {
-			return "", err
-		}
-		if err := m.Validate(); err != nil {
-			return "", err
-		}
-		if m.Kind == obs.KindService {
-			summary := fmt.Sprintf("ok: %s — %s service, protocols %v, %.0f ms wall, %d counters, %d timers",
-				path, m.Command, m.Protocols, m.WallMS, len(m.Counters), len(m.Timers))
-			if s := alertSummary(m.Alerts); s != "" {
-				summary += ", alerts: " + s
-			}
-			return summary, nil
-		}
-		return fmt.Sprintf("ok: %s — %s, %d experiments, %d trials, %d timers",
-			path, m.Command, len(m.Experiments), m.TrialsTotal, len(m.Timers)), nil
-	case obs.BenchReportSchema:
-		r, err := obs.DecodeBenchReport(data)
-		if err != nil {
-			return "", err
-		}
-		if err := r.Validate(); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("ok: %s — bench report, %s/%s %s, %d benchmarks",
-			path, r.GOOS, r.GOARCH, r.GoVersion, len(r.Benchmarks)), nil
-	default:
-		return "", fmt.Errorf("%s: unknown schema %q (want %q or %q)",
-			path, schema, obs.ManifestSchema, obs.BenchReportSchema)
+	if schema != obs.ManifestSchema {
+		return "", fmt.Errorf("%s: unknown schema %q (want %q)", path, schema, obs.ManifestSchema)
 	}
+	m, err := obs.DecodeManifest(data)
+	if err != nil {
+		return "", err
+	}
+	if err := m.Validate(); err != nil {
+		return "", err
+	}
+	if m.Kind == obs.KindService {
+		summary := fmt.Sprintf("ok: %s — %s service, protocols %v, %.0f ms wall, %d counters, %d timers",
+			path, m.Command, m.Protocols, m.WallMS, len(m.Counters), len(m.Timers))
+		if s := alertSummary(m.Alerts); s != "" {
+			summary += ", alerts: " + s
+		}
+		return summary, nil
+	}
+	return fmt.Sprintf("ok: %s — %s, %d experiments, %d trials, %d timers",
+		path, m.Command, len(m.Experiments), m.TrialsTotal, len(m.Timers)), nil
 }
 
 // alertSummary renders a service manifest's SLO rule states, calling
@@ -109,8 +93,8 @@ func alertSummary(alerts []obs.AlertSample) string {
 	return fmt.Sprintf("%d rules, %d fired: %s", len(alerts), fired, firedNames)
 }
 
-// sniffSchema extracts just the "schema" field to dispatch on; full
-// strict decoding happens in the schema-specific validator.
+// sniffSchema extracts just the "schema" field; full strict decoding
+// happens in obs.DecodeManifest.
 func sniffSchema(data []byte) (string, error) {
 	var probe struct {
 		Schema string `json:"schema"`

@@ -33,20 +33,6 @@ func validManifest(t *testing.T) string {
 	return path
 }
 
-func validBenchReport(t *testing.T) string {
-	t.Helper()
-	r := obs.NewBenchReport("100x", "BenchmarkStreamScan", []string{"./internal/stream"})
-	r.Benchmarks = []obs.BenchResult{{
-		Package: "hideseek/internal/stream", Name: "BenchmarkStreamScan-8",
-		Procs: 8, Iterations: 100, NsPerOp: 123456,
-	}}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestCheckManifest(t *testing.T) {
 	summary, err := check(validManifest(t))
 	if err != nil {
@@ -57,37 +43,17 @@ func TestCheckManifest(t *testing.T) {
 	}
 }
 
-func TestCheckBenchReport(t *testing.T) {
-	summary, err := check(validBenchReport(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "bench report") || !strings.Contains(summary, "1 benchmarks") {
-		t.Errorf("unexpected summary %q", summary)
-	}
-}
-
-func TestCheckCommittedBenchBaseline(t *testing.T) {
-	// The committed perf baselines must stay valid under the strict
-	// decoder: the sync-path micro-benches and the fleet soak report.
-	for _, name := range []string{"../../BENCH_sync.json", "../../BENCH_stream.json"} {
-		if _, err := os.Stat(name); err != nil {
-			t.Skipf("no committed baseline %s", name)
-		}
-		if _, err := check(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestCheckRejectsUnknownField(t *testing.T) {
-	data, err := os.ReadFile(validBenchReport(t))
+	data, err := os.ReadFile(validManifest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := strings.Replace(string(data), "\"benchtime\"", "\"surprise\": 1, \"benchtime\"", 1)
-	if _, err := check(writeTemp(t, "bad.json", mutated)); err == nil {
-		t.Fatal("unknown field passed strict decode")
+	mutated := strings.Replace(string(data), "\"command\"", "\"surprise\": 1, \"command\"", 1)
+	if mutated == string(data) {
+		t.Fatal("manifest has no command field to prefix")
+	}
+	if _, err := check(writeTemp(t, "bad.json", mutated)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("err = %v, want strict decode to reject the unknown field", err)
 	}
 }
 

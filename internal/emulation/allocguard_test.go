@@ -8,9 +8,11 @@ import (
 )
 
 // Steady-state allocation guard for the detect path (DESIGN.md §15): the
-// value-returning DetectChips/DetectReception entry points must not
-// allocate once the pooled constellation workspace has warmed, for both
-// the plain and mean-removed (RemoveMean) configurations.
+// value-returning DetectChips/DetectReception entry points, and
+// AnalyzeReception (what BenchmarkDetectorAnalyze times, its result
+// kept on the caller's stack), must not allocate once the pooled
+// constellation workspace has warmed, for both the plain and
+// mean-removed (RemoveMean) configurations.
 func TestDetectReceptionZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	chips := make([]float64, 512)
@@ -38,6 +40,14 @@ func TestDetectReceptionZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("cfg %+v: DetectReception allocates %v times per op, want 0", cfg, allocs)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			if _, err := det.AnalyzeReception(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("cfg %+v: AnalyzeReception allocates %v times per op, want 0", cfg, allocs)
 		}
 	}
 }

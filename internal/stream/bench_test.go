@@ -16,20 +16,44 @@ import (
 	"hideseek/internal/zigbee"
 )
 
-// BenchmarkStreamScan drives the streaming pipeline end to end over a
-// multi-frame capture and attaches the scan-stage latency distribution
-// (stream.scan_ns p50/p95, the numbers /v1/obs serves) as custom
-// metrics, so benchreport lands them in BENCH_sync.json alongside ns/op.
-func BenchmarkStreamScan(b *testing.B) {
-	tx := zigbee.NewTransmitter()
-	wave, err := tx.TransmitPSDU([]byte("bench"))
+// scanCapture is BenchmarkStreamScan's input: three authentic ZigBee
+// frames in noise.
+func scanCapture(tb testing.TB) []complex128 {
+	tb.Helper()
+	wave, err := zigbee.NewTransmitter().TransmitPSDU([]byte("bench"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	capture, err := BuildCapture(rand.New(rand.NewSource(17)), 1e-3, 900, wave, wave, wave)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return capture
+}
+
+// soakCapture is the two-frame capture every BenchmarkEngineSaturation
+// session replays.
+func soakCapture(tb testing.TB) []complex128 {
+	tb.Helper()
+	wave, err := zigbee.NewTransmitter().TransmitPSDU([]byte("soak"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	capture, err := BuildCapture(rand.New(rand.NewSource(29)), 1e-3, 600, wave, wave)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return capture
+}
+
+// BenchmarkStreamScan drives the streaming pipeline end to end over a
+// multi-frame capture, one whole session per op, and attaches the
+// scan-stage latency distribution (stream.scan_ns p50/p95, the numbers
+// /v1/obs serves) as custom metrics. `make bench-compare` gates its
+// ns/op and allocs/op against the parent commit;
+// TestStreamScanAllocBudget bounds its allocations on any host.
+func BenchmarkStreamScan(b *testing.B) {
+	capture := scanCapture(b)
 	cfg := Config{Pipelines: []*phy.Pipeline{zigbeePipeline(b)}}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -54,25 +78,20 @@ func BenchmarkStreamScan(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSaturation is the fleet capacity probe behind
-// BENCH_stream.json (make soak): N concurrent replay sessions stampede a
-// sharded fleet with admission control on, and the run reports what the
-// capacity-planning section quotes — sustained frames/s per node, p99
-// end-to-end verdict latency, and the drop/shed rate at that offered
-// load — plus goroutine-leak and heap gauges proving 10k-session churn
-// leaves the node clean. Session count is the offered load; every
-// session replays the same two-frame capture through its own
-// SliceSource, so the work per session is constant across loads.
+// BenchmarkEngineSaturation is the fleet capacity probe behind README's
+// capacity table: N concurrent replay sessions stampede a sharded fleet
+// with admission control on, and the run reports sustained frames/s per
+// node, p99 end-to-end verdict latency, and the drop/shed rate at that
+// offered load, plus heap and goroutine-leak gauges. Run it with
+//
+//	go test -run '^$' -bench EngineSaturation -benchtime 1x ./internal/stream
+//
+// Session count is the offered load; every session replays the same
+// two-frame capture through its own SliceSource, so the work per
+// session is constant across loads. TestFleetSaturationAccounting
+// asserts the 256-session point's shed/drop accounting and teardown.
 func BenchmarkEngineSaturation(b *testing.B) {
-	tx := zigbee.NewTransmitter()
-	wave, err := tx.TransmitPSDU([]byte("soak"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	capture, err := BuildCapture(rand.New(rand.NewSource(29)), 1e-3, 600, wave, wave)
-	if err != nil {
-		b.Fatal(err)
-	}
+	capture := soakCapture(b)
 	for _, sessions := range []int{256, 1000, 4000, 10000} {
 		b.Run("sessions="+strconv.Itoa(sessions), func(b *testing.B) {
 			var before int

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,6 +280,13 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("client %d: %v", c, err)
 		}
 	}
+	waitNoGoroutineLeak(t, before)
+}
+
+// waitNoGoroutineLeak polls for up to 2 s until the goroutine count is
+// back at or below before, and fails the test if it is not.
+func waitNoGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {
@@ -289,6 +298,78 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestFleetSaturationAccounting is BenchmarkEngineSaturation's
+// 256-session point as a test: 256 concurrent sessions of the soak
+// capture on a 4-shard fleet with default admission. Every session is
+// either shed or served, the shards' shed counters match the ErrShed
+// returns, every served session emits exactly Stats.Frames verdicts of
+// which Stats.Dropped are tombstones, and the fleet tears down clean.
+func TestFleetSaturationAccounting(t *testing.T) {
+	const sessions = 256
+	capture := soakCapture(t)
+	before := runtime.NumGoroutine()
+	f, err := NewFleet(FleetConfig{
+		Config:    testConfig(t),
+		Shards:    4,
+		Admission: AdmissionConfig{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shedBefore := make([]int64, len(f.shards))
+	for i, e := range f.shards {
+		shedBefore[i] = e.shard.shed.Value()
+	}
+	var (
+		wg           sync.WaitGroup
+		served, shed atomic.Int64
+		errs         = make([]error, sessions)
+	)
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			var verdicts, dropped int64
+			stats, err := f.Process(context.Background(), NewSliceSource(capture), func(v Verdict) {
+				verdicts++
+				if v.Dropped {
+					dropped++
+				}
+			}, WithSessionKey("soak-"+strconv.Itoa(s%64)))
+			switch {
+			case errors.Is(err, ErrShed):
+				shed.Add(1)
+			case err != nil:
+				errs[s] = err
+			case verdicts != stats.Frames || dropped != stats.Dropped:
+				errs[s] = fmt.Errorf("emitted %d verdicts (%d dropped), stats say %d frames (%d dropped)",
+					verdicts, dropped, stats.Frames, stats.Dropped)
+			default:
+				served.Add(1)
+			}
+		}(s)
+	}
+	wg.Wait()
+	f.Close()
+	for s, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", s, err)
+		}
+	}
+	if got := shed.Load() + served.Load(); got != sessions {
+		t.Errorf("shed %d + served %d = %d sessions, want %d", shed.Load(), served.Load(), got, sessions)
+	}
+	var shedCounted int64
+	for i, e := range f.shards {
+		shedCounted += e.shard.shed.Value() - shedBefore[i]
+	}
+	if shedCounted != shed.Load() {
+		t.Errorf("shard shed counters rose by %d, %d sessions returned ErrShed", shedCounted, shed.Load())
+	}
+	t.Logf("%d served, %d shed", served.Load(), shed.Load())
+	waitNoGoroutineLeak(t, before)
 }
 
 // TestVerdictsAlwaysCarryProto is the regression test for the label-loss
