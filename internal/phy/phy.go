@@ -13,6 +13,11 @@
 //     normalized, data-local correlation, refined to the local maximum
 //     within one reference length. Data-locality is what lets the engine
 //     trust a sync decision once the refinement span is buffered.
+//   - The refined start must never move earlier as samples are appended
+//     to the waveform: refinement is an argmax over a lag range that only
+//     grows, and ties go to the earliest lag. That is what lets the
+//     scanner wait for the samples a decision needs instead of rescanning
+//     on every chunk, and keep a decision once it is final.
 //   - FrameSpan must learn the frame's full span from the first
 //     HeaderSamples past the frame start and must validate the decoded
 //     header (a sync point with invalid header content errors here), so

@@ -26,6 +26,9 @@ type Session struct {
 	hdr        int          // pipe.hdr: samples FrameSpan needs past a frame start
 	tail       int          // pipe.tail: decode tail past FrameSpan
 	win        window
+	waitEnd    int64  // absolute offset the window end must reach before a non-EOF scan can decide more
+	held       bool   // cmt holds the next frame's final sync decision
+	cmt        commit // valid while held
 	emit       func(Verdict)
 	seq        uint64
 	sid        uint64      // engine-unique session id, stamped on traces
@@ -59,6 +62,17 @@ type Session struct {
 	inflight int           // submitted frames not yet emitted
 	closed   bool          // no more frames will arrive; flusher may exit
 	flushed  chan struct{} // closed when the flusher goroutine exits
+}
+
+// commit is a final sync decision the scanner keeps, instead of
+// re-deriving it, while it waits for the frame's decode span.
+type commit struct {
+	start  int64     // absolute frame start
+	peak   float64   // SyncPeak
+	span   int       // FrameSpan
+	began  time.Time // start of the deciding scan step (the trace anchor)
+	syncAt time.Time // FrameSpan began (traced sessions only)
+	ns     int64     // the deciding step's scanner time, when it ended in a wait
 }
 
 // newSession builds a session bound to one protocol pipe and starts its
@@ -241,60 +255,83 @@ func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so
 //     so lag values never change once computable; "no crossing among the
 //     computable lags" is final and those samples (minus the reference
 //     overlap) can be discarded.
-//   - A refined sync position is only trusted once the window covers the
-//     crossing's full refinement span (2× the reference past the refined
-//     position suffices); otherwise the scanner waits and rescans.
-//   - The frame span comes from the header (FrameSpan, which also
-//     validates the decoded header content) as soon as HeaderSamples are
-//     buffered; the frame is dispatched once its whole decode span
-//     (FrameSpan + TailSamples) is present (or the stream ended).
+//   - Wait, don't rescan. A sync decision needs the crossing's full
+//     refinement span (2× the reference past the refined position) and
+//     the header (HeaderSamples); a frame dispatches once its decode span
+//     (FrameSpan + TailSamples) is buffered. Each of these waits records
+//     the absolute offset the window end must reach, and a non-EOF scan
+//     returns at once until it does: the window does not move while the
+//     scanner waits, the first crossing is data-local, and the refined
+//     start is an argmax over a range that only grows (ties to the
+//     earliest lag), so an earlier rescan could only find the same or a
+//     later start and wait again.
+//   - Commit once final. When refinement and header are buffered and
+//     FrameSpan validates the header, (start, peak, span) is kept until
+//     the frame dispatches, never re-derived. EOF makes every window
+//     final and bypasses the waits.
 //   - Advances mirror the protocol's ReceiveAll exactly: +FrameSpan past
 //     a dispatched frame, +SyncRefSamples past an undecodable sync point.
+//
+// A frame's ScanNS is scanner work only: the deciding SynchronizeFirst
+// and FrameSpan plus the dispatch copy, never time spent waiting for
+// samples.
 func (s *Session) scan(eof bool) {
 	refLen := s.refLen
 	for {
+		if !eof && s.win.end() < s.waitEnd {
+			return
+		}
 		stepStart := time.Now()
 		w := s.win.view()
-		if len(w) < refLen {
-			if eof {
-				s.win.discard(len(w))
+		if !s.held {
+			if len(w) < refLen {
+				if eof {
+					s.win.discard(len(w))
+				}
+				return
 			}
-			return
-		}
-		relStart, peak, err := s.rx.SynchronizeFirst(w)
-		if err != nil {
-			// No threshold crossing among the computable lags: all of
-			// them are final, so only the reference overlap is kept.
-			if eof {
-				s.win.discard(len(w))
-			} else {
-				s.win.discard(len(w) - refLen + 1)
+			relStart, peak, err := s.rx.SynchronizeFirst(w)
+			if err != nil {
+				// No threshold crossing among the computable lags: all of
+				// them are final, so only the reference overlap is kept.
+				if eof {
+					s.win.discard(len(w))
+				} else {
+					s.win.discard(len(w) - refLen + 1)
+				}
+				return
 			}
-			return
+			if need := relStart + max(2*refLen, s.hdr); !eof && s.win.size() < need {
+				// Refinement span or header not fully buffered yet.
+				s.waitEnd = s.win.offset() + int64(need)
+				return
+			}
+			var syncAt time.Time
+			if s.tracer != nil {
+				syncAt = time.Now() // scan span ends, sync span begins
+			}
+			span, spanErr := s.rx.FrameSpan(w, relStart)
+			if spanErr != nil {
+				// Undecodable or invalid header: skip this sync point exactly
+				// as the protocol's ReceiveAll does.
+				s.win.discard(relStart + refLen)
+				s.stats.SyncRejects++
+				obsSyncRejects.Inc()
+				s.pipe.obs.syncRejects.Inc()
+				continue
+			}
+			s.cmt = commit{start: s.win.offset() + int64(relStart), peak: peak, span: span, began: stepStart, syncAt: syncAt}
+			s.held = true
 		}
-		if !eof && s.win.size() < relStart+2*refLen {
-			return // refinement span not fully buffered; rescan later
-		}
-		if !eof && s.win.size() < relStart+s.hdr {
-			return // header not fully buffered yet
-		}
-		var syncAt time.Time
-		if s.tracer != nil {
-			syncAt = time.Now() // scan span ends, sync span begins
-		}
-		span, spanErr := s.rx.FrameSpan(w, relStart)
-		if spanErr != nil {
-			// Undecodable or invalid header: skip this sync point exactly
-			// as the protocol's ReceiveAll does.
-			s.win.discard(relStart + refLen)
-			s.stats.SyncRejects++
-			obsSyncRejects.Inc()
-			s.pipe.obs.syncRejects.Inc()
-			continue
-		}
-		copySpan := span + s.tail
+		relStart := int(s.cmt.start - s.win.offset())
+		copySpan := s.cmt.span + s.tail
 		if !eof && s.win.size() < relStart+copySpan {
-			return // wait for the frame's full decode span
+			// Wait for the frame's full decode span. Only the deciding
+			// step gets here: the watermark holds every later non-EOF
+			// scan until the span is buffered.
+			s.cmt.ns = sinceNS(stepStart)
+			s.waitEnd = s.cmt.start + int64(copySpan)
+			return
 		}
 		end := relStart + copySpan
 		if end > s.win.size() {
@@ -305,20 +342,21 @@ func (s *Session) scan(eof bool) {
 		// One clock reading ends the scan step: the verdict's ScanNS, the
 		// scan histograms and the scan+sync spans all derive from it.
 		scanEnd := time.Now()
-		scanNS := scanEnd.Sub(stepStart).Nanoseconds()
+		scanNS := s.cmt.ns + scanEnd.Sub(stepStart).Nanoseconds()
 		var tr *obs.Trace
 		if s.tracer != nil {
-			tr = s.tracer.StartAt(stepStart, s.sid, s.seq, s.win.offset()+int64(relStart))
+			scanDur := s.cmt.syncAt.Sub(s.cmt.began)
+			tr = s.tracer.StartAt(s.cmt.began, s.sid, s.seq, s.cmt.start)
 			tr.Proto = s.pipe.name
-			tr.AddSpanDur(traceStageScan, stepStart, syncAt.Sub(stepStart), nil)
-			tr.AddSpanDur(traceStageSync, syncAt, scanEnd.Sub(syncAt), nil)
+			tr.AddSpanDur(traceStageScan, s.cmt.began, scanDur, nil)
+			tr.AddSpanDur(traceStageSync, s.cmt.syncAt, time.Duration(scanNS)-scanDur, nil)
 		}
 		s.submit(job{
 			sess:   s,
 			pipe:   s.pipe,
 			seq:    s.seq,
-			offset: s.win.offset() + int64(relStart),
-			peak:   peak,
+			offset: s.cmt.start,
+			peak:   s.cmt.peak,
 			frame:  frame,
 			scanNS: scanNS,
 			trace:  tr,
@@ -332,10 +370,11 @@ func (s *Session) scan(eof bool) {
 			s.e.shard.scanNS.Observe(float64(scanNS))
 			s.e.shard.topFrames.Add(s.tenant, 1)
 		}
-		adv := relStart + span
+		adv := relStart + s.cmt.span
 		if adv > s.win.size() {
 			adv = s.win.size()
 		}
+		s.held = false
 		s.win.discard(adv)
 	}
 }

@@ -30,6 +30,10 @@ func (w *window) size() int { return len(w.buf) - w.start }
 // offset returns the absolute stream offset of view()[0].
 func (w *window) offset() int64 { return w.base }
 
+// end returns the absolute stream offset one past the last retained
+// sample: how far the stream has been read.
+func (w *window) end() int64 { return w.base + int64(w.size()) }
+
 // append adds a chunk at the tail, compacting the dead prefix first when
 // it dominates the buffer. Growth goes through the sample arena
 // (pool.go) instead of the allocator, dropping the dead prefix in the
