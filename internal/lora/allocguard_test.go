@@ -1,6 +1,8 @@
 package lora
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -64,5 +66,40 @@ func TestDecodeAtZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SynchronizeFirst allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestNoPreambleSentinel: sync on a waveform without a preamble fails
+// with the ErrNoPreamble sentinel and allocates nothing, yet still
+// reports the best peak, which Receive keeps in Reception.SyncPeak. A
+// NaN waveform fails the same way.
+func TestNoPreambleSentinel(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	noise := make([]complex128, 2*PreambleSamples)
+	for i := range noise {
+		noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	rx, err := NewReceiver(ReceiverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, best, err := rx.SynchronizeFirst(noise)
+	if !errors.Is(err, ErrNoPreamble) || !(best > 0) {
+		t.Fatalf("SynchronizeFirst on noise: peak %v, err %v; want a positive peak and ErrNoPreamble", best, err)
+	}
+	rec, err := rx.Receive(noise)
+	if !errors.Is(err, ErrNoPreamble) || rec.SyncPeak != best {
+		t.Fatalf("Receive on noise: SyncPeak %v, err %v; want %v and ErrNoPreamble", rec.SyncPeak, err, best)
+	}
+	allocs := testing.AllocsPerRun(20, func() { rx.SynchronizeFirst(noise) })
+	if allocs != 0 {
+		t.Errorf("no-preamble sync allocates %v times per op, want 0", allocs)
+	}
+	nan := make([]complex128, len(noise))
+	for i := range nan {
+		nan[i] = complex(math.NaN(), math.NaN())
+	}
+	if _, _, err := rx.SynchronizeFirst(nan); !errors.Is(err, ErrNoPreamble) {
+		t.Errorf("SynchronizeFirst on NaN: err %v, want ErrNoPreamble", err)
 	}
 }

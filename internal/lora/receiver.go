@@ -1,6 +1,7 @@
 package lora
 
 import (
+	"errors"
 	"fmt"
 
 	"hideseek/internal/dsp"
@@ -165,6 +166,12 @@ func (rx *Receiver) demodSymbol(sym, ref []complex128) (bin int, concentration, 
 	return bin, concentration, wide
 }
 
+// ErrNoPreamble is what SynchronizeFirst returns when no correlation lag
+// crosses the sync threshold (or every lag is NaN). It is a sentinel so
+// the streaming scanner's no-sync path allocates nothing; the best peak
+// still comes back as the second result (0 when every lag is NaN).
+var ErrNoPreamble = errors.New("lora: no preamble found")
+
 // syncGuard mirrors the zigbee receiver: borderline FFT-correlation
 // threshold crossings are confirmed against the exactly-accumulated
 // value, so the sync decision matches the direct path bit-for-bit.
@@ -216,10 +223,10 @@ func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error
 	}
 	peak := dsp.PeakIndex(corr)
 	if peak < 0 {
-		return 0, 0, fmt.Errorf("lora: no preamble found: correlation is all NaN")
+		return 0, 0, ErrNoPreamble
 	}
 	best := rx.sync.ExactAt(waveform, peak)
-	return 0, best, fmt.Errorf("lora: no preamble found: best correlation %.3f below %.3f", best, rx.cfg.SyncThreshold)
+	return 0, best, ErrNoPreamble
 }
 
 // header demodulates and validates the preamble and header symbols of a

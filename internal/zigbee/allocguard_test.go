@@ -1,15 +1,16 @@
 package zigbee
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // Steady-state allocation guards for the decode path (DESIGN.md §15):
 // once the receiver's scratch and frame arena have warmed to the
-// session's frame sizes, the post-synchronization decode must not
-// allocate at all, and a whole-capture ReceiveAll may allocate only on
-// its terminal no-more-preambles error path.
+// session's frame sizes, neither the post-synchronization decode nor a
+// whole-capture ReceiveAll may allocate at all.
 
 // allocCapture builds a decodable single-frame capture and returns it
 // with the frame's start and sync peak.
@@ -87,10 +88,9 @@ func TestSynchronizeFirstZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReceiveAllAllocBudget bounds the whole-capture batch path. The only
-// remaining allocations are the terminal "no preamble in the remainder"
-// error values, so the budget is a small constant independent of frame
-// count and capture length.
+// TestReceiveAllAllocBudget bounds the whole-capture batch path at zero:
+// even its terminal "no preamble in the remainder" return is the
+// ErrNoPreamble sentinel, so nothing allocates once scratch is warm.
 func TestReceiveAllAllocBudget(t *testing.T) {
 	// Multi-frame capture: three frames with noise gaps.
 	tx := NewTransmitter()
@@ -125,7 +125,52 @@ func TestReceiveAllAllocBudget(t *testing.T) {
 			t.Fatal("decode changed under measurement")
 		}
 	})
-	if allocs > 10 {
-		t.Errorf("ReceiveAll allocates %v times per op, budget 10", allocs)
+	if allocs != 0 {
+		t.Errorf("ReceiveAll allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestNoPreambleSentinel: sync on a waveform without a preamble fails
+// with the ErrNoPreamble sentinel and allocates nothing, yet still
+// reports the best peak, which Receive keeps in Reception.SyncPeak. A
+// NaN waveform fails the same way.
+func TestNoPreambleSentinel(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	noise := make([]complex128, 4000)
+	for i := range noise {
+		noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	rx, err := NewReceiver(ReceiverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := rx.SynchronizeFirst(noise)
+	if !errors.Is(err, ErrNoPreamble) || !(first > 0) {
+		t.Fatalf("SynchronizeFirst on noise: peak %v, err %v; want a positive peak and ErrNoPreamble", first, err)
+	}
+	_, best, err := rx.Synchronize(noise)
+	if !errors.Is(err, ErrNoPreamble) || best != first {
+		t.Fatalf("Synchronize on noise: peak %v, err %v; want peak %v and ErrNoPreamble", best, err, first)
+	}
+	rec, err := rx.Receive(noise)
+	if !errors.Is(err, ErrNoPreamble) || rec.SyncPeak != best {
+		t.Fatalf("Receive on noise: SyncPeak %v, err %v; want %v and ErrNoPreamble", rec.SyncPeak, err, best)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		rx.SynchronizeFirst(noise)
+		rx.Synchronize(noise)
+	})
+	if allocs != 0 {
+		t.Errorf("no-preamble sync allocates %v times per op, want 0", allocs)
+	}
+	nan := make([]complex128, len(noise))
+	for i := range nan {
+		nan[i] = complex(math.NaN(), math.NaN())
+	}
+	if _, _, err := rx.SynchronizeFirst(nan); !errors.Is(err, ErrNoPreamble) {
+		t.Errorf("SynchronizeFirst on NaN: err %v, want ErrNoPreamble", err)
+	}
+	if _, _, err := rx.Synchronize(nan); !errors.Is(err, ErrNoPreamble) {
+		t.Errorf("Synchronize on NaN: err %v, want ErrNoPreamble", err)
 	}
 }

@@ -1,6 +1,7 @@
 package zigbee
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -281,6 +282,13 @@ func (rx *Receiver) correlate(waveform []complex128) []float64 {
 	return rx.sync.CorrelateInto(rx.corr[:lags], waveform)
 }
 
+// ErrNoPreamble is what Synchronize and SynchronizeFirst return when no
+// correlation lag crosses the sync threshold (or every lag is NaN). It
+// is a sentinel so the streaming scanner's no-sync path, which runs on
+// every chunk of frame-free input, allocates nothing; the best peak still
+// comes back as the second result (0 when every lag is NaN).
+var ErrNoPreamble = errors.New("zigbee: no preamble found")
+
 // syncGuard widens the threshold test on the FFT-computed correlation so
 // borderline crossings are always confirmed against the exactly-
 // accumulated value: the two paths differ by rounding (~1e-15 relative),
@@ -298,14 +306,15 @@ func (rx *Receiver) Synchronize(waveform []complex128) (int, float64, error) {
 	}
 	peak := dsp.PeakIndex(corr)
 	if peak < 0 {
-		return 0, 0, fmt.Errorf("zigbee: no preamble found: correlation is all NaN")
+		return 0, 0, ErrNoPreamble
 	}
 	// Decide (and report) on the exactly-accumulated value at the peak,
 	// so the accept/reject decision and the returned peak are
-	// bit-identical to the direct correlation path.
+	// bit-identical to the direct correlation path. A NaN peak (NaN
+	// samples) is no preamble either.
 	v := rx.sync.ExactAt(waveform, peak)
-	if v < rx.cfg.SyncThreshold {
-		return 0, v, fmt.Errorf("zigbee: no preamble found: best correlation %.3f below %.3f", v, rx.cfg.SyncThreshold)
+	if !(v >= rx.cfg.SyncThreshold) {
+		return 0, v, ErrNoPreamble
 	}
 	return peak, v, nil
 }
@@ -354,10 +363,10 @@ func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error
 	}
 	peak := dsp.PeakIndex(corr)
 	if peak < 0 {
-		return 0, 0, fmt.Errorf("zigbee: no preamble found: correlation is all NaN")
+		return 0, 0, ErrNoPreamble
 	}
 	best := rx.sync.ExactAt(waveform, peak)
-	return 0, best, fmt.Errorf("zigbee: no preamble found: best correlation %.3f below %.3f", best, rx.cfg.SyncThreshold)
+	return 0, best, ErrNoPreamble
 }
 
 // Receive synchronizes, demodulates, despreads, and parses one frame from
