@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hideseek/internal/lora"
 	"hideseek/internal/obs"
 	"hideseek/internal/phy"
 	"hideseek/internal/zigbee"
@@ -21,6 +22,21 @@ import (
 func scanCapture(tb testing.TB) []complex128 {
 	tb.Helper()
 	wave, err := zigbee.NewTransmitter().TransmitPSDU([]byte("bench"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	capture, err := BuildCapture(rand.New(rand.NewSource(17)), 1e-3, 900, wave, wave, wave)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return capture
+}
+
+// loraScanCapture is BenchmarkStreamScanLoRa's input: three authentic
+// LoRa frames in noise.
+func loraScanCapture(tb testing.TB) []complex128 {
+	tb.Helper()
+	wave, err := lora.NewTransmitter().TransmitPayload([]byte("bench"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,6 +91,31 @@ func BenchmarkStreamScan(b *testing.B) {
 	if st, ok := obs.Snap().Histograms["stream.scan_ns"]; ok && st.Count > 0 {
 		b.ReportMetric(st.P50, "scan-p50-ns")
 		b.ReportMetric(st.P95, "scan-p95-ns")
+	}
+}
+
+// BenchmarkStreamScanLoRa is BenchmarkStreamScan's LoRa twin: one whole
+// session per op over three frames at the default chunk size, where the
+// LoRa preamble's 8192-sample sync reference makes the scan, not the
+// decode, the dominant cost. `make bench-compare` gates it alongside
+// BenchmarkStreamScan.
+func BenchmarkStreamScanLoRa(b *testing.B) {
+	capture := loraScanCapture(b)
+	e, err := NewEngine(Config{Pipelines: []*phy.Pipeline{loraPipeline(b)}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := e.Process(ctx, NewSliceSource(capture), func(Verdict) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Frames != 3 {
+			b.Fatalf("scanned %d frames, want 3", stats.Frames)
+		}
 	}
 }
 

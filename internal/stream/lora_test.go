@@ -15,11 +15,11 @@ import (
 )
 
 // loraPipeline builds the lora phy pipeline under test defaults.
-func loraPipeline(t *testing.T) *phy.Pipeline {
-	t.Helper()
+func loraPipeline(tb testing.TB) *phy.Pipeline {
+	tb.Helper()
 	p, err := loraphy.NewPipeline(lora.ReceiverConfig{}, lora.DetectorConfig{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }
