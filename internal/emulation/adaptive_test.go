@@ -3,6 +3,7 @@ package emulation
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hideseek/internal/channel"
@@ -99,16 +100,116 @@ func TestSNREstimateTracksTruth(t *testing.T) {
 		var sum float64
 		const trials = 5
 		for i := 0; i < trials; i++ {
-			rec, err := rx.Receive(ch.Apply(obs))
+			w := ch.Apply(obs)
+			rec, err := rx.Receive(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum += rec.SNREstimateDB
+			sum += workingSNR(rec, w)
 		}
 		est := sum / trials
 		if math.Abs(est-snr) > 1.5 {
 			t.Errorf("true SNR %g dB estimated as %g dB", snr, est)
 		}
+	}
+}
+
+// snrCase is one frame for the working-SNR golden: the capture and the
+// reception a batch receiver made of it.
+type snrCase struct {
+	name string
+	wave []complex128
+	rec  *zigbee.Reception
+}
+
+// workingSNRCases receives authentic and emulated frames through AWGN
+// with Receive, and the second frame of a two-frame capture with
+// ReceiveAll, so the out-of-band leg runs from a mid-capture start.
+func workingSNRCases(t *testing.T) []snrCase {
+	t.Helper()
+	obs := observeFrame(t, []byte("0123456789"))
+	res := emulate(t, obs)
+	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4242))
+	var out []snrCase
+	for _, c := range []struct {
+		name string
+		wave []complex128
+		snr  float64
+	}{
+		{"authentic-9dB", obs, 9},
+		{"authentic-17dB", obs, 17},
+		{"emulated-13dB", res.Emulated4M, 13},
+	} {
+		ch, err := channel.NewAWGN(c.snr, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := ch.Apply(c.wave)
+		rec, err := rx.Receive(w)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out = append(out, snrCase{c.name, w, rec})
+	}
+	ch, err := channel.NewAWGN(11, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := append(append(make([]complex128, 300), obs...), make([]complex128, 700)...)
+	pair = ch.Apply(append(pair, res.Emulated4M...))
+	recs, err := rx.ReceiveAll(pair, 0)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("ReceiveAll: %d frames, err %v", len(recs), err)
+	}
+	return append(out, snrCase{"receiveall-second-frame", pair, recs[1].Copy()})
+}
+
+// TestWorkingSNRMatchesReceive pins the adaptive detector's working SNR
+// to the bits the batch receiver reported as SNREstimateDB when it still
+// folded the out-of-band leg in itself, so moving that leg into the
+// detector changed no threshold the detector picks.
+func TestWorkingSNRMatchesReceive(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits recorded on amd64")
+	}
+	want := map[string]uint64{
+		"authentic-9dB":           0x4021bbd0a0a6b64d,
+		"authentic-17dB":          0x4030cc3ac91965a9,
+		"emulated-13dB":           0x40260bab0595d1b4,
+		"receiveall-second-frame": 0x40231803911a28a7,
+	}
+	oobWins := 0
+	for _, c := range workingSNRCases(t) {
+		got := workingSNR(c.rec, c.wave)
+		if math.Float64bits(got) != want[c.name] {
+			t.Errorf("%s: working SNR %v (%#016x), want %#016x", c.name, got, math.Float64bits(got), want[c.name])
+		}
+		if got > c.rec.SNREstimateDB {
+			oobWins++
+		}
+	}
+	// Without a case the out-of-band leg decides, the golden would not
+	// show that leg is still applied.
+	if oobWins == 0 {
+		t.Error("the out-of-band leg decides no case")
+	}
+}
+
+func TestAdaptiveAnalyzeRejectsStartOutsideWaveform(t *testing.T) {
+	a, err := NewAdaptiveDetector(DefenseConfig{}, []ThresholdBucket{{SNRdB: 10, Q: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := workingSNRCases(t)[3]
+	if _, err := a.Analyze(c.rec, c.wave[:c.rec.StartSample-1]); err == nil {
+		t.Error("accepted a waveform that ends before the frame start")
+	}
+	if _, err := a.Analyze(c.rec, c.wave); err != nil {
+		t.Errorf("rejected the capture the frame came from: %v", err)
 	}
 }
 
@@ -181,11 +282,12 @@ func TestAdaptiveDetectorExtendsLowSNRDetection(t *testing.T) {
 	var adaptiveErrors, fixedFalseAlarms int
 	const trials = 12
 	for i := 0; i < trials; i++ {
-		recA, err := rx.Receive(ch.Apply(obs))
+		wA := ch.Apply(obs)
+		recA, err := rx.Receive(wA)
 		if err != nil {
 			continue
 		}
-		vA, err := adaptive.Analyze(recA)
+		vA, err := adaptive.Analyze(recA, wA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +301,12 @@ func TestAdaptiveDetectorExtendsLowSNRDetection(t *testing.T) {
 		if vFixed.Attack {
 			fixedFalseAlarms++
 		}
-		recE, err := rx.Receive(ch.Apply(res.Emulated4M))
+		wE := ch.Apply(res.Emulated4M)
+		recE, err := rx.Receive(wE)
 		if err != nil {
 			continue
 		}
-		vE, err := adaptive.Analyze(recE)
+		vE, err := adaptive.Analyze(recE, wE)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,10 +79,12 @@ func (rx *Receiver) FrameSpan(waveform []complex128, start int) (int, error) {
 // DecodeAt runs the post-synchronization receive pipeline on a frame known
 // to start at start, skipping the preamble search. syncPeak is recorded in
 // the Reception (callers that synchronized elsewhere pass the correlation
-// peak they observed). The chip streams, PSDU, and phase estimate are
-// identical to what Receive produces for the same samples; only
-// SNREstimateDB may differ when the waveform is a tighter slice than the
-// original capture (its out-of-band leg integrates the whole remainder).
+// peak they observed). It fills only what a stream verdict reads:
+// PSDU, SoftChips, DiscriminatorChips, Results, SymbolErrors,
+// PhaseEstimate, NoisePowerEstimate and SNREstimateDB, each identical to
+// what Receive produces for the same frame, even from a tight frame
+// slice. PeakChips and RecoveredChips stay nil; Receive and ReceiveAll
+// fill them.
 //
 // The returned Reception is a view into receiver-owned scratch, valid
 // until the receiver's next Receive/ReceiveAll/DecodeAt/FrameSpan call;
@@ -92,5 +94,5 @@ func (rx *Receiver) DecodeAt(waveform []complex128, start int, syncPeak float64)
 		return nil, fmt.Errorf("zigbee: frame start %d outside waveform of %d samples", start, len(waveform))
 	}
 	rx.arena.reset()
-	return rx.decodeFrom(waveform, start, syncPeak)
+	return rx.decodeFrom(waveform, start, syncPeak, false)
 }

@@ -1,6 +1,8 @@
 package zigbee
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -27,7 +29,23 @@ func scanCapture(t *testing.T, psdu []byte, lead, tail int) ([]complex128, int) 
 }
 
 func TestFrameSpanMatchesReceiveAll(t *testing.T) {
-	capture, _ := scanCapture(t, []byte("span-test"), 500, 500)
+	clean, _ := scanCapture(t, []byte("span-test"), 500, 500)
+	// A slow in-band phase wobble on the frame inflates the preamble
+	// residual the way emulation distortion does, so the out-of-band SNR
+	// estimate (13.7 dB) exceeds the residual one (11.5 dB). A receiver
+	// that still folded the out-of-band estimate into SNREstimateDB would
+	// report a different value for the tight slice than for the capture.
+	wobbled, lead := scanCapture(t, []byte("span-test"), 500, 500)
+	for i := lead; i < len(wobbled)-500; i++ {
+		wobbled[i] *= cmplx.Rect(1, 0.5*math.Sin(2*math.Pi*float64(i-lead)/1000))
+	}
+	t.Run("clean", func(t *testing.T) { checkFrameSpan(t, clean) })
+	t.Run("phase-wobbled", func(t *testing.T) { checkFrameSpan(t, wobbled) })
+}
+
+// checkFrameSpan checks FrameSpan and DecodeAt on capture's one frame
+// against ReceiveAll's decode of the whole capture.
+func checkFrameSpan(t *testing.T, capture []complex128) {
 	rx, err := NewReceiver(ReceiverConfig{SyncThreshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +87,44 @@ func TestFrameSpanMatchesReceiveAll(t *testing.T) {
 	if rec.SyncPeak != peak {
 		t.Errorf("DecodeAt sync peak %v, want recorded %v", rec.SyncPeak, peak)
 	}
-	if len(rec.DiscriminatorChips) != len(batch.DiscriminatorChips) {
-		t.Fatalf("chip count %d, want %d", len(rec.DiscriminatorChips), len(batch.DiscriminatorChips))
+	// Every field DecodeAt fills matches the batch decode bit for bit,
+	// SNREstimateDB included: it reads only the SHR, so the tight slice
+	// cannot move it.
+	sameBits(t, "SoftChips", rec.SoftChips, batch.SoftChips)
+	sameBits(t, "DiscriminatorChips", rec.DiscriminatorChips, batch.DiscriminatorChips)
+	sameBits(t, "PhaseEstimate", []float64{rec.PhaseEstimate}, []float64{batch.PhaseEstimate})
+	sameBits(t, "NoisePowerEstimate", []float64{rec.NoisePowerEstimate}, []float64{batch.NoisePowerEstimate})
+	sameBits(t, "SNREstimateDB", []float64{rec.SNREstimateDB}, []float64{batch.SNREstimateDB})
+	if len(rec.Results) != len(batch.Results) {
+		t.Fatalf("%d despread results, batch %d", len(rec.Results), len(batch.Results))
 	}
-	for i := range rec.DiscriminatorChips {
-		if rec.DiscriminatorChips[i] != batch.DiscriminatorChips[i] {
-			t.Fatalf("discriminator chip %d: %v, batch %v", i, rec.DiscriminatorChips[i], batch.DiscriminatorChips[i])
+	for i := range rec.Results {
+		if rec.Results[i] != batch.Results[i] {
+			t.Fatalf("result %d: %+v, batch %+v", i, rec.Results[i], batch.Results[i])
+		}
+	}
+	if rec.SymbolErrors != batch.SymbolErrors {
+		t.Errorf("SymbolErrors %d, batch %d", rec.SymbolErrors, batch.SymbolErrors)
+	}
+	// The taps no stream verdict reads are the batch paths' alone.
+	if rec.PeakChips != nil || rec.RecoveredChips != nil {
+		t.Error("DecodeAt filled PeakChips or RecoveredChips")
+	}
+	if len(batch.PeakChips) != len(batch.SoftChips) || batch.RecoveredChips == nil ||
+		len(batch.RecoveredChips.Soft) != len(batch.SoftChips) {
+		t.Error("ReceiveAll did not fill PeakChips and RecoveredChips")
+	}
+}
+
+// sameBits fails unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, batch %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v, batch %v", name, i, got[i], want[i])
 		}
 	}
 }
