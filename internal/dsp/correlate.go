@@ -6,28 +6,12 @@ import (
 	"math/cmplx"
 )
 
-// CrossCorrelate slides ref across x and returns, for each lag
-// 0 ≤ l ≤ len(x)−len(ref), the correlation Σ_n x[l+n]·conj(ref[n]).
-// It is the workhorse of preamble synchronization.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	if len(ref) == 0 || len(x) < len(ref) {
-		return nil
-	}
-	lags := len(x) - len(ref) + 1
-	out := make([]complex128, lags)
-	for l := 0; l < lags; l++ {
-		var acc complex128
-		for n, r := range ref {
-			acc += x[l+n] * cmplx.Conj(r)
-		}
-		out[l] = acc
-	}
-	return out
-}
-
-// NormalizedCrossCorrelate returns |correlation| divided by the geometric
-// mean of the windowed signal energy and the reference energy, yielding
-// values in [0, 1] that are robust to amplitude scaling.
+// NormalizedCrossCorrelate returns, for each lag 0 ≤ l ≤ len(x)−len(ref),
+// |Σ_n x[l+n]·conj(ref[n])| divided by the geometric mean of the lag's
+// window energy and the reference energy, yielding values in [0, 1] that
+// are robust to amplitude scaling. Each lag reads only its own window
+// (see Correlator.ExactAt), so the direct O(lags·len(ref)) sweep is the
+// reference implementation of the correlation.
 func NormalizedCrossCorrelate(x, ref []complex128) []float64 {
 	if len(ref) == 0 || len(x) < len(ref) {
 		return nil
@@ -47,37 +31,32 @@ func NormalizedCrossCorrelateInto(dst []float64, x, ref []complex128) []float64 
 		panic(fmt.Sprintf("dsp: correlate into %d-lag buffer, want %d", len(dst), lags))
 	}
 	refEnergy := Energy(ref)
+	for l := range dst {
+		dst[l] = exactLag(x[l:l+len(ref)], ref, refEnergy)
+	}
+	return dst
+}
+
+// exactLag is the normalized correlation of one window against ref, with
+// the numerator and the window energy both summed directly in sample
+// order: the one definition of a lag's value that NormalizedCrossCorrelate
+// and Correlator.ExactAt share. A window without energy reads 0.
+func exactLag(win, ref []complex128, refEnergy float64) float64 {
 	if refEnergy == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
+		return 0
 	}
-	out := dst
-	// Maintain the sliding window energy incrementally: O(N) total.
+	win = win[:len(ref)]
+	var acc complex128
 	var winEnergy float64
-	for n := 0; n < len(ref); n++ {
-		winEnergy += sqAbs(x[n])
+	for n, r := range ref {
+		acc += win[n] * cmplx.Conj(r)
+		winEnergy += sqAbs(win[n])
 	}
-	for l := 0; l < lags; l++ {
-		var acc complex128
-		for n, r := range ref {
-			acc += x[l+n] * cmplx.Conj(r)
-		}
-		denom := math.Sqrt(winEnergy * refEnergy)
-		if denom > 0 {
-			out[l] = cmplx.Abs(acc) / denom
-		} else {
-			out[l] = 0 // zero-energy window: define, don't leave stale
-		}
-		if l+1 < lags {
-			winEnergy += sqAbs(x[l+len(ref)]) - sqAbs(x[l])
-			if winEnergy < 0 {
-				winEnergy = 0 // guard against rounding drift
-			}
-		}
+	denom := math.Sqrt(winEnergy * refEnergy)
+	if denom > 0 {
+		return cmplx.Abs(acc) / denom
 	}
-	return out
+	return 0
 }
 
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }

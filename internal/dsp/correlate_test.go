@@ -12,21 +12,21 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	x := make([]complex128, 128)
 	offset := 40
 	copy(x[offset:], ref)
-	corr := CrossCorrelate(x, ref)
+	corr := NormalizedCrossCorrelate(x, ref)
 	if len(corr) != len(x)-len(ref)+1 {
 		t.Fatalf("correlation length = %d", len(corr))
 	}
-	peak := PeakIndex(Abs(corr))
+	peak := PeakIndex(corr)
 	if peak != offset {
 		t.Errorf("peak at %d, want %d", peak, offset)
 	}
 }
 
 func TestCrossCorrelateDegenerate(t *testing.T) {
-	if got := CrossCorrelate(nil, []complex128{1}); got != nil {
+	if got := NormalizedCrossCorrelate(nil, []complex128{1}); got != nil {
 		t.Error("short signal should give nil")
 	}
-	if got := CrossCorrelate([]complex128{1}, nil); got != nil {
+	if got := NormalizedCrossCorrelate([]complex128{1}, nil); got != nil {
 		t.Error("empty ref should give nil")
 	}
 }
@@ -99,17 +99,14 @@ func TestPeakIndexSkipsNaN(t *testing.T) {
 func TestCrossCorrelateEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	x := randComplexSlice(rng, 8)
-	if got := CrossCorrelate(x, randComplexSlice(rng, 9)); got != nil {
+	if got := NormalizedCrossCorrelate(x, randComplexSlice(rng, 9)); got != nil {
 		t.Error("ref longer than x should give nil")
 	}
-	if got := CrossCorrelate(nil, nil); got != nil {
+	if got := NormalizedCrossCorrelate(nil, nil); got != nil {
 		t.Error("both empty should give nil")
 	}
-	if got := CrossCorrelate(x, x); len(got) != 1 {
+	if got := NormalizedCrossCorrelate(x, x); len(got) != 1 {
 		t.Errorf("equal lengths give %d lags, want 1", len(got))
-	}
-	if got := NormalizedCrossCorrelate(x, randComplexSlice(rng, 9)); got != nil {
-		t.Error("normalized: ref longer than x should give nil")
 	}
 	// Zero-energy signal against a live reference: every window energy
 	// is 0, so every lag must read a defined 0 (not stale memory).

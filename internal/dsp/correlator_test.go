@@ -17,6 +17,16 @@ func newFFTCorrelator(t *testing.T, ref []complex128) *Correlator {
 	return c
 }
 
+// correlate runs CorrelateInto into a fresh buffer; nil when x is shorter
+// than the reference.
+func correlate(c *Correlator, x []complex128) []float64 {
+	lags := c.Lags(len(x))
+	if lags < 1 {
+		return nil
+	}
+	return c.CorrelateInto(make([]float64, lags), x)
+}
+
 func TestCorrelatorMatchesDirectValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ sigLen, refLen int }{
@@ -25,7 +35,7 @@ func TestCorrelatorMatchesDirectValues(t *testing.T) {
 		x := randComplexSlice(rng, tc.sigLen)
 		ref := randComplexSlice(rng, tc.refLen)
 		c := newFFTCorrelator(t, ref)
-		got := c.Correlate(x)
+		got := correlate(c, x)
 		want := NormalizedCrossCorrelate(x, ref)
 		if len(got) != len(want) {
 			t.Fatalf("sig=%d ref=%d: %d lags, want %d", tc.sigLen, tc.refLen, len(got), len(want))
@@ -76,7 +86,7 @@ func TestCorrelatorPeakAgreementFuzz(t *testing.T) {
 			x[offset+i] += v * amp
 		}
 		c := newFFTCorrelator(t, ref)
-		gotPeak := PeakIndex(c.Correlate(x))
+		gotPeak := PeakIndex(correlate(c, x))
 		wantPeak := PeakIndex(NormalizedCrossCorrelate(x, ref))
 		if gotPeak != wantPeak {
 			t.Fatalf("trial %d (sig=%d ref=%d offset=%d): fft peak %d, direct peak %d",
@@ -105,7 +115,7 @@ func TestCorrelatorClone(t *testing.T) {
 	x := randSignal(3000, 33)
 	ref := randSignal(200, 34)
 	c := newFFTCorrelator(t, ref)
-	want := c.Correlate(x)
+	want := correlate(c, x)
 
 	// Clones must produce identical output and be independently usable
 	// from concurrent goroutines (shared spectrum, private scratch).
@@ -116,7 +126,7 @@ func TestCorrelatorClone(t *testing.T) {
 			defer wg.Done()
 			cl := c.Clone()
 			for iter := 0; iter < 5; iter++ {
-				got := cl.Correlate(x)
+				got := correlate(cl, x)
 				for l := range want {
 					if got[l] != want[l] {
 						t.Errorf("clone lag %d: %v != %v", l, got[l], want[l])
@@ -133,26 +143,15 @@ func TestCorrelatorConfigValidation(t *testing.T) {
 	if _, err := NewCorrelator(nil, CorrelatorConfig{}); err == nil {
 		t.Error("accepted empty reference")
 	}
-	ref := randSignal(100, 35)
-	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 100}); err == nil {
-		t.Error("accepted non-power-of-two FFT size")
-	}
-	if _, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 128}); err == nil {
-		t.Error("accepted FFT size below 2×ref")
-	}
-	c, err := NewCorrelator(ref, CorrelatorConfig{FFTSize: 512})
-	if err != nil {
-		t.Fatalf("rejected valid FFT size: %v", err)
-	}
-	if c.FFTSize() != 512 {
-		t.Errorf("FFTSize() = %d, want 512", c.FFTSize())
+	if _, err := NewCorrelator(nil, CorrelatorConfig{UseDirect: true}); err == nil {
+		t.Error("accepted empty reference on the direct path")
 	}
 }
 
 func TestCorrelatorDegenerate(t *testing.T) {
 	ref := randSignal(16, 36)
 	c := newFFTCorrelator(t, ref)
-	if got := c.Correlate(randSignal(8, 37)); got != nil {
+	if got := correlate(c, randSignal(8, 37)); got != nil {
 		t.Error("signal shorter than reference should give nil")
 	}
 	assertPanics(t, "CorrelateInto undersized", func() {
@@ -170,7 +169,7 @@ func TestCorrelatorDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range zc.Correlate(randSignal(64, 41)) {
+	for _, v := range correlate(zc, randSignal(64, 41)) {
 		if v != 0 {
 			t.Fatal("zero-energy reference should yield zeros")
 		}
@@ -188,7 +187,7 @@ func TestCorrelatorZeroEnergyWindows(t *testing.T) {
 	x := make([]complex128, 64)
 	copy(x[40:], randSignal(16, 44)) // first 40 samples silent
 	c := newFFTCorrelator(t, ref)
-	got := c.Correlate(x)
+	got := correlate(c, x)
 	dirty := make([]float64, len(got))
 	for i := range dirty {
 		dirty[i] = 999 // stale garbage the Into call must overwrite

@@ -23,7 +23,13 @@ func TestReaderCF32Blocks(t *testing.T) {
 	r := NewReaderCF32(&buf)
 	var got []complex128
 	block := make([]complex128, 64)
-	for {
+	// n/64 full blocks, one short block and the EOF call: any more calls
+	// (or a (0, nil) result, which the contract rules out) means the
+	// reader stopped making progress, so fail instead of spinning.
+	for calls := 0; ; calls++ {
+		if calls > n/len(block)+2 {
+			t.Fatalf("no EOF after %d ReadBlock calls (%d samples read)", calls, len(got))
+		}
 		k, err := r.ReadBlock(block)
 		got = append(got, block[:k]...)
 		if err == io.EOF {
@@ -31,6 +37,9 @@ func TestReaderCF32Blocks(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if k == 0 {
+			t.Fatal("ReadBlock returned (0, nil)")
 		}
 	}
 	if len(got) != n {

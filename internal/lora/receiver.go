@@ -40,7 +40,6 @@ type Receiver struct {
 	dechirpUp []complex128    // conj(base upchirp): dechirps upchirp symbols
 	dechirpDn []complex128    // base upchirp: dechirps the preamble downchirps
 	plan      *dsp.Plan       // ChipsPerSymbol-point FFT (shared; pow2 plans are stateless)
-	corr      []float64       // Synchronize scratch: correlation lags
 	dec       []complex128    // demodSymbol scratch: decimated dechirped symbol
 	spec      []complex128    // demodSymbol scratch: symbol spectrum
 	arena     frameArena      // backing store for scratch-lifetime Receptions
@@ -172,61 +171,21 @@ func (rx *Receiver) demodSymbol(sym, ref []complex128) (bin int, concentration, 
 // still comes back as the second result (0 when every lag is NaN).
 var ErrNoPreamble = errors.New("lora: no preamble found")
 
-// syncGuard mirrors the zigbee receiver: borderline FFT-correlation
-// threshold crossings are confirmed against the exactly-accumulated
-// value, so the sync decision matches the direct path bit-for-bit.
-const syncGuard = 1e-9
-
 // SynchronizeFirst finds the EARLIEST frame start: the first index where
 // the normalized preamble correlation crosses the threshold, refined to
-// the local maximum within the following reference length. The downchirp
-// tail of the preamble breaks the upchirp train's ±1-symbol
-// self-similarity, so the refined peak is the true frame start.
+// the local maximum within the following reference length (see
+// dsp.Correlator.FirstCrossing). The downchirp tail of the preamble
+// breaks the upchirp train's ±1-symbol self-similarity, so the refined
+// peak is the true frame start.
 func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error) {
-	lags := len(waveform) - len(rx.syncRef) + 1
-	if lags < 1 {
+	if len(waveform) < len(rx.syncRef) {
 		return 0, 0, fmt.Errorf("lora: waveform shorter than sync reference (%d < %d)", len(waveform), len(rx.syncRef))
 	}
-	if cap(rx.corr) < lags {
-		rx.corr = make([]float64, lags)
+	start, peak, found := rx.sync.FirstCrossing(waveform, rx.cfg.SyncThreshold)
+	if !found {
+		return 0, peak, ErrNoPreamble
 	}
-	corr := rx.corr[:lags]
-	// Lazy prefix scan: a first-crossing search on a long capture usually
-	// decides within the first frame, so only the inspected prefix of the
-	// correlation is ever computed (values bitwise identical to the full
-	// computation — see dsp.CorrelationScan).
-	var scan dsp.CorrelationScan
-	rx.sync.ScanInto(&scan, corr, waveform)
-	for i := 0; i < lags; i++ {
-		scan.ComputeThrough(i)
-		v := corr[i]
-		if v < rx.cfg.SyncThreshold-syncGuard {
-			continue
-		}
-		if rx.sync.ExactAt(waveform, i) < rx.cfg.SyncThreshold {
-			continue
-		}
-		// Partial-overlap correlation crosses the threshold before the
-		// true start; the peak lies within one reference length.
-		end := i + len(rx.syncRef)
-		if end > lags-1 {
-			end = lags - 1
-		}
-		scan.ComputeThrough(end)
-		best, bestV := i, v
-		for j := i + 1; j <= end; j++ {
-			if corr[j] > bestV {
-				best, bestV = j, corr[j]
-			}
-		}
-		return best, rx.sync.ExactAt(waveform, best), nil
-	}
-	peak := dsp.PeakIndex(corr)
-	if peak < 0 {
-		return 0, 0, ErrNoPreamble
-	}
-	best := rx.sync.ExactAt(waveform, peak)
-	return 0, best, ErrNoPreamble
+	return start, peak, nil
 }
 
 // header demodulates and validates the preamble and header symbols of a

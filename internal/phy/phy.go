@@ -11,8 +11,13 @@
 //
 //   - SynchronizeFirst must report the EARLIEST threshold crossing of a
 //     normalized, data-local correlation, refined to the local maximum
-//     within one reference length. Data-locality is what lets the engine
-//     trust a sync decision once the refinement span is buffered.
+//     within one reference length, and report that lag's value. Data-
+//     local means a lag's value, decision and reported peak alike, reads
+//     only the lag's own samples, never where the searched slice starts.
+//     That is what lets the engine trust a sync decision once the
+//     refinement span is buffered, and what makes a stream's sync peaks
+//     equal batch ones. dsp.Correlator.FirstCrossing provides exactly
+//     this; both in-tree PHYs wrap it.
 //   - The refined start must never move earlier as samples are appended
 //     to the waveform: refinement is an argmax over a lag range that only
 //     grows, and ties go to the earliest lag. That is what lets the

@@ -47,6 +47,7 @@ func loraTestFrames(t *testing.T, payload []byte) (authentic, emulated []complex
 type loraRefVerdict struct {
 	offset  int
 	payload string
+	peak    float64
 	d2      float64
 	attack  bool
 }
@@ -76,6 +77,7 @@ func loraBatchVerdicts(t *testing.T, capture []complex128) []loraRefVerdict {
 		out = append(out, loraRefVerdict{
 			offset:  rec.StartSample,
 			payload: string(rec.Payload),
+			peak:    rec.SyncPeak,
 			d2:      v.DistanceSquared,
 			attack:  v.Attack,
 		})
@@ -121,6 +123,9 @@ func TestLoRaChunkSizesMatchBatch(t *testing.T) {
 			if string(v.PSDU) != w.payload {
 				t.Errorf("chunk %d frame %d: payload %q, batch %q", chunk, i, v.PSDU, w.payload)
 			}
+			if v.SyncPeak != w.peak {
+				t.Errorf("chunk %d frame %d: sync peak %v, batch %v", chunk, i, v.SyncPeak, w.peak)
+			}
 			if v.DistanceSquared != w.d2 {
 				t.Errorf("chunk %d frame %d: D² %v, batch %v", chunk, i, v.DistanceSquared, w.d2)
 			}
@@ -159,11 +164,11 @@ func TestLoRaChunkBoundaryEveryOffset(t *testing.T) {
 		}
 		for i, v := range got {
 			w := want[i]
-			if v.Offset != int64(w.offset) || string(v.PSDU) != w.payload ||
+			if v.Offset != int64(w.offset) || string(v.PSDU) != w.payload || v.SyncPeak != w.peak ||
 				v.DistanceSquared != w.d2 || v.Attack != w.attack {
-				t.Fatalf("offset %d frame %d: verdict {off %d payload %q d2 %v attack %v}, batch {%d %q %v %v}",
-					off, i, v.Offset, v.PSDU, v.DistanceSquared, v.Attack,
-					w.offset, w.payload, w.d2, w.attack)
+				t.Fatalf("offset %d frame %d: verdict {off %d payload %q peak %v d2 %v attack %v}, batch {%d %q %v %v %v}",
+					off, i, v.Offset, v.PSDU, v.SyncPeak, v.DistanceSquared, v.Attack,
+					w.offset, w.payload, w.peak, w.d2, w.attack)
 			}
 		}
 	}

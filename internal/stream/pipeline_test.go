@@ -55,6 +55,7 @@ func testConfig(tb testing.TB) Config {
 type refVerdict struct {
 	offset int
 	psdu   string
+	peak   float64
 	c40re  float64
 	c40im  float64
 	c42    float64
@@ -87,6 +88,7 @@ func batchVerdicts(t *testing.T, capture []complex128) []refVerdict {
 		out = append(out, refVerdict{
 			offset: rec.StartSample,
 			psdu:   string(rec.PSDU),
+			peak:   rec.SyncPeak,
 			c40re:  real(v.Cumulants.C40),
 			c40im:  imag(v.Cumulants.C40),
 			c42:    v.Cumulants.C42,
@@ -111,9 +113,7 @@ func streamVerdicts(t *testing.T, capture []complex128, cfg Config) ([]Verdict, 
 }
 
 // compareToBatch asserts the streaming verdicts are byte-identical to the
-// batch goldens (floats compared with ==; only SyncPeak, whose sliding
-// normalization accumulates rounding differently per window start, gets a
-// tolerance).
+// batch goldens, floats compared with ==.
 func compareToBatch(t *testing.T, got []Verdict, want []refVerdict) {
 	t.Helper()
 	decided := make([]Verdict, 0, len(got))
@@ -136,6 +136,9 @@ func compareToBatch(t *testing.T, got []Verdict, want []refVerdict) {
 		}
 		if string(v.PSDU) != w.psdu {
 			t.Errorf("frame %d: PSDU %q, batch %q", i, v.PSDU, w.psdu)
+		}
+		if v.SyncPeak != w.peak {
+			t.Errorf("frame %d: sync peak %v, batch %v", i, v.SyncPeak, w.peak)
 		}
 		if v.C40Re != w.c40re || v.C40Im != w.c40im || v.C42 != w.c42 {
 			t.Errorf("frame %d: cumulants (%v,%v,%v), batch (%v,%v,%v)",
