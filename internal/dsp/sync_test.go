@@ -1,13 +1,14 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // syncCorrelators returns an FFT-path and a direct-path correlator.
-func syncCorrelators(t *testing.T, ref []complex128) map[string]*Correlator {
+func syncCorrelators(t testing.TB, ref []complex128) map[string]*Correlator {
 	t.Helper()
 	out := map[string]*Correlator{}
 	for name, direct := range map[string]bool{"fft": false, "direct": true} {
@@ -160,4 +161,94 @@ func TestSyncSearchZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("sync searches allocate %v times per run, want 0", allocs)
 	}
+}
+
+// nonFiniteValue is a sample the screen must read as zero: kind picks
+// NaN, ±Inf or a finite magnitude ≥ 1.5e154 (whose |x|² overflows, mag
+// choosing how much larger), in the real or the imaginary part.
+func nonFiniteValue(kind uint8, mag float64) complex128 {
+	var v float64
+	switch kind % 4 {
+	case 0:
+		v = math.NaN()
+	case 1:
+		v = math.Inf(1)
+	case 2:
+		v = math.Inf(-1)
+	default:
+		v = math.Copysign(math.Max(math.Abs(mag), 1.5e154), mag)
+	}
+	if kind&4 != 0 {
+		return complex(0, v)
+	}
+	return complex(v, 0)
+}
+
+// assertSyncParity requires the FFT path's FirstCrossing and BestCrossing
+// on x to return the direct path's lag, peak bits and found flag.
+func assertSyncParity(t *testing.T, cs map[string]*Correlator, x []complex128, threshold float64, what string) {
+	t.Helper()
+	type result struct {
+		lag   int
+		peak  uint64
+		found bool
+	}
+	run := func(search func([]complex128, float64) (int, float64, bool)) result {
+		lag, peak, found := search(x, threshold)
+		return result{lag, math.Float64bits(peak), found}
+	}
+	if got, want := run(cs["fft"].FirstCrossing), run(cs["direct"].FirstCrossing); got != want {
+		t.Errorf("%s: FirstCrossing fft %+v, direct %+v", what, got, want)
+	}
+	if got, want := run(cs["fft"].BestCrossing), run(cs["direct"].BestCrossing); got != want {
+		t.Errorf("%s: BestCrossing fft %+v, direct %+v", what, got, want)
+	}
+}
+
+// TestFirstCrossingNonFinite pins that one NaN, ±Inf or overflowing
+// sample before a frame does not hide it from the FFT screen: the energy
+// recurrence used to carry such a sample for good, so every later screen
+// value read 0 and no lag reached ExactAt.
+func TestFirstCrossingNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	const refLen, start = 300, 5000
+	ref := randComplexSlice(rng, refLen)
+	clean := syncCapture(rng, 9000, start, ref, 0.05)
+	cs := syncCorrelators(t, ref)
+	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1)), complex(math.Inf(-1), 0), complex(1e200, 0)} {
+		for _, gap := range []int{1, 100, 299, 300, 1000, 3000, 4999} {
+			x := append([]complex128(nil), clean...)
+			x[start-gap] = bad
+			what := fmt.Sprintf("%v at %d before the frame", bad, gap)
+			lag, _, found := cs["fft"].FirstCrossing(x, 0.5)
+			if !found || lag < start-2 || lag > start+2 {
+				t.Errorf("%s: FirstCrossing = (%d, %v), want a frame near %d", what, lag, found, start)
+			}
+			assertSyncParity(t, cs, x, 0.5, what)
+		}
+	}
+}
+
+// FuzzFirstCrossingNonFinite inserts NaN, ±Inf or overflowing samples at
+// fuzzed positions of a fixed two-frame capture, inside frames too, and
+// requires the FFT path's sync searches to return the direct path's
+// result bit for bit. The reference repeats its first 40 samples four
+// times, like a preamble, so partial overlaps cross the threshold before
+// the frame start and the refinement range holds lags whose window the
+// inserted sample spoils.
+func FuzzFirstCrossingNonFinite(f *testing.F) {
+	rng := rand.New(rand.NewSource(96))
+	base := randComplexSlice(rng, 40)
+	ref := append(append(append(append(append([]complex128(nil), base...), base...), base...), base...), randComplexSlice(rng, 40)...)
+	clean := syncCapture(rng, 3000, 900, ref, 0.05)
+	for i, v := range ref {
+		clean[2200+i] += v
+	}
+	cs := syncCorrelators(f, ref)
+	f.Fuzz(func(t *testing.T, pos1, pos2 uint16, kind1, kind2 uint8, mag float64) {
+		x := append([]complex128(nil), clean...)
+		x[int(pos1)%len(x)] = nonFiniteValue(kind1, mag)
+		x[int(pos2)%len(x)] = nonFiniteValue(kind2, -mag)
+		assertSyncParity(t, cs, x, 0.5, fmt.Sprintf("samples at %d and %d", pos1, pos2))
+	})
 }

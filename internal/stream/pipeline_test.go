@@ -301,3 +301,37 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteSampleDoesNotHideFrame pins that one NaN sample in the
+// noise before an emulated frame does not hide the frame from the
+// defense: the sync screen once carried the NaN in its window-energy
+// recurrence, and the stream then emitted no verdict at hideseekd's
+// default chunk size. Batch and stream must both flag the frame.
+func TestNonFiniteSampleDoesNotHideFrame(t *testing.T) {
+	_, emulated := testFrames(t, []byte("nan-frame"))
+	const lead = 3500
+	clean, err := BuildCapture(rand.New(rand.NewSource(8)), 1e-3, lead, emulated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t)
+	for _, gap := range []int{100, 1000, 3000} {
+		capture := append([]complex128(nil), clean...)
+		capture[lead-gap] = complex(math.NaN(), 0)
+		var flagged [][]Verdict
+		for _, chunk := range []int{256, 4096, 16384} {
+			cfg := cfg
+			cfg.ChunkSize = chunk
+			got, _ := streamVerdicts(t, capture, cfg)
+			if len(got) != 1 || got[0].Offset != lead || !got[0].Attack {
+				t.Errorf("NaN %d before the frame, chunk %d: %d verdicts, want one flagged frame at %d", gap, chunk, len(got), lead)
+				continue
+			}
+			flagged = append(flagged, got)
+		}
+		want := batchVerdicts(t, capture)
+		for _, got := range flagged {
+			compareToBatch(t, got, want)
+		}
+	}
+}
