@@ -400,36 +400,32 @@ func (s *Session) submit(j job) {
 		s.e.shard.queueDepth.Observe(depth)
 	}
 	for _, ev := range evicted {
-		obsDropped.Inc()
-		ev.pipe.obs.dropped.Inc()
-		if ev.sess.e.shard != nil {
-			ev.sess.e.shard.topDropped.Add(ev.sess.tenant, 1)
-		}
-		wait := time.Since(ev.enqueued)
-		ev.trace.AddSpanDur(traceStageQueue, ev.enqueued, wait, errDroppedOldest)
-		putCF32(ev.frame)
-		ev.sess.deliver(Verdict{
-			Seq: ev.seq, Proto: ev.pipe.name, Offset: ev.offset, SyncPeak: ev.peak,
-			Dropped: true, Degraded: ev.sess.degraded, ScanNS: ev.scanNS, QueueNS: wait.Nanoseconds(),
-			TraceID: ev.trace.TraceID(), trace: ev.trace,
-		})
+		ev.tombstone(errDroppedOldest)
 	}
 	if !ok {
 		// Engine closed under us: keep the verdict stream complete.
-		obsDropped.Inc()
-		j.pipe.obs.dropped.Inc()
-		if s.e.shard != nil {
-			s.e.shard.topDropped.Add(s.tenant, 1)
-		}
-		wait := time.Since(j.enqueued)
-		j.trace.AddSpanDur(traceStageQueue, j.enqueued, wait, errEngineClosed)
-		putCF32(j.frame)
-		s.deliver(Verdict{
-			Seq: j.seq, Proto: j.pipe.name, Offset: j.offset, SyncPeak: j.peak,
-			Dropped: true, Degraded: s.degraded, ScanNS: j.scanNS, QueueNS: wait.Nanoseconds(),
-			TraceID: j.trace.TraceID(), trace: j.trace,
-		})
+		j.tombstone(errEngineClosed)
 	}
+}
+
+// tombstone surfaces a job that never reached a worker as a Dropped
+// verdict on its own session: the drop counters, the queue span ending
+// in err, and the frame buffer back to the pool.
+func (j job) tombstone(err error) {
+	s := j.sess
+	obsDropped.Inc()
+	j.pipe.obs.dropped.Inc()
+	if s.e.shard != nil {
+		s.e.shard.topDropped.Add(s.tenant, 1)
+	}
+	wait := time.Since(j.enqueued)
+	j.trace.AddSpanDur(traceStageQueue, j.enqueued, wait, err)
+	putCF32(j.frame)
+	s.deliver(Verdict{
+		Seq: j.seq, Proto: j.pipe.name, Offset: j.offset, SyncPeak: j.peak,
+		Dropped: true, Degraded: s.degraded, ScanNS: j.scanNS, QueueNS: wait.Nanoseconds(),
+		TraceID: j.trace.TraceID(), trace: j.trace,
+	})
 }
 
 // deliver accepts one worker (or eviction) result: it parks the verdict
