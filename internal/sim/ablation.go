@@ -33,12 +33,7 @@ func AblationSubcarriers(cfg Config, kept []int) (*AblationSubcarriersResult, er
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: trials %d < 1", trials)
 	}
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	obs, err := tx.TransmitPSDU(payloads[0])
+	payload, obs, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +63,7 @@ func AblationSubcarriers(cfg Config, kept []int) (*AblationSubcarriersResult, er
 					return false, err
 				}
 				rec, err := rx.Receive(ch.Apply(er.Emulated4M))
-				return err == nil && payloadMatches(rec, payloads[0]), nil
+				return err == nil && payloadMatches(rec, payload), nil
 			})
 		if err != nil {
 			return nil, err
@@ -106,12 +101,7 @@ type AblationAlphaResult struct {
 // AblationAlpha runs each strategy on the same observation. The experiment
 // is deterministic; cfg is accepted for API uniformity.
 func AblationAlpha(_ Config) (*AblationAlphaResult, error) {
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	obs, err := tx.TransmitPSDU(payloads[0])
+	_, obs, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +158,7 @@ type AblationInterpolationResult struct {
 // raising the floor of everything downstream. Deterministic; cfg is
 // accepted for API uniformity.
 func AblationInterpolation(_ Config) (*AblationInterpolationResult, error) {
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	obs, err := tx.TransmitPSDU(payloads[0])
+	_, obs, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -263,12 +248,7 @@ func AblationCoarseThreshold(_ Config, thresholds []float64) (*AblationCoarseThr
 	if thresholds == nil {
 		thresholds = []float64{0.5, 1, 3, 8, 15, 30}
 	}
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	obs, err := tx.TransmitPSDU(payloads[0])
+	_, obs, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -329,15 +309,10 @@ func AblationDefenseSource(cfg Config) (*AblationDefenseSourceResult, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("sim: samples %d < 1", samples)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	sources := []struct {
 		name string
 		src  emulation.ChipSource
@@ -347,58 +322,18 @@ func AblationDefenseSource(cfg Config) (*AblationDefenseSourceResult, error) {
 		{name: "peak-sampled", src: emulation.SourcePeak},
 		{name: "matched-filter", src: emulation.SourceMatched},
 	}
-	type d2Pair struct {
-		o, e float64
-		ok   bool
-	}
 	res := &AblationDefenseSourceResult{SNRdB: snrDB, Samples: samples}
 	for si, s := range sources {
-		s := s
-		pairs, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionAblDefenseSource, si)}, samples,
-			func() (*victim, error) {
-				return newVictim(zigbee.HardThreshold, emulation.DefenseConfig{Source: s.src})
-			},
-			func(t runner.Trial, v *victim) (d2Pair, error) {
-				ch, err := channel.NewAWGN(snrDB, t.RNG)
-				if err != nil {
-					return d2Pair{}, err
-				}
-				recO, err := v.rx.Receive(ch.Apply(link.Original))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				recE, err := v.rx.Receive(ch.Apply(link.Emulated))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				vo, err := v.det.AnalyzeReception(recO)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				ve, err := v.det.AnalyzeReception(recE)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				return d2Pair{o: vo.DistanceSquared, e: ve.DistanceSquared, ok: true}, nil
-			})
+		k := twoClass[*victim, float64]{links: []*Link{link}, measure: zigbeeD2, paired: true,
+			victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{Source: s.src})}
+		orig, emul, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionAblDefenseSource, si)}, samples, awgnAt(snrDB))
 		if err != nil {
 			return nil, err
 		}
-		var sumO, sumE float64
-		count := 0
-		for _, p := range pairs {
-			if !p.ok {
-				continue
-			}
-			sumO += p.o
-			sumE += p.e
-			count++
-		}
-		if count == 0 {
+		if len(orig) == 0 {
 			return nil, fmt.Errorf("sim: no successful receptions for %s", s.name)
 		}
-		o := sumO / float64(count)
-		e := sumE / float64(count)
+		o, e := mean(orig), mean(emul)
 		res.Sources = append(res.Sources, s.name)
 		res.Original = append(res.Original, o)
 		res.Emulated = append(res.Emulated, e)
@@ -444,67 +379,29 @@ func AblationSampleCount(cfg Config, counts []int) (*AblationSampleCountResult, 
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: trials %d < 1", trials)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
-	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
-	type d2Pair struct {
-		o, e float64
-		ok   bool
 	}
 	res := &AblationSampleCountResult{Counts: counts, SNRdB: snrDB, Trials: trials}
 	for ci, count := range counts {
-		count := count
-		pairs, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionAblSampleCount, ci)}, trials,
-			func() (*victim, error) {
-				return newVictim(zigbee.HardThreshold, emulation.DefenseConfig{})
-			},
-			func(t runner.Trial, v *victim) (d2Pair, error) {
-				ch, err := channel.NewAWGN(snrDB, t.RNG)
+		k := twoClass[*victim, float64]{links: []*Link{link}, paired: true,
+			victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}),
+			measure: func(v *victim, _ *Link, rx []complex128) (float64, bool) {
+				rec, err := v.rx.Receive(rx)
 				if err != nil {
-					return d2Pair{}, err
+					return 0, false
 				}
-				recO, err := v.rx.Receive(ch.Apply(link.Original))
-				if err != nil {
-					return d2Pair{}, nil
+				chips, err := emulation.ChipsFromReception(rec, emulation.SourceDiscriminator)
+				if err != nil || len(chips) < count {
+					return 0, false
 				}
-				recE, err := v.rx.Receive(ch.Apply(link.Emulated))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				co, err := emulation.ChipsFromReception(recO, emulation.SourceDiscriminator)
-				if err != nil || len(co) < count {
-					return d2Pair{}, nil
-				}
-				ce, err := emulation.ChipsFromReception(recE, emulation.SourceDiscriminator)
-				if err != nil || len(ce) < count {
-					return d2Pair{}, nil
-				}
-				vo, err := v.det.Analyze(co[:count])
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				ve, err := v.det.Analyze(ce[:count])
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				return d2Pair{o: vo.DistanceSquared, e: ve.DistanceSquared, ok: true}, nil
-			})
+				vd, err := v.det.DetectChips(chips[:count])
+				return vd.DistanceSquared, err == nil
+			}}
+		d2o, d2e, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionAblSampleCount, ci)}, trials, awgnAt(snrDB))
 		if err != nil {
 			return nil, err
-		}
-		var d2o, d2e []float64
-		for _, p := range pairs {
-			if !p.ok {
-				continue
-			}
-			d2o = append(d2o, p.o)
-			d2e = append(d2e, p.e)
 		}
 		so, err := emulation.NewSummarizeD2(d2o)
 		if err != nil {

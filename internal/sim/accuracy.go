@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"hideseek/internal/channel"
 	"hideseek/internal/emulation"
 	"hideseek/internal/runner"
 	"hideseek/internal/zigbee"
@@ -86,59 +85,34 @@ func AdaptiveAccuracy(cfg Config) (*AdaptiveAccuracyResult, error) {
 	if train < 1 || test < 1 {
 		return nil, fmt.Errorf("sim: train/test %d/%d must be positive", train, test)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	v, err := newVictim(zigbee.HardThreshold, emulation.DefenseConfig{})
 	if err != nil {
 		return nil, err
 	}
 
-	// received keeps a reception (nil when it failed) beside its waveform,
-	// which the adaptive detector's out-of-band SNR leg reads.
+	// received keeps a reception beside its waveform, which the adaptive
+	// detector's out-of-band SNR leg reads.
 	type received struct {
 		rec  *zigbee.Reception
 		wave []complex128
 	}
+	k := twoClass[*victim, received]{links: []*Link{link},
+		victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}),
+		measure: func(v *victim, _ *Link, rx []complex128) (received, bool) {
+			rec, err := v.rx.Receive(rx)
+			return received{rec, rx}, err == nil
+		}}
 	collect := func(region, n int) (recsA, recsE [][]received, err error) {
 		recsA = make([][]received, len(snrsDB))
 		recsE = make([][]received, len(snrsDB))
 		for i, snr := range snrsDB {
-			snr := snr
-			pairs, mErr := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(region, i)}, n,
-				func() (*zigbee.Receiver, error) {
-					return zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: zigbee.HardThreshold, SyncThreshold: 0.3})
-				},
-				func(t runner.Trial, rx *zigbee.Receiver) ([2]received, error) {
-					var p [2]received // original, emulated
-					ch, chErr := channel.NewAWGN(snr, t.RNG)
-					if chErr != nil {
-						return p, chErr
-					}
-					for k, wave := range [][]complex128{link.Original, link.Emulated} {
-						w := ch.Apply(wave)
-						if rec, rErr := rx.Receive(w); rErr == nil {
-							p[k] = received{rec, w}
-						}
-					}
-					return p, nil
-				})
-			if mErr != nil {
-				return nil, nil, mErr
-			}
-			for _, p := range pairs {
-				if p[0].rec != nil {
-					recsA[i] = append(recsA[i], p[0])
-				}
-				if p[1].rec != nil {
-					recsE[i] = append(recsE[i], p[1])
-				}
+			recsA[i], recsE[i], err = k.run(runner.Sweep{Seed: seed, Base: sweepBase(region, i)}, n, awgnAt(snr))
+			if err != nil {
+				return nil, nil, err
 			}
 		}
 		return recsA, recsE, nil

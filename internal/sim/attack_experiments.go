@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 
 	"hideseek/internal/channel"
 	"hideseek/internal/dsp"
@@ -116,22 +117,17 @@ func Table2(cfg Config) (*Table2Result, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: trials %d < 1", trials)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	res := &Table2Result{SNRsDB: snrsDB, Trials: trials}
 	for i, snr := range snrsDB {
 		snr := snr
 		// The paper's receiving test runs on the USRP receiver, whose GNU
 		// Radio chain decodes from the FM discriminator (Sec. V-B).
 		oks, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionTable2, i)}, trials,
-			func() (*victim, error) { return newVictim(zigbee.FMDiscriminator, emulation.DefenseConfig{}) },
+			victimOf(zigbee.FMDiscriminator, emulation.DefenseConfig{}),
 			func(t runner.Trial, v *victim) (bool, error) {
 				ch, err := channel.NewAWGN(snr, t.RNG)
 				if err != nil {
@@ -262,43 +258,37 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 		return nil, err
 	}
 	// Chip distances are measured at the USRP (FM discriminator) receiver,
-	// matching the paper's Fig. 7 setup. The noiseless links are independent,
-	// so decode them across the pool (one receiver per worker).
-	type linkDists struct{ orig, emul []int }
-	dists, err := runner.Map(pool(), runner.Sweep{}, len(links),
-		func() (*victim, error) { return newVictim(zigbee.FMDiscriminator, emulation.DefenseConfig{}) },
-		func(t runner.Trial, v *victim) (linkDists, error) {
-			link := links[t.Index]
-			recO, err := v.rx.Receive(link.Original)
+	// matching the paper's Fig. 7 setup, over a noiseless channel (an
+	// empty chain) — one link per trial.
+	k := twoClass[*victim, []int]{links: links, victim: victimOf(zigbee.FMDiscriminator, emulation.DefenseConfig{}),
+		measure: func(v *victim, _ *Link, rx []complex128) ([]int, bool) {
+			rec, err := v.rx.Receive(rx)
 			if err != nil {
-				return linkDists{}, fmt.Errorf("sim: fig7 original: %w", err)
+				return nil, false
 			}
-			recE, err := v.rx.Receive(link.Emulated)
-			if err != nil {
-				return linkDists{}, fmt.Errorf("sim: fig7 emulated: %w", err)
+			var d []int
+			for _, r := range rec.Results {
+				d = append(d, r.Distance)
 			}
-			var d linkDists
-			for _, r := range recO.Results {
-				d.orig = append(d.orig, r.Distance)
-			}
-			for _, r := range recE.Results {
-				d.emul = append(d.emul, r.Distance)
-			}
-			return d, nil
-		})
+			return d, true
+		}}
+	orig, emul, err := k.run(runner.Sweep{}, len(links), func(*rand.Rand) (channel.Channel, error) { return channel.NewChain() })
 	if err != nil {
 		return nil, err
+	}
+	if len(orig) != len(links) || len(emul) != len(links) {
+		return nil, fmt.Errorf("sim: fig7: a noiseless link failed to decode")
 	}
 	res := &Fig7Result{
 		Original: &HammingHistogram{Counts: map[int]int{}},
 		Emulated: &HammingHistogram{Counts: map[int]int{}},
 	}
-	for _, d := range dists {
-		for _, dist := range d.orig {
+	for i := range links {
+		for _, dist := range orig[i] {
 			res.Original.Counts[dist]++
 			res.Original.Total++
 		}
-		for _, dist := range d.emul {
+		for _, dist := range emul[i] {
 			res.Emulated.Counts[dist]++
 			res.Emulated.Total++
 		}

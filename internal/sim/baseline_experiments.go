@@ -26,15 +26,10 @@ type Fig8Result struct {
 func Fig8(cfg Config) (*Fig8Result, error) {
 	seed := cfg.Seed
 	snrDB := cfg.SNROr(17)
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	rng := rngFor(seed, 8)
 	ch, err := channel.NewAWGN(snrDB, rng)
 	if err != nil {
@@ -99,15 +94,10 @@ type Fig9Result struct {
 // uses high SNR to isolate the structural difference). The experiment is
 // deterministic; cfg is accepted for API uniformity.
 func Fig9(_ Config) (*Fig9Result, error) {
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	n := len(link.Emulated)
 	if len(link.Original) < n {
 		n = len(link.Original)

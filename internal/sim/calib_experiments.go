@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 
 	"hideseek/internal/calib"
 	"hideseek/internal/channel"
@@ -26,7 +27,7 @@ type calibPhase struct {
 // chain assembles the phase's channel for one trial: the deterministic
 // oscillator impairments (CFO rotation, sample-rate skew) followed by
 // AWGN at the phase SNR.
-func (p calibPhase) chain(t runner.Trial) (channel.Channel, error) {
+func (p calibPhase) chain(rng *rand.Rand) (channel.Channel, error) {
 	var stages []channel.Channel
 	if p.cfoHz != 0 {
 		cfo, err := channel.NewCFO(p.cfoHz, zigbee.SampleRate, 0)
@@ -42,7 +43,7 @@ func (p calibPhase) chain(t runner.Trial) (channel.Channel, error) {
 		}
 		stages = append(stages, sro)
 	}
-	awgn, err := channel.NewAWGN(p.snrDB, t.RNG)
+	awgn, err := channel.NewAWGN(p.snrDB, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -110,64 +111,18 @@ type CalibROCResult struct {
 	Trials int
 }
 
-// calibVictim is the per-worker receive kit for the calib-roc sweeps.
-type calibVictim struct {
-	rx  *zigbee.Receiver
-	det *emulation.Detector
-}
-
 // calibD2Samples collects one (phase, set) pair of labeled D² samples:
 // each trial pushes the authentic and emulated waveforms through a fresh
 // channel realization and analyzes whatever the receiver recovers.
 // Receptions the victim cannot decode at all drop out of the sample set,
 // exactly as they would never reach the streaming calibrator.
 func calibD2Samples(seed int64, link *Link, point, trials int, ph calibPhase) (auth, emul []float64, err error) {
-	type pair struct {
-		auth, emul float64
-		aOK, eOK   bool
-	}
-	outs, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionCalibROC, point)}, trials,
-		func() (*calibVictim, error) {
-			rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: zigbee.HardThreshold, SyncThreshold: 0.3})
-			if err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-			det, err := emulation.NewDetector(emulation.DefenseConfig{})
-			if err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-			return &calibVictim{rx: rx, det: det}, nil
-		},
-		func(t runner.Trial, v *calibVictim) (pair, error) {
-			ch, err := ph.chain(t)
-			if err != nil {
-				return pair{}, err
-			}
-			var p pair
-			if rec, err := v.rx.Receive(padTail(ch.Apply(link.Original), 8)); err == nil {
-				if vd, err := v.det.AnalyzeReception(rec); err == nil {
-					p.auth, p.aOK = vd.DistanceSquared, true
-				}
-			}
-			if rec, err := v.rx.Receive(padTail(ch.Apply(link.Emulated), 8)); err == nil {
-				if vd, err := v.det.AnalyzeReception(rec); err == nil {
-					p.emul, p.eOK = vd.DistanceSquared, true
-				}
-			}
-			return p, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, p := range outs {
-		if p.aOK {
-			auth = append(auth, p.auth)
-		}
-		if p.eOK {
-			emul = append(emul, p.emul)
-		}
-	}
-	return auth, emul, nil
+	k := twoClass[*victim, float64]{links: []*Link{link},
+		victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}),
+		measure: func(v *victim, l *Link, rx []complex128) (float64, bool) {
+			return zigbeeD2(v, l, padTail(rx, 8))
+		}}
+	return k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionCalibROC, point)}, trials, ph.chain)
 }
 
 // CalibROC walks both drift scenarios and scores a fixed-Q detector
@@ -182,15 +137,10 @@ func CalibROC(cfg Config) (*CalibROCResult, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: trials %d must be positive", trials)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 
 	res := &CalibROCResult{Trials: trials}
 	for si, sc := range calibScenarios() {

@@ -12,29 +12,6 @@ import (
 	"hideseek/internal/zigbee"
 )
 
-// realChannel builds the "real environment" impairment chain: multipath,
-// slow Doppler phase drift from human activity, a residual CFO, and AWGN.
-func realChannel(seed int64, salt int64, snrDB float64) (channel.Channel, error) {
-	rng := rngFor(seed, salt)
-	mp, err := channel.NewRicianMultipath(3, 0.35, 8, rng)
-	if err != nil {
-		return nil, err
-	}
-	doppler, err := channel.NewDopplerPhaseNoise(2e-4, rng)
-	if err != nil {
-		return nil, err
-	}
-	cfo, err := channel.NewCFO(60+rng.Float64()*80, zigbee.SampleRate, rng.Float64()*6.28)
-	if err != nil {
-		return nil, err
-	}
-	awgn, err := channel.NewAWGN(snrDB, rng)
-	if err != nil {
-		return nil, err
-	}
-	return channel.NewChain(mp, doppler, cfo, awgn)
-}
-
 // Fig6Result reproduces Fig. 6: the reconstructed constellation diagrams
 // under AWGN and under the real channel, with k-means cluster centers.
 type Fig6Result struct {
@@ -52,12 +29,7 @@ type Fig6Result struct {
 func Fig6(cfg Config) (*Fig6Result, error) {
 	seed := cfg.Seed
 	snrDB := cfg.SNROr(17)
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	raw, err := tx.TransmitPSDU(payloads[0])
+	_, raw, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +43,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	realCh, err := realChannel(seed, 62, snrDB)
+	realCh, err := realChannelAt(rngFor(seed, 62), snrDB)
 	if err != nil {
 		return nil, err
 	}
@@ -178,74 +150,27 @@ func CumulantSweep(cfg Config) (*CumulantSweepResult, error) {
 	if waveforms < 1 {
 		return nil, fmt.Errorf("sim: waveforms %d < 1", waveforms)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
-	type cumTrial struct {
-		oC42, eC42, oC40, eC40 float64
-		ok                     bool
-	}
+	k := twoClass[*victim, emulation.Verdict]{links: []*Link{link},
+		victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}), measure: zigbeeVerdict, paired: true}
+	c42 := func(v emulation.Verdict) float64 { return v.Cumulants.C42 }
+	c40 := func(v emulation.Verdict) float64 { return real(v.Cumulants.C40) }
 	res := &CumulantSweepResult{SNRsDB: snrsDB, Waveforms: waveforms}
 	for i, snr := range snrsDB {
-		snr := snr
-		trialsOut, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionCumulant, i)}, waveforms,
-			func() (*victim, error) { return newVictim(zigbee.HardThreshold, emulation.DefenseConfig{}) },
-			func(t runner.Trial, v *victim) (cumTrial, error) {
-				ch, err := channel.NewAWGN(snr, t.RNG)
-				if err != nil {
-					return cumTrial{}, err
-				}
-				recO, err := v.rx.Receive(ch.Apply(link.Original))
-				if err != nil {
-					return cumTrial{}, nil
-				}
-				recE, err := v.rx.Receive(ch.Apply(link.Emulated))
-				if err != nil {
-					return cumTrial{}, nil
-				}
-				vo, err := v.det.AnalyzeReception(recO)
-				if err != nil {
-					return cumTrial{}, nil
-				}
-				ve, err := v.det.AnalyzeReception(recE)
-				if err != nil {
-					return cumTrial{}, nil
-				}
-				return cumTrial{
-					oC42: vo.Cumulants.C42, eC42: ve.Cumulants.C42,
-					oC40: real(vo.Cumulants.C40), eC40: real(ve.Cumulants.C40),
-					ok: true,
-				}, nil
-			})
+		orig, emul, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionCumulant, i)}, waveforms, awgnAt(snr))
 		if err != nil {
 			return nil, err
 		}
-		var agg cumTrial
-		count := 0
-		for _, tr := range trialsOut {
-			if !tr.ok {
-				continue
-			}
-			agg.oC42 += tr.oC42
-			agg.eC42 += tr.eC42
-			agg.oC40 += tr.oC40
-			agg.eC40 += tr.eC40
-			count++
-		}
-		if count == 0 {
+		if len(orig) == 0 {
 			return nil, fmt.Errorf("sim: no successful receptions at %g dB", snr)
 		}
-		n := float64(count)
-		res.OriginalC42 = append(res.OriginalC42, agg.oC42/n)
-		res.EmulatedC42 = append(res.EmulatedC42, agg.eC42/n)
-		res.OriginalC40 = append(res.OriginalC40, agg.oC40/n)
-		res.EmulatedC40 = append(res.EmulatedC40, agg.eC40/n)
+		res.OriginalC42 = append(res.OriginalC42, meanBy(orig, c42))
+		res.EmulatedC42 = append(res.EmulatedC42, meanBy(emul, c42))
+		res.OriginalC40 = append(res.OriginalC40, meanBy(orig, c40))
+		res.EmulatedC40 = append(res.EmulatedC40, meanBy(emul, c40))
 	}
 	return res, nil
 }
@@ -301,57 +226,18 @@ func distanceSamples(seed int64, snrsDB []float64, samples int) (orig, emul [][]
 	if samples < 1 {
 		return nil, nil, fmt.Errorf("sim: samples %d < 1", samples)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	link := links[0]
-	type d2Pair struct {
-		o, e float64
-		ok   bool
-	}
+	k := twoClass[*victim, float64]{links: []*Link{link},
+		victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}), measure: zigbeeD2, paired: true}
 	orig = make([][]float64, len(snrsDB))
 	emul = make([][]float64, len(snrsDB))
 	for i, snr := range snrsDB {
-		snr := snr
-		pairs, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionDistance, i)}, samples,
-			func() (*victim, error) { return newVictim(zigbee.HardThreshold, emulation.DefenseConfig{}) },
-			func(t runner.Trial, v *victim) (d2Pair, error) {
-				ch, err := channel.NewAWGN(snr, t.RNG)
-				if err != nil {
-					return d2Pair{}, err
-				}
-				recO, err := v.rx.Receive(ch.Apply(link.Original))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				recE, err := v.rx.Receive(ch.Apply(link.Emulated))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				vo, err := v.det.AnalyzeReception(recO)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				ve, err := v.det.AnalyzeReception(recE)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				return d2Pair{o: vo.DistanceSquared, e: ve.DistanceSquared, ok: true}, nil
-			})
+		orig[i], emul[i], err = k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionDistance, i)}, samples, awgnAt(snr))
 		if err != nil {
 			return nil, nil, err
-		}
-		for _, p := range pairs {
-			if !p.ok {
-				continue
-			}
-			orig[i] = append(orig[i], p.o)
-			emul[i] = append(emul[i], p.e)
 		}
 		if len(orig[i]) == 0 {
 			return nil, nil, fmt.Errorf("sim: no successful receptions at %g dB", snr)

@@ -117,104 +117,78 @@ func Fig14(cfg Config, radio RadioConfig, budget DistanceLinkBudget, distances [
 	if err != nil {
 		return nil, err
 	}
-	type packetScore struct {
-		perO, serO, perE, serE, rssi float64
-	}
+	// Each class's packet error, symbol error rate and RSSI; the table
+	// reports the authentic class's RSSI.
+	type packetScore struct{ per, ser, rssi float64 }
+	k := twoClass[*victim, packetScore]{links: links, victim: victimOf(radio.Mode, emulation.DefenseConfig{}),
+		measure: func(v *victim, l *Link, rx []complex128) (packetScore, bool) {
+			per, ser := scoreReception(v.rx, rx, l.Payload)
+			return packetScore{per: per, ser: ser, rssi: channel.RSSI(rx)}, true
+		}}
+	per := func(s packetScore) float64 { return s.per }
+	ser := func(s packetScore) float64 { return s.ser }
 	res := &Fig14Result{Radio: radio, Distances: distances, Packets: packets}
 	for di, d := range distances {
-		d := d
-		scores, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionFig14, di)}, packets,
-			func() (*zigbee.Receiver, error) {
-				return zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: radio.Mode, SyncThreshold: 0.3})
-			},
-			func(t runner.Trial, rx *zigbee.Receiver) (packetScore, error) {
-				link := links[t.Index%len(links)]
-				snr, err := budget.snrAt(d, radio, t.RNG)
+		orig, emul, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionFig14, di)}, packets,
+			func(rng *rand.Rand) (channel.Channel, error) {
+				snr, err := budget.snrAt(d, radio, rng)
 				if err != nil {
-					return packetScore{}, err
+					return nil, err
 				}
 				// Real environment: path-loss attenuation, slow LoS-dominated
 				// fading and phase drift, then the fixed receiver noise floor.
 				gain := channel.NewGain(complex(budget.amplitudeAt(snr), 0))
-				mp, err := channel.NewRicianMultipath(2, 0.25, 8, t.RNG)
+				mp, err := channel.NewRicianMultipath(2, 0.25, 8, rng)
 				if err != nil {
-					return packetScore{}, err
+					return nil, err
 				}
-				doppler, err := channel.NewDopplerPhaseNoise(1e-4, t.RNG)
+				doppler, err := channel.NewDopplerPhaseNoise(1e-4, rng)
 				if err != nil {
-					return packetScore{}, err
+					return nil, err
 				}
-				awgn, err := channel.NewAWGN(budget.SNRAt1mDB, t.RNG)
+				awgn, err := channel.NewAWGN(budget.SNRAt1mDB, rng)
 				if err != nil {
-					return packetScore{}, err
+					return nil, err
 				}
-				ch, err := channel.NewChain(gain, mp, doppler, awgn)
-				if err != nil {
-					return packetScore{}, err
-				}
-
-				rxO := ch.Apply(link.Original)
-				rxE := ch.Apply(link.Emulated)
-				var s packetScore
-				s.rssi = channel.RSSI(rxO)
-				s.perO, s.serO, _ = scoreReception(rx, rxO, link.Payload)
-				s.perE, s.serE, _ = scoreReception(rx, rxE, link.Payload)
-				return s, nil
+				return channel.NewChain(gain, mp, doppler, awgn)
 			})
 		if err != nil {
 			return nil, err
 		}
-		var agg packetScore
-		for _, s := range scores {
-			agg.perO += s.perO
-			agg.serO += s.serO
-			agg.perE += s.perE
-			agg.serE += s.serE
-			agg.rssi += s.rssi
-		}
-		n := float64(packets)
-		res.OriginalPER = append(res.OriginalPER, agg.perO/n)
-		res.EmulatedPER = append(res.EmulatedPER, agg.perE/n)
-		res.OriginalSER = append(res.OriginalSER, agg.serO/n)
-		res.EmulatedSER = append(res.EmulatedSER, agg.serE/n)
-		res.MeanRSSIdB = append(res.MeanRSSIdB, agg.rssi/n)
+		res.OriginalPER = append(res.OriginalPER, meanBy(orig, per))
+		res.EmulatedPER = append(res.EmulatedPER, meanBy(emul, per))
+		res.OriginalSER = append(res.OriginalSER, meanBy(orig, ser))
+		res.EmulatedSER = append(res.EmulatedSER, meanBy(emul, ser))
+		res.MeanRSSIdB = append(res.MeanRSSIdB, meanBy(orig, func(s packetScore) float64 { return s.rssi }))
 	}
 	return res, nil
 }
 
-// scoreReception returns (packetError, symbolErrorRate, symbolsCounted).
-func scoreReception(rx *zigbee.Receiver, wave []complex128, want []byte) (float64, float64, int) {
+// scoreReception returns the packet error (0 or 1) and the symbol error
+// rate of one reception.
+func scoreReception(rx *zigbee.Receiver, wave []complex128, want []byte) (per, ser float64) {
 	rec, err := rx.Receive(wave)
 	if err != nil || !payloadMatches(rec, want) {
 		// Packet lost; estimate symbol errors from whatever was despread.
-		ser := 1.0
-		if rec != nil && len(rec.Results) > 0 {
-			errs := 0
-			for _, r := range rec.Results {
-				if r.Dropped {
-					errs++
-				}
-			}
-			ser = float64(errs) / float64(len(rec.Results))
-			if ser == 0 {
-				// Frame failed for another reason (sync, FCS) — count the
-				// packet, but symbols were fine.
-				return 1, 0, len(rec.Results)
-			}
+		if rec == nil || len(rec.Results) == 0 {
+			return 1, 1
 		}
-		n := 0
-		if rec != nil {
-			n = len(rec.Results)
-		}
-		return 1, ser, n
+		// A frame that failed for another reason (sync, FCS) with clean
+		// symbols counts the packet at SER 0.
+		return 1, symbolErrorRate(rec)
 	}
+	return 0, symbolErrorRate(rec)
+}
+
+// symbolErrorRate is the dropped share of a reception's symbols.
+func symbolErrorRate(rec *zigbee.Reception) float64 {
 	errs := 0
 	for _, r := range rec.Results {
 		if r.Dropped {
 			errs++
 		}
 	}
-	return 0, float64(errs) / float64(len(rec.Results)), len(rec.Results)
+	return float64(errs) / float64(len(rec.Results))
 }
 
 // Render emits the Fig. 14 rows for this receiver.
@@ -256,88 +230,34 @@ func Table5(cfg Config, budget DistanceLinkBudget, distances []float64) (*Table5
 	if samples < 1 {
 		return nil, fmt.Errorf("sim: samples %d < 1", samples)
 	}
-	payloads, err := Payloads(1)
+	link, err := firstLink()
 	if err != nil {
 		return nil, err
 	}
-	links, err := BuildLinks(payloads, emulation.AttackConfig{})
-	if err != nil {
-		return nil, err
-	}
-	link := links[0]
 	// Chip extraction for the defense uses the robust coherent receiver —
 	// the despread mode only matters for Fig. 14's decode comparison; the
 	// defense taps the discriminator chips regardless.
 	radio := USRPReceiver()
-	type table5Scratch struct {
-		rx  *zigbee.Receiver
-		det *emulation.Detector
-	}
-	type d2Pair struct {
-		o, e float64
-		ok   bool
-	}
+	k := twoClass[*victim, float64]{links: []*Link{link}, measure: zigbeeD2, paired: true,
+		victim: victimOf(zigbee.HardThreshold, emulation.DefenseConfig{RemoveMean: true, UseAbsC40: true})}
 	res := &Table5Result{Distances: distances, Samples: samples}
 	var maxO, minE = 0.0, math.Inf(1)
 	for di, d := range distances {
-		d := d
-		pairs, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionTable5, di)}, samples,
-			func() (*table5Scratch, error) {
-				rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: zigbee.HardThreshold, SyncThreshold: 0.3})
+		orig, emul, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionTable5, di)}, samples,
+			func(rng *rand.Rand) (channel.Channel, error) {
+				snr, err := budget.snrAt(d, radio, rng)
 				if err != nil {
 					return nil, err
 				}
-				det, err := emulation.NewDetector(emulation.DefenseConfig{RemoveMean: true, UseAbsC40: true})
-				if err != nil {
-					return nil, err
-				}
-				return &table5Scratch{rx: rx, det: det}, nil
-			},
-			func(t runner.Trial, sc *table5Scratch) (d2Pair, error) {
-				snr, err := budget.snrAt(d, radio, t.RNG)
-				if err != nil {
-					return d2Pair{}, err
-				}
-				ch, err := realChannelAt(t.RNG, snr)
-				if err != nil {
-					return d2Pair{}, err
-				}
-				recO, err := sc.rx.Receive(ch.Apply(link.Original))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				recE, err := sc.rx.Receive(ch.Apply(link.Emulated))
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				vo, err := sc.det.AnalyzeReception(recO)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				ve, err := sc.det.AnalyzeReception(recE)
-				if err != nil {
-					return d2Pair{}, nil
-				}
-				return d2Pair{o: vo.DistanceSquared, e: ve.DistanceSquared, ok: true}, nil
+				return realChannelAt(rng, snr)
 			})
 		if err != nil {
 			return nil, err
 		}
-		var sumO, sumE float64
-		count := 0
-		for _, p := range pairs {
-			if !p.ok {
-				continue
-			}
-			sumO += p.o
-			sumE += p.e
-			count++
-		}
-		if count == 0 {
+		if len(orig) == 0 {
 			return nil, fmt.Errorf("sim: no successful receptions at %g m", d)
 		}
-		o := sumO / float64(count)
-		e := sumE / float64(count)
+		o, e := mean(orig), mean(emul)
 		res.Original = append(res.Original, o)
 		res.Emulated = append(res.Emulated, e)
 		maxO = math.Max(maxO, o)

@@ -31,12 +31,7 @@ func Evasion(cfg Config) (*EvasionResult, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: trials %d < 1", trials)
 	}
-	payloads, err := Payloads(1)
-	if err != nil {
-		return nil, err
-	}
-	tx := zigbee.NewTransmitter()
-	obs, err := tx.TransmitPSDU(payloads[0])
+	payload, obs, err := firstObservation()
 	if err != nil {
 		return nil, err
 	}
@@ -72,9 +67,7 @@ func Evasion(cfg Config) (*EvasionResult, error) {
 			return nil, err
 		}
 		outcomes, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionEvasion, vi)}, trials,
-			func() (*victim, error) {
-				return newVictim(zigbee.HardThreshold, emulation.DefenseConfig{})
-			},
+			victimOf(zigbee.HardThreshold, emulation.DefenseConfig{}),
 			func(t runner.Trial, w *victim) (evasionTrial, error) {
 				ch, err := channel.NewAWGN(snrDB, t.RNG)
 				if err != nil {
@@ -84,7 +77,7 @@ func Evasion(cfg Config) (*EvasionResult, error) {
 				if err != nil {
 					return evasionTrial{}, nil
 				}
-				out := evasionTrial{decoded: payloadMatches(rec, payloads[0])}
+				out := evasionTrial{decoded: payloadMatches(rec, payload)}
 				verdict, err := w.det.AnalyzeReception(rec)
 				if err != nil {
 					return out, nil

@@ -3,23 +3,15 @@ package sim
 import (
 	"fmt"
 
-	"hideseek/internal/channel"
 	"hideseek/internal/emulation"
 	"hideseek/internal/lora"
 	"hideseek/internal/runner"
 )
 
-// loraLink bundles one Wi-Lo transmission: the authentic CSS waveform and
-// its WiFi-emulated counterpart at the LoRa receiver's 4 MS/s clock.
-type loraLink struct {
-	payload  []byte
-	original []complex128
-	emulated []complex128
-}
-
 // buildLoRaLink transmits one payload on the LoRa PHY and runs the Wi-Lo
-// attack on the observation.
-func buildLoRaLink(payload []byte) (*loraLink, error) {
+// attack on the observation: the authentic CSS waveform and its
+// WiFi-emulated counterpart at the LoRa receiver's 4 MS/s clock.
+func buildLoRaLink(payload []byte) (*Link, error) {
 	original, err := lora.NewTransmitter().TransmitPayload(payload)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -32,10 +24,11 @@ func buildLoRaLink(payload []byte) (*loraLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return &loraLink{
-		payload:  payload,
-		original: padTail(original, 8),
-		emulated: padTail(res.Emulated4M, 8),
+	return &Link{
+		Payload:  payload,
+		Original: padTail(original, 8),
+		Emulated: padTail(res.Emulated4M, 8),
+		Result:   res,
 	}, nil
 }
 
@@ -78,68 +71,55 @@ func LoRaFidelity(cfg Config) (*LoRaFidelityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &LoRaFidelityResult{SNRsDB: snrsDB, Trials: trials}
-	type trialOut struct {
-		authOK, emulOK   bool
-		authD2, emulD2   float64
-		authDec, emulDec bool
+	// loraOutcome is one reception: whether the payload decoded bitwise,
+	// and its defense statistic when the detector ran.
+	type loraOutcome struct {
+		decoded, analyzed bool
+		d2                float64
 	}
+	k := twoClass[*loraVictim, loraOutcome]{links: []*Link{link}, victim: newLoRaVictim,
+		measure: func(v *loraVictim, l *Link, rx []complex128) (loraOutcome, bool) {
+			var o loraOutcome
+			if rec, err := v.rx.Receive(rx); err == nil {
+				o.decoded = string(rec.Payload) == string(l.Payload)
+				if vd, err := v.det.AnalyzeReception(rec); err == nil {
+					o.d2, o.analyzed = vd.DistanceSquared, true
+				}
+			}
+			return o, true
+		}}
+	// rate is the decoded share of all trials; d2 the mean statistic of
+	// the analyzed receptions.
+	rate := func(outs []loraOutcome) float64 {
+		n := 0
+		for _, o := range outs {
+			if o.decoded {
+				n++
+			}
+		}
+		return float64(n) / float64(trials)
+	}
+	d2 := func(outs []loraOutcome) float64 {
+		var xs []float64
+		for _, o := range outs {
+			if o.analyzed {
+				xs = append(xs, o.d2)
+			}
+		}
+		return mean(xs)
+	}
+	res := &LoRaFidelityResult{SNRsDB: snrsDB, Trials: trials}
 	for i, snr := range snrsDB {
-		snr := snr
-		outs, err := runner.Map(pool(), runner.Sweep{Seed: cfg.Seed, Base: sweepBase(regionLoRaFidelity, i)}, trials,
-			func() (*loraVictim, error) { return newLoRaVictim() },
-			func(t runner.Trial, v *loraVictim) (trialOut, error) {
-				ch, err := channel.NewAWGN(snr, t.RNG)
-				if err != nil {
-					return trialOut{}, err
-				}
-				var out trialOut
-				if rec, err := v.rx.Receive(ch.Apply(link.original)); err == nil {
-					out.authOK = string(rec.Payload) == string(link.payload)
-					if vd, err := v.det.AnalyzeReception(rec); err == nil {
-						out.authD2, out.authDec = vd.DistanceSquared, true
-					}
-				}
-				if rec, err := v.rx.Receive(ch.Apply(link.emulated)); err == nil {
-					out.emulOK = string(rec.Payload) == string(link.payload)
-					if vd, err := v.det.AnalyzeReception(rec); err == nil {
-						out.emulD2, out.emulDec = vd.DistanceSquared, true
-					}
-				}
-				return out, nil
-			})
+		auth, emul, err := k.run(runner.Sweep{Seed: cfg.Seed, Base: sweepBase(regionLoRaFidelity, i)}, trials, awgnAt(snr))
 		if err != nil {
 			return nil, err
 		}
-		var authOK, emulOK, authN, emulN int
-		var authD2, emulD2 float64
-		for _, o := range outs {
-			if o.authOK {
-				authOK++
-			}
-			if o.emulOK {
-				emulOK++
-			}
-			if o.authDec {
-				authD2, authN = authD2+o.authD2, authN+1
-			}
-			if o.emulDec {
-				emulD2, emulN = emulD2+o.emulD2, emulN+1
-			}
-		}
-		res.AuthRate = append(res.AuthRate, float64(authOK)/float64(trials))
-		res.EmulRate = append(res.EmulRate, float64(emulOK)/float64(trials))
-		res.AuthD2 = append(res.AuthD2, meanOf(authD2, authN))
-		res.EmulD2 = append(res.EmulD2, meanOf(emulD2, emulN))
+		res.AuthRate = append(res.AuthRate, rate(auth))
+		res.EmulRate = append(res.EmulRate, rate(emul))
+		res.AuthD2 = append(res.AuthD2, d2(auth))
+		res.EmulD2 = append(res.EmulD2, d2(emul))
 	}
 	return res, nil
-}
-
-func meanOf(sum float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Render emits the fidelity rows.
@@ -177,41 +157,18 @@ func LoRaROC(cfg Config) (*LoRaROCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	type pair struct {
-		auth, emul float64
-		aOK, eOK   bool
-	}
-	outs, err := runner.Map(pool(), runner.Sweep{Seed: cfg.Seed, Base: sweepBase(regionLoRaROC, 0)}, trials,
-		func() (*loraVictim, error) { return newLoRaVictim() },
-		func(t runner.Trial, v *loraVictim) (pair, error) {
-			ch, err := channel.NewAWGN(snrDB, t.RNG)
+	k := twoClass[*loraVictim, float64]{links: []*Link{link}, victim: newLoRaVictim,
+		measure: func(v *loraVictim, _ *Link, rx []complex128) (float64, bool) {
+			rec, err := v.rx.Receive(rx)
 			if err != nil {
-				return pair{}, err
+				return 0, false
 			}
-			var p pair
-			if rec, err := v.rx.Receive(ch.Apply(link.original)); err == nil {
-				if vd, err := v.det.AnalyzeReception(rec); err == nil {
-					p.auth, p.aOK = vd.DistanceSquared, true
-				}
-			}
-			if rec, err := v.rx.Receive(ch.Apply(link.emulated)); err == nil {
-				if vd, err := v.det.AnalyzeReception(rec); err == nil {
-					p.emul, p.eOK = vd.DistanceSquared, true
-				}
-			}
-			return p, nil
-		})
+			vd, err := v.det.AnalyzeReception(rec)
+			return vd.DistanceSquared, err == nil
+		}}
+	authentic, emulated, err := k.run(runner.Sweep{Seed: cfg.Seed, Base: sweepBase(regionLoRaROC, 0)}, trials, awgnAt(snrDB))
 	if err != nil {
 		return nil, err
-	}
-	var authentic, emulated []float64
-	for _, p := range outs {
-		if p.aOK {
-			authentic = append(authentic, p.auth)
-		}
-		if p.eOK {
-			emulated = append(emulated, p.emul)
-		}
 	}
 	roc, err := rocFromSamples(snrDB, authentic, emulated)
 	if err != nil {

@@ -128,7 +128,7 @@ func BuildLinks(payloads [][]byte, attack emulation.AttackConfig) ([]*Link, erro
 	return links, nil
 }
 
-// Receiverish wraps the pieces every experiment needs on the victim side.
+// victim is the ZigBee receive kit: a receiver and the cumulant defense.
 type victim struct {
 	rx  *zigbee.Receiver
 	det *emulation.Detector
@@ -144,6 +144,55 @@ func newVictim(mode zigbee.DespreadMode, defense emulation.DefenseConfig) (*vict
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	return &victim{rx: rx, det: det}, nil
+}
+
+// victimOf is newVictim as a per-worker constructor.
+func victimOf(mode zigbee.DespreadMode, defense emulation.DefenseConfig) func() (*victim, error) {
+	return func() (*victim, error) { return newVictim(mode, defense) }
+}
+
+// zigbeeVerdict receives one waveform and runs the defense on it.
+func zigbeeVerdict(v *victim, _ *Link, rx []complex128) (emulation.Verdict, bool) {
+	rec, err := v.rx.Receive(rx)
+	if err != nil {
+		return emulation.Verdict{}, false
+	}
+	vd, err := v.det.DetectReception(rec)
+	return vd, err == nil
+}
+
+// zigbeeD2 is zigbeeVerdict's D²E.
+func zigbeeD2(v *victim, l *Link, rx []complex128) (float64, bool) {
+	vd, ok := zigbeeVerdict(v, l, rx)
+	return vd.DistanceSquared, ok
+}
+
+// firstObservation transmits the workload's first payload ("00000") on
+// the ZigBee PHY: the frame the attacker observes, and that payload.
+func firstObservation() (payload []byte, obs []complex128, err error) {
+	payloads, err := Payloads(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	obs, err = zigbee.NewTransmitter().TransmitPSDU(payloads[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	return payloads[0], obs, nil
+}
+
+// firstLink builds the link of the workload's first payload ("00000")
+// under the paper attack: the one transmission most drivers sweep.
+func firstLink() (*Link, error) {
+	payloads, err := Payloads(1)
+	if err != nil {
+		return nil, err
+	}
+	links, err := BuildLinks(payloads, emulation.AttackConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return links[0], nil
 }
 
 // padTail appends n zero samples so channel delay spread and timing shifts
