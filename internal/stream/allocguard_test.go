@@ -7,10 +7,10 @@ import (
 
 // streamScanAllocBudget bounds the allocations of one whole
 // BenchmarkStreamScan session (engine setup excluded). Per-session setup
-// and receiver cloning still allocate (33–35 per session on amd64; 36–39
+// and receiver cloning still allocate (26–29 per session on amd64; 31–36
 // under -race, where sync.Pool drops a share of what is put back); the
 // budget only keeps that from growing.
-const streamScanAllocBudget = 40
+const streamScanAllocBudget = 38
 
 // TestStreamScanAllocBudget is the host-independent form of the perf
 // gate's allocs/op check on BenchmarkStreamScan.

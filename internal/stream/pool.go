@@ -27,6 +27,10 @@ const (
 
 var cf32Pools [poolMaxBits + 1]sync.Pool
 
+// cf32Boxes recycles the *[]complex128 boxes the class pools hold, so a
+// put boxes its slice header in an emptied box instead of allocating one.
+var cf32Boxes sync.Pool
+
 // poolClass returns the smallest class whose size holds n samples, or -1
 // when n is outside the pooled range.
 func poolClass(n int) int {
@@ -52,7 +56,11 @@ func getCF32(n int) []complex128 {
 		return make([]complex128, n)
 	}
 	if v := cf32Pools[c].Get(); v != nil {
-		return (*v.(*[]complex128))[:n]
+		box := v.(*[]complex128)
+		b := *box
+		*box = nil
+		cf32Boxes.Put(box)
+		return b[:n]
 	}
 	return make([]complex128, n, 1<<c)
 }
@@ -69,6 +77,10 @@ func putCF32(b []complex128) {
 	if class < poolMinBits || class > poolMaxBits {
 		return
 	}
-	b = b[:0]
-	cf32Pools[class].Put(&b)
+	box, _ := cf32Boxes.Get().(*[]complex128)
+	if box == nil {
+		box = new([]complex128)
+	}
+	*box = b[:0]
+	cf32Pools[class].Put(box)
 }
