@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 )
 
@@ -29,17 +30,27 @@ type CorrelatorConfig struct {
 // fast convolution: per lag, two radix-2 transforms amortize to
 // ~2·N·log₂N / (N−M+1) butterflies instead of M complex MACs (a >10×
 // algorithmic win at the ZigBee SHR length, M≈638, N=2048), normalized
-// by an O(1)-per-lag sliding-window energy recurrence. Screen values
-// differ from exact ones by rounding, and that rounding depends on the
-// slice start, so FirstCrossing and BestCrossing never decide or report
-// from a screen value: any lag within syncGuard of a decision is
-// confirmed with ExactAt.
+// by an O(1)-per-lag sliding-window energy recurrence that each block
+// starts afresh from its first window's directly summed energy. When
+// fewer lags remain than make a block worth its transforms (k·M <
+// N·bits.Len(N), decided at each block start), they are screened with
+// ExactAt instead. Screen values differ from exact ones by rounding, and
+// that rounding depends on where the block holding the lag starts, so
+// FirstCrossing and BestCrossing never decide or report from a screen
+// value: any lag within syncGuard of a decision is confirmed with
+// ExactAt.
 //
 // The screen reads a sample whose |x|² is not finite (NaN, ±Inf, or a
 // magnitude whose square overflows) as zero, both in the transformed
 // block and in the energy recurrence, so one such sample cannot poison
-// the rest of the scan. A lag whose window holds such a sample screens
-// as 0: its exact value is NaN or 0, so it can never decide.
+// the rest of its block. A lag whose window holds such a sample screens
+// as 0 in a block and as its own exact value (NaN or 0) when ExactAt
+// screens it: either way it can never decide.
+//
+// FirstCrossing can resume across calls on one stream (see Resume): the
+// correlator then keeps the screen values it already computed by
+// absolute lag, so a stream scanner screens each lag once instead of
+// once per search.
 //
 // A Correlator reuses internal block and lag scratch and is NOT safe for
 // concurrent use; Clone gives another goroutine its own scratch while
@@ -59,6 +70,17 @@ type Correlator struct {
 	block   []complex128 // scratch; owned by this instance
 
 	screenBuf []float64 // sync-search scratch: screen values, grown lazily
+	cur       cursor    // FirstCrossing's resumable state over screenBuf
+
+	screened int // lags screened since NewCorrelator or Clone (tests read it)
+}
+
+// cursor is FirstCrossing's resumable state (see Resume): screenBuf[0:done]
+// holds final screen values for the absolute lags at, at+1, ...
+type cursor struct {
+	at      int64
+	done    int
+	resumed bool // Resume(at) was called; the next search consumes it
 }
 
 // NewCorrelator builds a correlation plan for the given reference. The
@@ -108,6 +130,8 @@ func (c *Correlator) Clone() *Correlator {
 		out.block = make([]complex128, len(c.block))
 	}
 	out.screenBuf = nil
+	out.cur = cursor{}
+	out.screened = 0
 	return &out
 }
 
@@ -134,17 +158,21 @@ func (c *Correlator) CorrelateInto(dst []float64, x []complex128) []float64 {
 // to what CorrelateInto would have produced; CorrelateInto is a scan run
 // to the last lag.
 //
+// Each block starts its energy recurrence from a direct sum, so a value
+// depends only on the lag and where its block starts, never on the lags
+// before it: rounding drift cannot outlive one block on an endless
+// stream, and a search may start its blocks at any lag (a resumed
+// FirstCrossing starts at the first lag it has not screened).
+//
 // A scan borrows the correlator's block scratch plus the dst and x
 // slices handed to ScanInto: finish (or abandon) it before using the
 // correlator for anything else, and never run two scans at once.
 type CorrelationScan struct {
-	c         *Correlator
-	x         []complex128
-	dst       []float64
-	lags      int
-	done      int     // computed prefix length; dst[0:done] is final
-	winEnergy float64 // FFT path: sliding-window energy state at lag done
-	bad       int     // FFT path: samples in that window the screen reads as 0
+	c    *Correlator
+	x    []complex128
+	dst  []float64
+	lags int
+	done int // computed prefix length; dst[0:done] is final
 }
 
 // ScanInto prepares a lazy correlation of x into dst, which must have
@@ -180,32 +208,26 @@ func (s *CorrelationScan) ComputeThrough(lag int) {
 	}
 	c := s.c
 	if c.refEnergy == 0 {
-		clear(s.dst)
+		clear(s.dst[s.done:])
+		c.screened += s.lags - s.done
 		s.done = s.lags
 		return
 	}
-	if c.direct {
-		for l := s.done; l <= lag; l++ {
-			s.dst[l] = c.ExactAt(s.x, l)
-		}
-		s.done = lag + 1
-		return
-	}
-	if s.done == 0 {
-		var w float64
-		for _, v := range s.x[:len(c.ref)] {
-			e, bad := screenSq(v)
-			w += e
-			s.bad += bad
-		}
-		s.winEnergy = w
-	}
-	// FFT path: whole overlap-save blocks until the prefix covers lag.
-	// done always sits on a block boundary here: blocks start at lags 0,
-	// step, 2·step, ... and each transforms x[pos:pos+n], zero-padded at
-	// the signal end.
+	m := len(c.ref)
 	for s.done <= lag {
 		pos := s.done
+		if c.direct || (s.lags-pos)*m < c.n*bits.Len(uint(c.n)) {
+			// Direct path, or too few lags left to pay for a block's
+			// transforms: ExactAt per lag, only as far as asked.
+			for l := pos; l <= lag; l++ {
+				s.dst[l] = c.ExactAt(s.x, l)
+			}
+			c.screened += lag + 1 - pos
+			s.done = lag + 1
+			return
+		}
+		// One overlap-save block: transform x[pos:pos+n], zero-padded at
+		// the signal end, for lags pos..pos+step−1.
 		src := s.x[pos:min(pos+c.n, len(s.x))]
 		for i, v := range src {
 			if _, bad := screenSq(v); bad != 0 {
@@ -221,25 +243,33 @@ func (s *CorrelationScan) ComputeThrough(lag int) {
 		c.plan.Inverse(c.block, c.block)
 		v := min(c.step, s.lags-pos)
 		s.normalize(pos, pos+v)
+		c.screened += v
 		s.done = pos + v
 	}
 }
 
 // normalize finalizes the screen values dst[lo:hi] from the block's
-// numerators and advances the sliding-window energy recurrence. The
-// recurrence's rounding depends on the lag the scan started from, which
-// is why screen values never decide a sync on their own.
+// numerators. The window energy starts as a direct sum over lag lo's
+// window and runs by recurrence to hi, so its rounding depends on where
+// the block starts, which is why screen values never decide a sync on
+// their own.
 func (s *CorrelationScan) normalize(lo, hi int) {
 	c := s.c
 	m := len(c.ref)
-	w, bad := s.winEnergy, s.bad
+	var w float64
+	var bad int
+	for _, v := range s.x[lo : lo+m] {
+		e, b := screenSq(v)
+		w += e
+		bad += b
+	}
 	for l := lo; l < hi; l++ {
 		if denom := math.Sqrt(w * c.refEnergy); denom > 0 && bad == 0 {
 			s.dst[l] = cmplx.Abs(c.block[l-lo]) / denom
 		} else {
 			s.dst[l] = 0
 		}
-		if l+1 < s.lags {
+		if l+1 < hi {
 			in, inBad := screenSq(s.x[l+m])
 			out, outBad := screenSq(s.x[l])
 			w += in - out
@@ -249,7 +279,6 @@ func (s *CorrelationScan) normalize(lo, hi int) {
 			}
 		}
 	}
-	s.winEnergy, s.bad = w, bad
 }
 
 // screenSq is |v|² as the screen reads it: 0, with bad = 1, when |v|² is
@@ -290,13 +319,43 @@ const syncGuard = 1e-9
 // diagnostic no decision reads.
 //
 // The search is lazy: only the inspected prefix of the correlation is
-// computed (see CorrelationScan). x must hold at least len(ref) samples.
-// The screen lives in the correlator's lag scratch, so the search
-// allocates nothing once that has grown to the largest x seen.
+// computed (see CorrelationScan), and after a Resume only the lags the
+// correlator has not screened yet. Its results never depend on the calls
+// before it. x must hold at least len(ref) samples. The screen lives in
+// the correlator's lag scratch, so the search allocates nothing once
+// that has grown to the largest x seen.
 func (c *Correlator) FirstCrossing(x []complex128, threshold float64) (lag int, peak float64, found bool) {
-	screen := c.screen(len(x))
+	cur := c.cur
+	screen, keep := c.scratch(len(x))
 	var s CorrelationScan
 	c.ScanInto(&s, screen, x)
+	s.done = keep
+	lag, peak, found = c.firstCrossing(&s, threshold)
+	if cur.resumed {
+		c.cur = cursor{at: cur.at, done: s.done}
+	}
+	return lag, peak, found
+}
+
+// Resume declares that the next FirstCrossing searches a window whose
+// first sample is sample at of a stream, and that every sample of the
+// stream keeps its value once a search has seen it. That search reuses
+// the screen values this correlator kept from its last resumed search
+// for lags at or past at, and starts its blocks at the first lag it has
+// not screened; a stream scanner that calls Resume before each search
+// screens each lag once. A FirstCrossing without a Resume before it is
+// fresh and drops the kept values, and so does BestCrossing.
+func (c *Correlator) Resume(at int64) {
+	keep := 0
+	if d := at - c.cur.at; d >= 0 && d < int64(c.cur.done) {
+		keep = copy(c.screenBuf, c.screenBuf[d:c.cur.done])
+	}
+	c.cur = cursor{at: at, done: keep, resumed: true}
+}
+
+// firstCrossing runs the search over a prepared scan.
+func (c *Correlator) firstCrossing(s *CorrelationScan, threshold float64) (int, float64, bool) {
+	x, screen := s.x, s.dst
 	for i := 0; i < s.lags; i++ {
 		s.ComputeThrough(i)
 		if screen[i] < threshold-syncGuard {
@@ -321,7 +380,8 @@ func (c *Correlator) FirstCrossing(x []complex128, threshold float64) (lag int, 
 // it does not, peak is the same diagnostic FirstCrossing reports. x must
 // hold at least len(ref) samples; the screen lives in the lag scratch.
 func (c *Correlator) BestCrossing(x []complex128, threshold float64) (lag int, peak float64, found bool) {
-	screen := c.CorrelateInto(c.screen(len(x)), x)
+	screen, _ := c.scratch(len(x))
+	c.CorrelateInto(screen, x)
 	if screenMax(screen) >= threshold-syncGuard {
 		if best, v := c.peakIn(x, screen, 0, len(screen)-1); best >= 0 && v >= threshold {
 			return best, v, true
@@ -330,16 +390,26 @@ func (c *Correlator) BestCrossing(x []complex128, threshold float64) (lag int, p
 	return c.noCrossing(x, screen)
 }
 
-// screen returns the lag scratch resized for a sigLen-sample signal.
-func (c *Correlator) screen(sigLen int) []float64 {
+// scratch returns the lag scratch resized for a sigLen-sample signal and
+// how many of its leading values are final: after a Resume, the values
+// Resume kept; otherwise 0. Either way it consumes the Resume and drops
+// the kept values, which a resumed FirstCrossing records afresh.
+func (c *Correlator) scratch(sigLen int) ([]float64, int) {
 	lags := c.Lags(sigLen)
 	if lags < 1 {
 		panic("dsp: sync search on undersized input")
 	}
-	if cap(c.screenBuf) < lags {
-		c.screenBuf = make([]float64, lags)
+	keep := 0
+	if c.cur.resumed {
+		keep = min(c.cur.done, lags)
 	}
-	return c.screenBuf[:lags]
+	c.cur = cursor{}
+	if cap(c.screenBuf) < lags {
+		grown := make([]float64, lags)
+		copy(grown, c.screenBuf[:keep])
+		c.screenBuf = grown
+	}
+	return c.screenBuf[:lags], keep
 }
 
 // peakIn returns the earliest lag in [lo, hi] with the largest exact

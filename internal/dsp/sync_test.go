@@ -145,8 +145,8 @@ func TestFirstCrossingNotFound(t *testing.T) {
 	}
 }
 
-// TestSyncSearchZeroAllocs pins that both searches reuse the correlator's
-// lag scratch once it has grown.
+// TestSyncSearchZeroAllocs pins that both searches, resumed or not, reuse
+// the correlator's lag scratch once it has grown.
 func TestSyncSearchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	ref := randComplexSlice(rng, 128)
@@ -156,6 +156,10 @@ func TestSyncSearchZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		c.FirstCrossing(x, 0.5)
 		c.FirstCrossing(x[:2000], 0.5)
+		c.Resume(0)
+		c.FirstCrossing(x[:3000], 0.5)
+		c.Resume(1000)
+		c.FirstCrossing(x[1000:], 0.5)
 		c.BestCrossing(x, 0.5)
 	})
 	if allocs != 0 {

@@ -91,6 +91,9 @@ func (r *Receiver) MaxFrameSamples() int { return lora.MaxFrameSamples }
 // so no samples are needed past the frame span.
 func (r *Receiver) TailSamples() int { return 0 }
 
+// ResumeSync implements phy.Receiver.
+func (r *Receiver) ResumeSync(at int64) { r.Rx.ResumeSync(at) }
+
 // SynchronizeFirst implements phy.Receiver.
 func (r *Receiver) SynchronizeFirst(w []complex128) (int, float64, error) {
 	return r.Rx.SynchronizeFirst(w)

@@ -23,6 +23,16 @@
 //     grows, and ties go to the earliest lag. That is what lets the
 //     scanner wait for the samples a decision needs instead of rescanning
 //     on every chunk, and keep a decision once it is final.
+//   - ResumeSync(at) before SynchronizeFirst(w) declares that w[0] is
+//     sample at of one stream whose samples never change once seen; the
+//     scanner makes this call before every search. The receiver may then
+//     reuse correlation work from its earlier resumed searches on that
+//     stream (both in-tree PHYs screen each correlation lag once per
+//     stream, see dsp.Correlator.Resume). A search with no ResumeSync
+//     before it is fresh and must drop such state, and a new Clone holds
+//     none. Whatever the receiver reuses, a search's results must not
+//     depend on its call history: a resumed search returns what a fresh
+//     search on the same window returns.
 //   - FrameSpan must learn the frame's full span from the first
 //     HeaderSamples past the frame start and must validate the decoded
 //     header (a sync point with invalid header content errors here), so
@@ -76,6 +86,10 @@ type Receiver interface {
 	// TailSamples is the modulation tail past FrameSpan that DecodeAt
 	// needs (0 for most protocols; ZigBee's offset-Q arm is 2).
 	TailSamples() int
+	// ResumeSync declares that the next SynchronizeFirst's waveform
+	// starts at absolute sample at of the stream the earlier resumed
+	// searches saw (see the package comment).
+	ResumeSync(at int64)
 	// SynchronizeFirst finds the earliest frame start in the waveform and
 	// returns its index and normalized correlation peak, or an error when
 	// no lag crosses the sync threshold.

@@ -101,6 +101,9 @@ func (r *Receiver) MaxFrameSamples() int { return zigbee.MaxFrameSamples }
 // TailSamples is the offset-Q arm tail DecodeAt needs past FrameSpan.
 func (r *Receiver) TailSamples() int { return zigbee.QOffsetSamples }
 
+// ResumeSync implements phy.Receiver.
+func (r *Receiver) ResumeSync(at int64) { r.Rx.ResumeSync(at) }
+
 // SynchronizeFirst implements phy.Receiver.
 func (r *Receiver) SynchronizeFirst(w []complex128) (int, float64, error) {
 	return r.Rx.SynchronizeFirst(w)

@@ -265,6 +265,10 @@ func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so
 //     start is an argmax over a range that only grows (ties to the
 //     earliest lag), so an earlier rescan could only find the same or a
 //     later start and wait again.
+//   - Resume, don't recompute. Every SynchronizeFirst follows a
+//     ResumeSync with the window's absolute offset, so the receiver
+//     screens only correlation lags no earlier search of this session
+//     screened; its results are still a fresh search's.
 //   - Commit once final. When refinement and header are buffered and
 //     FrameSpan validates the header, (start, peak, span) is kept until
 //     the frame dispatches, never re-derived. EOF makes every window
@@ -290,6 +294,7 @@ func (s *Session) scan(eof bool) {
 				}
 				return
 			}
+			s.rx.ResumeSync(s.win.offset())
 			relStart, peak, err := s.rx.SynchronizeFirst(w)
 			if err != nil {
 				// No threshold crossing among the computable lags: all of

@@ -283,6 +283,13 @@ func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error
 	return start, peak, nil
 }
 
+// ResumeSync declares that the next SynchronizeFirst searches a window
+// starting at sample at of a stream whose samples never change once
+// seen, so the search reuses the correlation screen this receiver kept
+// for that stream (see dsp.Correlator.Resume). A SynchronizeFirst without
+// it is a fresh search.
+func (rx *Receiver) ResumeSync(at int64) { rx.sync.Resume(at) }
+
 // Receive synchronizes, demodulates, despreads, and parses one frame from
 // the waveform. A Reception is returned even on decode failure (with as
 // much diagnostic state as was extracted) alongside the error. Unlike
