@@ -72,13 +72,13 @@ func (a *AdaptiveDetector) ThresholdFor(snrDB float64) float64 {
 
 // Analyze scores a reception, received from waveform, against the
 // threshold chosen by its working SNR.
-func (a *AdaptiveDetector) Analyze(rec *zigbee.Reception, waveform []complex128) (*Verdict, error) {
+func (a *AdaptiveDetector) Analyze(rec *zigbee.Reception, waveform []complex128) (Verdict, error) {
 	if rec.StartSample < 0 || rec.StartSample > len(waveform) {
-		return nil, fmt.Errorf("emulation: frame start %d outside waveform of %d samples", rec.StartSample, len(waveform))
+		return Verdict{}, fmt.Errorf("emulation: frame start %d outside waveform of %d samples", rec.StartSample, len(waveform))
 	}
 	verdict, err := a.det.AnalyzeReception(rec)
 	if err != nil {
-		return nil, err
+		return Verdict{}, err
 	}
 	verdict.Attack = verdict.DistanceSquared > a.ThresholdFor(workingSNR(rec, waveform))
 	return verdict, nil

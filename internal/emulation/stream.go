@@ -37,10 +37,10 @@ func NewStreamDetector(cfg DefenseConfig, k, n int) (*StreamDetector, error) {
 
 // Observe scores one reception. It returns the frame verdict and whether
 // the k-of-n alarm condition now holds.
-func (s *StreamDetector) Observe(rec *zigbee.Reception) (*Verdict, bool, error) {
+func (s *StreamDetector) Observe(rec *zigbee.Reception) (Verdict, bool, error) {
 	verdict, err := s.det.AnalyzeReception(rec)
 	if err != nil {
-		return nil, false, err
+		return Verdict{}, false, err
 	}
 	s.history[s.next] = verdict.Attack
 	s.next = (s.next + 1) % s.n

@@ -204,9 +204,9 @@ func (rx *Receiver) header(waveform []complex128, start int) (payloadLen int, bi
 		return 0, nil, nil, nil, fmt.Errorf("lora: header demodulation: waveform too short")
 	}
 	total := PreambleSymbols + HeaderSymbols
-	bins = rx.arena.ints(total + MaxPayload)
-	conc = rx.arena.floats(total + MaxPayload)
-	wide = rx.arena.floats(total + MaxPayload)
+	bins = dsp.Carve(&rx.arena.i, total+MaxPayload, arenaMinInts)[:0]
+	conc = dsp.Carve(&rx.arena.f64, total+MaxPayload, arenaMinFloats)[:0]
+	wide = dsp.Carve(&rx.arena.f64, total+MaxPayload, arenaMinFloats)[:0]
 	symbol := func(k int, ref []complex128) int {
 		b, c, w := rx.demodSymbol(waveform[start+k*SymbolSamples:], ref)
 		bins = append(bins, b)
@@ -266,7 +266,8 @@ func (rx *Receiver) DecodeAt(waveform []complex128, start int, syncPeak float64)
 // decodeFrom demodulates a whole frame starting at start. The Reception
 // is carved from the receiver's frame arena (scratch lifetime).
 func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64) (*Reception, error) {
-	rec := rx.arena.newFrame()
+	rec := &dsp.Carve(&rx.arena.slots, 1, arenaMinSlots)[0]
+	*rec = Reception{}
 	rec.StartSample = start
 	rec.SyncPeak = peak
 	length, bins, conc, wide, err := rx.header(waveform, start)
@@ -277,7 +278,7 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64) (
 		return rec, fmt.Errorf("lora: frame body: waveform too short (%d of %d payload symbols buffered)",
 			(len(waveform)-start)/SymbolSamples-(PreambleSymbols+HeaderSymbols), length)
 	}
-	payload := rx.arena.byteBuf(length)
+	payload := dsp.Carve(&rx.arena.bytes, length, arenaMinBytes)
 	for k := 0; k < length; k++ {
 		b, c, w := rx.demodSymbol(waveform[start+(PreambleSymbols+HeaderSymbols+k)*SymbolSamples:], rx.dechirpUp)
 		bins = append(bins, b)

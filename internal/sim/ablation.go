@@ -396,7 +396,7 @@ func AblationSampleCount(cfg Config, counts []int) (*AblationSampleCountResult, 
 				if err != nil || len(chips) < count {
 					return 0, false
 				}
-				vd, err := v.det.DetectChips(chips[:count])
+				vd, err := v.det.Analyze(chips[:count])
 				return vd.DistanceSquared, err == nil
 			}}
 		d2o, d2e, err := k.run(runner.Sweep{Seed: seed, Base: sweepBase(regionAblSampleCount, ci)}, trials, awgnAt(snrDB))

@@ -157,7 +157,7 @@ func zigbeeVerdict(v *victim, _ *Link, rx []complex128) (emulation.Verdict, bool
 	if err != nil {
 		return emulation.Verdict{}, false
 	}
-	vd, err := v.det.DetectReception(rec)
+	vd, err := v.det.AnalyzeReception(rec)
 	return vd, err == nil
 }
 

@@ -7,12 +7,13 @@ package zigbee
 // frame carves what it needs, so the steady-state decode path allocates
 // nothing once the arena has warmed to the session's frame sizes.
 //
-// Growth rule: when a backing slice runs out mid-use, the arena swaps in
-// a fresh, larger array WITHOUT copying — slices carved earlier keep the
-// old array, which the garbage collector retains for exactly as long as
-// the carved views live. That keeps every Reception from one ReceiveAll
-// call simultaneously valid while the next reset reclaims whichever
-// backing generation is current.
+// Every field is carved with dsp.Carve, whose growth rule swaps in a
+// fresh array WITHOUT copying: slices carved earlier keep the old array,
+// which the garbage collector retains for exactly as long as the carved
+// views live. That keeps every Reception from one ReceiveAll call
+// simultaneously valid while the next reset reclaims whichever backing
+// generation is current. A Reception is carved as a zeroed frameSlot, so
+// the pointers into it stay valid across growth too.
 type frameArena struct {
 	f64   []float64 // chip streams: soft, peak, recovered, discriminator
 	res   []DespreadResult
@@ -38,69 +39,13 @@ func (a *frameArena) reset() {
 	a.outs = a.outs[:0]
 }
 
-const arenaMinFloats = 4096
-
-// floats carves n float64s. The carve is full-length (callers overwrite
-// every element before exposing it) and capacity-clipped so appends can
-// never bleed into the next carve.
-func (a *frameArena) floats(n int) []float64 {
-	if len(a.f64)+n > cap(a.f64) {
-		c := 2 * (len(a.f64) + n)
-		if c < arenaMinFloats {
-			c = arenaMinFloats
-		}
-		a.f64 = make([]float64, 0, c) // fresh backing; old carves keep the old array
-	}
-	off := len(a.f64)
-	a.f64 = a.f64[:off+n]
-	return a.f64[off : off+n : off+n]
-}
-
-// results carves n despread results (fully overwritten by the despreader).
-func (a *frameArena) results(n int) []DespreadResult {
-	if len(a.res)+n > cap(a.res) {
-		c := 2 * (len(a.res) + n)
-		if c < 512 {
-			c = 512
-		}
-		a.res = make([]DespreadResult, 0, c)
-	}
-	off := len(a.res)
-	a.res = a.res[:off+n]
-	return a.res[off : off+n : off+n]
-}
-
-// byteBuf carves n bytes (fully overwritten by SymbolsToBytesInto).
-func (a *frameArena) byteBuf(n int) []byte {
-	if len(a.bytes)+n > cap(a.bytes) {
-		c := 2 * (len(a.bytes) + n)
-		if c < 512 {
-			c = 512
-		}
-		a.bytes = make([]byte, 0, c)
-	}
-	off := len(a.bytes)
-	a.bytes = a.bytes[:off+n]
-	return a.bytes[off : off+n : off+n]
-}
-
-// newFrame carves a zeroed Reception and its companion RecoveredChips.
-// The pointers are taken after any growth, and growth never copies, so
-// previously returned pointers stay valid.
-func (a *frameArena) newFrame() (*Reception, *RecoveredChips) {
-	if len(a.slots) == cap(a.slots) {
-		c := 2 * len(a.slots)
-		if c < 8 {
-			c = 8
-		}
-		a.slots = make([]frameSlot, 0, c)
-	}
-	a.slots = a.slots[:len(a.slots)+1]
-	s := &a.slots[len(a.slots)-1]
-	s.rec = Reception{}
-	s.rc = RecoveredChips{}
-	return &s.rec, &s.rc
-}
+// Minimum capacities of a fresh arena generation (see dsp.Carve).
+const (
+	arenaMinFloats  = 4096
+	arenaMinResults = 512
+	arenaMinBytes   = 512
+	arenaMinSlots   = 8
+)
 
 // Copy returns a deep copy of the Reception with freshly allocated
 // backing for every slice, so it stays valid across later receiver

@@ -313,24 +313,19 @@ func (rx *Receiver) Receive(waveform []complex128) (*Reception, error) {
 // matched-filter detector) and DiscriminatorChips (the default detector)
 // and nothing else.
 func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64, allTaps bool) (*Reception, error) {
-	rec, rc := rx.arena.newFrame()
+	slot := &dsp.Carve(&rx.arena.slots, 1, arenaMinSlots)[0]
+	*slot = frameSlot{}
+	rec, rc := &slot.rec, &slot.rc
 	rec.StartSample = start
 	rec.SyncPeak = peak
 
-	// Carrier phase recovery: the complex preamble correlation's argument
-	// is the channel's constant phase rotation; remove it so the I/Q arms
-	// demodulate coherently (real receivers derive this from the SHR).
-	var acc complex128
-	for i, r := range rx.syncRef {
-		acc += waveform[start+i] * complex(real(r), -imag(r))
-	}
-	phase := cmplx.Phase(acc)
-	rec.PhaseEstimate = phase
-	derot := cmplx.Rect(1, -phase)
+	acc, avail, hdrBytes, err := rx.header(waveform, start, len(waveform)-start)
+	rec.PhaseEstimate = cmplx.Phase(acc)
 
 	// Noise estimation from the preamble residual: project the received
 	// SHR onto the reference (complex gain g), subtract, and measure what
-	// is left. SNR = |g|²·P_ref / P_residual.
+	// is left. SNR = |g|²·P_ref / P_residual. It needs only the SHR
+	// correlation, so it is filled even when the header fails to decode.
 	if rx.refEnergy > 0 {
 		g := acc / complex(rx.refEnergy, 0)
 		var resid float64
@@ -347,48 +342,33 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64, a
 			rec.SNREstimateDB = 60 // effectively noiseless
 		}
 	}
-
-	// Demodulate SHR+PHR first to learn the PSDU length.
-	hdrSymbols := (PreambleBytes + 2) * SymbolsPerByte // preamble+SFD+PHR
-	hdrChips := hdrSymbols * ChipsPerSymbol
-	avail := ensureComplexes(&rx.avail, len(waveform)-start)
-	for i := range avail {
-		avail[i] = waveform[start+i] * derot
-	}
-	if maxChipsIn(len(avail)) < hdrChips {
-		return rec, fmt.Errorf("zigbee: header demodulation: waveform too short")
-	}
-	hdrBytes, symErrs, err := rx.decodeHeader(avail)
 	if err != nil {
-		return rec, fmt.Errorf("zigbee: header decode: %w", err)
-	}
-	if symErrs > 0 {
-		return rec, fmt.Errorf("zigbee: %d dropped symbols in header", symErrs)
+		return rec, err
 	}
 	psduLen := int(hdrBytes[PreambleBytes+1] & 0x7F)
 
 	totalSymbols := hdrSymbols + psduLen*SymbolsPerByte
 	totalChips := totalSymbols * ChipsPerSymbol
-	soft := rx.arena.floats(totalChips)
+	soft := dsp.Carve(&rx.arena.f64, totalChips, arenaMinFloats)
 	if err := DemodulateInto(soft, avail); err != nil {
 		return rec, fmt.Errorf("zigbee: frame demodulation: %w", err)
 	}
 	rec.SoftChips = soft
 	if allTaps {
-		peaks := rx.arena.floats(totalChips)
+		peaks := dsp.Carve(&rx.arena.f64, totalChips, arenaMinFloats)
 		if err := PeakChipsInto(peaks, avail); err != nil {
 			return rec, fmt.Errorf("zigbee: peak sampling: %w", err)
 		}
 		rec.PeakChips = peaks
-		rcSoft := rx.arena.floats(totalChips)
-		rcTiming := rx.arena.floats(totalChips / 2)
+		rcSoft := dsp.Carve(&rx.arena.f64, totalChips, arenaMinFloats)
+		rcTiming := dsp.Carve(&rx.arena.f64, totalChips/2, arenaMinFloats)
 		if err := DefaultClockRecovery().RecoverInto(rcSoft, rcTiming, avail); err != nil {
 			return rec, fmt.Errorf("zigbee: clock recovery: %w", err)
 		}
 		rc.Soft, rc.Timing = rcSoft, rcTiming
 		rec.RecoveredChips = rc
 	}
-	disc := rx.arena.floats(totalChips)
+	disc := dsp.Carve(&rx.arena.f64, totalChips, arenaMinFloats)
 	if err := DiscriminatorChipsInto(disc, avail); err != nil {
 		return rec, fmt.Errorf("zigbee: discriminator: %w", err)
 	}
@@ -397,7 +377,7 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64, a
 	// Despread the whole frame in one pass over the chip streams
 	// demodulated above (bitwise identical to re-demodulating: the
 	// matched filter and discriminator are deterministic).
-	results := rx.arena.results(totalSymbols)
+	results := dsp.Carve(&rx.arena.res, totalSymbols, arenaMinResults)
 	switch rx.cfg.Mode {
 	case HardThreshold:
 		err = rx.despreadHardInto(results, soft)
@@ -409,7 +389,7 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64, a
 	if err != nil {
 		return rec, fmt.Errorf("zigbee: frame decode: %w", err)
 	}
-	syms := ensureBytes(&rx.syms, totalSymbols)
+	syms := dsp.Grow(&rx.syms, totalSymbols)
 	errs := 0
 	for i, r := range results {
 		syms[i] = r.Symbol
@@ -417,7 +397,7 @@ func (rx *Receiver) decodeFrom(waveform []complex128, start int, peak float64, a
 			errs++
 		}
 	}
-	allBytes := rx.arena.byteBuf(totalSymbols / 2)
+	allBytes := dsp.Carve(&rx.arena.bytes, totalSymbols/2, arenaMinBytes)
 	if err := SymbolsToBytesInto(allBytes, syms); err != nil {
 		return rec, fmt.Errorf("zigbee: frame decode: %w", err)
 	}
@@ -478,36 +458,55 @@ func (rx *Receiver) ReceiveAll(waveform []complex128, maxFrames int) ([]*Recepti
 	return out, nil
 }
 
-// decodeHeader demodulates and despreads the SHR+PHR from phase-corrected
-// samples into receiver scratch, returning the packed header bytes (valid
-// until the next decode) and the dropped-symbol count.
-func (rx *Receiver) decodeHeader(avail []complex128) ([]byte, int, error) {
-	hdrSymbols := (PreambleBytes + 2) * SymbolsPerByte
-	hdrChips := hdrSymbols * ChipsPerSymbol
-	results := ensureResults(&rx.hdrRes, hdrSymbols)
-	var err error
+// Header span: preamble, SFD and PHR.
+const (
+	hdrSymbols = (PreambleBytes + 2) * SymbolsPerByte
+	hdrChips   = hdrSymbols * ChipsPerSymbol
+)
+
+// header is the SHR+PHR step FrameSpan and decodeFrom share. It
+// correlates the SHR with the reference to recover the carrier phase (the
+// complex correlation's argument is the channel's constant rotation),
+// derotates the first n samples from start into receiver scratch so the
+// I/Q arms demodulate coherently, and demodulates and despreads the
+// SHR+PHR from them. It returns the correlation (also on error), the
+// derotated samples and the packed header bytes, both valid until the
+// next decode. The caller has checked that the SHR lies in waveform, and
+// n covers at least the header.
+func (rx *Receiver) header(waveform []complex128, start, n int) (acc complex128, avail []complex128, hdr []byte, err error) {
+	for i, r := range rx.syncRef {
+		acc += waveform[start+i] * complex(real(r), -imag(r))
+	}
+	if maxChipsIn(len(waveform)-start) < hdrChips {
+		return acc, nil, nil, fmt.Errorf("zigbee: header demodulation: waveform too short")
+	}
+	derot := cmplx.Rect(1, -cmplx.Phase(acc))
+	avail = dsp.Grow(&rx.avail, n)
+	for i := range avail {
+		avail[i] = waveform[start+i] * derot
+	}
+	results := dsp.Grow(&rx.hdrRes, hdrSymbols)
+	chips := dsp.Grow(&rx.chips, hdrChips)
 	switch rx.cfg.Mode {
 	case HardThreshold, SoftCorrelation:
-		soft := ensureFloats(&rx.chips, hdrChips)
-		if err := DemodulateInto(soft, avail); err != nil {
-			return nil, 0, err
+		if err = DemodulateInto(chips, avail); err != nil {
+			break
 		}
 		if rx.cfg.Mode == HardThreshold {
-			err = rx.despreadHardInto(results, soft)
+			err = rx.despreadHardInto(results, chips)
 		} else {
-			err = rx.despreadSoftInto(results, soft)
+			err = rx.despreadSoftInto(results, chips)
 		}
 	case FMDiscriminator:
-		disc := ensureFloats(&rx.chips, hdrChips)
-		if err := DiscriminatorChipsInto(disc, avail); err != nil {
-			return nil, 0, err
+		if err = DiscriminatorChipsInto(chips, avail); err != nil {
+			break
 		}
-		err = rx.despreadFMInto(results, disc)
+		err = rx.despreadFMInto(results, chips)
 	}
 	if err != nil {
-		return nil, 0, err
+		return acc, avail, nil, fmt.Errorf("zigbee: header decode: %w", err)
 	}
-	syms := ensureBytes(&rx.syms, hdrSymbols)
+	syms := dsp.Grow(&rx.syms, hdrSymbols)
 	errs := 0
 	for i, r := range results {
 		syms[i] = r.Symbol
@@ -515,11 +514,14 @@ func (rx *Receiver) decodeHeader(avail []complex128) ([]byte, int, error) {
 			errs++
 		}
 	}
-	hdrBytes := ensureBytes(&rx.hdrBytes, hdrSymbols/2)
-	if err := SymbolsToBytesInto(hdrBytes, syms); err != nil {
-		return nil, 0, err
+	hdr = dsp.Grow(&rx.hdrBytes, hdrSymbols/2)
+	if err := SymbolsToBytesInto(hdr, syms); err != nil {
+		return acc, avail, nil, fmt.Errorf("zigbee: header decode: %w", err)
 	}
-	return hdrBytes, errs, nil
+	if errs > 0 {
+		return acc, avail, nil, fmt.Errorf("zigbee: %d dropped symbols in header", errs)
+	}
+	return acc, avail, hdr, nil
 }
 
 // despreadHardInto despreads soft chips with the hard-decision rule into
@@ -531,7 +533,7 @@ func (rx *Receiver) despreadHardInto(res []DespreadResult, soft []float64) error
 	if len(soft)%ChipsPerSymbol != 0 {
 		return fmt.Errorf("zigbee: chip count %d not a multiple of %d", len(soft), ChipsPerSymbol)
 	}
-	hard := ensureBits(&rx.hardBits, len(soft))
+	hard := dsp.Grow(&rx.hardBits, len(soft))
 	for i, v := range soft {
 		if v >= 0 {
 			hard[i] = 1
@@ -565,7 +567,7 @@ func (rx *Receiver) despreadSoftInto(res []DespreadResult, soft []float64) error
 	if len(soft)%ChipsPerSymbol != 0 {
 		return fmt.Errorf("zigbee: soft chip count %d not a multiple of %d", len(soft), ChipsPerSymbol)
 	}
-	hard := ensureBits(&rx.hardBits, ChipsPerSymbol)
+	hard := dsp.Grow(&rx.hardBits, ChipsPerSymbol)
 	for w := range len(soft) / ChipsPerSymbol {
 		window := soft[w*ChipsPerSymbol : (w+1)*ChipsPerSymbol]
 		best, bestCorr := byte(0), math.Inf(-1)
@@ -603,7 +605,7 @@ func (rx *Receiver) despreadFMInto(res []DespreadResult, disc []float64) error {
 	if len(disc)%ChipsPerSymbol != 0 {
 		return fmt.Errorf("zigbee: discriminator chip count %d not a multiple of %d", len(disc), ChipsPerSymbol)
 	}
-	hard := ensureBits(&rx.hardBits, ChipsPerSymbol-1)
+	hard := dsp.Grow(&rx.hardBits, ChipsPerSymbol-1)
 	for w := 0; w*ChipsPerSymbol < len(disc); w++ {
 		window := disc[w*ChipsPerSymbol : (w+1)*ChipsPerSymbol]
 		for k := 1; k < ChipsPerSymbol; k++ {
@@ -636,42 +638,4 @@ func maxChipsIn(n int) int {
 		return 0
 	}
 	return pairs * 2
-}
-
-// Scratch sizing helpers: grow-only reslicing so steady-state reuse never
-// allocates. The returned slices may hold stale values; callers fully
-// overwrite them.
-func ensureFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
-
-func ensureComplexes(buf *[]complex128, n int) []complex128 {
-	if cap(*buf) < n {
-		*buf = make([]complex128, n)
-	}
-	return (*buf)[:n]
-}
-
-func ensureBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	return (*buf)[:n]
-}
-
-func ensureBits(buf *[]bits.Bit, n int) []bits.Bit {
-	if cap(*buf) < n {
-		*buf = make([]bits.Bit, n)
-	}
-	return (*buf)[:n]
-}
-
-func ensureResults(buf *[]DespreadResult, n int) []DespreadResult {
-	if cap(*buf) < n {
-		*buf = make([]DespreadResult, n)
-	}
-	return (*buf)[:n]
 }

@@ -1,9 +1,6 @@
 package zigbee
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // Sample-span constants for incremental (streaming) frame scanning. A
 // stream consumer that buffers HeaderSamples past a sync point can learn
@@ -38,30 +35,9 @@ func (rx *Receiver) FrameSpan(waveform []complex128, start int) (int, error) {
 	if start < 0 || start+len(rx.syncRef) > len(waveform) {
 		return 0, fmt.Errorf("zigbee: frame start %d outside waveform of %d samples", start, len(waveform))
 	}
-	avail := waveform[start:]
-	hdrSymbols := (PreambleBytes + 2) * SymbolsPerByte // preamble+SFD+PHR
-	hdrChips := hdrSymbols * ChipsPerSymbol
-	if maxChipsIn(len(avail)) < hdrChips {
-		return 0, fmt.Errorf("zigbee: header demodulation: waveform too short")
-	}
-
-	// Phase estimate from the preamble correlation, as decodeFrom does.
-	var acc complex128
-	for i, r := range rx.syncRef {
-		acc += waveform[start+i] * complex(real(r), -imag(r))
-	}
-	derot := cmplx.Rect(1, -cmplx.Phase(acc))
-	need := hdrChips/2*SamplesPerPulse + QOffsetSamples
-	hdr := ensureComplexes(&rx.avail, need)
-	for i := range hdr {
-		hdr[i] = avail[i] * derot
-	}
-	hdrBytes, symErrs, err := rx.decodeHeader(hdr)
+	_, _, hdrBytes, err := rx.header(waveform, start, hdrChips/2*SamplesPerPulse+QOffsetSamples)
 	if err != nil {
-		return 0, fmt.Errorf("zigbee: header decode: %w", err)
-	}
-	if symErrs > 0 {
-		return 0, fmt.Errorf("zigbee: %d dropped symbols in header", symErrs)
+		return 0, err
 	}
 	for i := 0; i < PreambleBytes; i++ {
 		if hdrBytes[i] != 0 {
