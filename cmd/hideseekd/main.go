@@ -109,6 +109,7 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode"
 
 	"hideseek/internal/calib"
 	"hideseek/internal/iq"
@@ -865,24 +866,38 @@ func (d *daemon) serveTCP(ctx context.Context, ln net.Listener, conns *sync.Wait
 // its protocol; everything after the newline is cf32 samples.
 const protoPreamble = "#HSPROTO "
 
+// protoNameMax bounds the protocol name in a selector line; registry
+// names are a few bytes.
+const protoNameMax = 32
+
 // sniffProto peeks at the head of a raw TCP stream for a
 // "#HSPROTO <name>\n" selector line. Without one the stream is untouched
 // cf32 and the session runs the engine default (the marker bytes cannot
-// open a plain stream by accident without also being consumed here).
+// open a plain stream by accident without also being consumed here). The
+// line is read within br's buffer, so a peer that never ends it costs no
+// memory beyond that buffer: an over-long line is an error.
 func sniffProto(br *bufio.Reader) (string, error) {
 	head, err := br.Peek(len(protoPreamble))
 	if err != nil || !bytes.Equal(head, []byte(protoPreamble)) {
 		return "", nil // short or markerless stream: plain cf32
 	}
-	line, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return "", fmt.Errorf("%q line longer than %d bytes", protoPreamble, br.Size())
+	}
 	if err != nil {
 		return "", fmt.Errorf("unterminated %q line", protoPreamble)
 	}
-	proto := strings.TrimSpace(strings.TrimPrefix(line, protoPreamble))
-	if proto == "" {
+	name := bytes.TrimSpace(line[len(protoPreamble):])
+	switch {
+	case len(name) == 0:
 		return "", fmt.Errorf("empty protocol in %q line", protoPreamble)
+	case len(name) > protoNameMax:
+		return "", fmt.Errorf("protocol name in %q line longer than %d bytes", protoPreamble, protoNameMax)
+	case bytes.ContainsFunc(name, unicode.IsSpace):
+		return "", fmt.Errorf("protocol name %q contains whitespace", name)
 	}
-	return proto, nil
+	return string(name), nil
 }
 
 // serveConn runs one raw-TCP session: an optional "#HSPROTO <name>\n"
