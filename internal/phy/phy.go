@@ -48,6 +48,11 @@
 // call concurrently with other Clones of the same prototype. Detectors
 // must be stateless and safe for concurrent use; one instance is shared
 // by every worker.
+//
+// Adapt builds both halves from a protocol's own receiver and detector
+// (internal/phy/zigbeephy and internal/phy/loraphy use it), so an adapter
+// package supplies only the protocol's spans, payload field and verdict
+// mapping (Native).
 package phy
 
 // Reception is a decoded frame as the engine sees it: the payload plus
