@@ -3,8 +3,8 @@
 // channel and prints each one's detection statistics and verdict. -proto
 // selects the victim PHY: zigbee (constellation cumulants + D²E, the
 // default) or lora (dechirp off-peak energy ratio, the Wi-Lo defense).
-// -stream n replays n frames per class: zigbee through the k-of-n
-// cumulant monitor, lora through the generic streaming engine.
+// -stream n instead embeds n frames per class in one capture and
+// classifies it through the streaming engine hideseekd serves.
 //
 // Usage:
 //
@@ -34,6 +34,9 @@ import (
 	_ "hideseek/internal/phy/zigbeephy"
 )
 
+// zigbeeSyncThreshold is the CLI's historical zigbee operating point.
+const zigbeeSyncThreshold = 0.3
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "ctcdefend:", err)
@@ -47,7 +50,7 @@ func run() error {
 	snr := flag.Float64("snr", 15, "AWGN SNR in dB")
 	threshold := flag.Float64("threshold", 0, "decision threshold Q (0 = protocol default)")
 	realEnv := flag.Bool("real", false, "add multipath, Doppler and CFO (real environment, Sec. VI-C)")
-	streamN := flag.Int("stream", 0, "stream this many frames per class: zigbee runs the k-of-n monitor, lora the generic engine (0 = single-shot)")
+	streamN := flag.Int("stream", 0, "stream this many frames per class through the streaming engine (0 = single-shot)")
 	in := flag.String("in", "", "classify a captured 4 MS/s waveform file (.cf32 or .csv) instead of generated ones")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
@@ -55,16 +58,21 @@ func run() error {
 	if *in != "" {
 		return classifyFile(*in, *proto, *threshold, *realEnv)
 	}
+	var (
+		observed   []complex128
+		sampleRate float64
+		err        error
+	)
 	switch *proto {
 	case "zigbee":
+		observed, err = zigbee.NewTransmitter().TransmitPSDU([]byte(*payload))
+		sampleRate = zigbee.SampleRate
 	case "lora":
-		return runLoRa(*payload, *snr, *threshold, *realEnv, *seed, *streamN)
+		observed, err = lora.NewTransmitter().TransmitPayload([]byte(*payload))
+		sampleRate = lora.SampleRate
 	default:
 		return fmt.Errorf("-proto %q not supported (registered: %v)", *proto, phy.Protocols())
 	}
-
-	tx := zigbee.NewTransmitter()
-	observed, err := tx.TransmitPSDU([]byte(*payload))
 	if err != nil {
 		return err
 	}
@@ -76,46 +84,34 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	var ch channel.Channel
-	awgn, err := channel.NewAWGN(*snr, rng)
+	if *streamN > 0 {
+		return runStream(*proto, observed, res.Emulated4M, *snr, *threshold, *realEnv, sampleRate, *streamN, *seed)
+	}
+	ch, err := buildChannel(*snr, *realEnv, sampleRate, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
-	ch = awgn
-	if *realEnv {
-		mp, err := channel.NewRicianMultipath(3, 0.35, 8, rng)
-		if err != nil {
-			return err
-		}
-		doppler, err := channel.NewDopplerPhaseNoise(2e-4, rng)
-		if err != nil {
-			return err
-		}
-		cfo, err := channel.NewCFO(100, zigbee.SampleRate, rng.Float64()*6.28)
-		if err != nil {
-			return err
-		}
-		ch, err = channel.NewChain(mp, doppler, cfo, awgn)
-		if err != nil {
-			return err
-		}
+	if *proto == "lora" {
+		return runLoRa(ch, observed, res.Emulated4M, *snr, *threshold, *realEnv)
 	}
+	return runZigBee(ch, observed, res.Emulated4M, *snr, *threshold, *realEnv)
+}
 
-	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: 0.3})
+// runZigBee classifies the authentic and the emulated O-QPSK waveform
+// through the channel with the constellation-cumulant defense.
+func runZigBee(ch channel.Channel, observed, emulated []complex128, snr, threshold float64, realEnv bool) error {
+	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: zigbeeSyncThreshold})
 	if err != nil {
 		return err
 	}
 	det, err := emulation.NewDetector(emulation.DefenseConfig{
-		Threshold:  *threshold,
-		RemoveMean: *realEnv,
-		UseAbsC40:  *realEnv,
+		Threshold:  threshold,
+		RemoveMean: realEnv,
+		UseAbsC40:  realEnv,
 	})
 	if err != nil {
 		return err
 	}
-
 	analyze := func(name string, wave []complex128) error {
 		rec, err := rx.Receive(ch.Apply(wave))
 		if err != nil {
@@ -126,55 +122,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		verdict := "AUTHENTIC (H0)"
-		if v.Attack {
-			verdict = "ATTACK (H1)"
-		}
 		fmt.Printf("%-9s Ĉ40 = %+.4f%+.4fi  Ĉ42 = %+.4f  D²E = %.4f  → %s\n",
-			name, real(v.Cumulants.C40), imag(v.Cumulants.C40), v.Cumulants.C42, v.DistanceSquared, verdict)
+			name, real(v.Cumulants.C40), imag(v.Cumulants.C40), v.Cumulants.C42, v.DistanceSquared, verdictLabel(v.Attack))
 		return nil
 	}
-
-	fmt.Printf("channel: SNR %g dB, real environment: %v, Q = %g\n", *snr, *realEnv, det.Threshold())
-	if *streamN > 0 {
-		return runStream(rx, ch, observed, res.Emulated4M, *streamN, emulation.DefenseConfig{
-			Threshold:  *threshold,
-			RemoveMean: *realEnv,
-			UseAbsC40:  *realEnv,
-		})
-	}
+	fmt.Printf("channel: SNR %g dB, real environment: %v, Q = %g\n", snr, realEnv, det.Threshold())
 	if err := analyze("authentic", observed); err != nil {
 		return err
 	}
-	return analyze("emulated", res.Emulated4M)
+	return analyze("emulated", emulated)
 }
 
-// runLoRa is the Wi-Lo demo: authentic CSS frames and their WiFi-emulated
-// counterparts through the channel, classified by the dechirp
-// off-peak-energy defense — single-shot by default, or streamN frames per
-// class through the generic streaming engine.
-func runLoRa(payload string, snr, threshold float64, realEnv bool, seed int64, streamN int) error {
-	tx := lora.NewTransmitter()
-	observed, err := tx.TransmitPayload([]byte(payload))
-	if err != nil {
-		return err
-	}
-	em, err := emulation.NewEmulator(emulation.AttackConfig{})
-	if err != nil {
-		return err
-	}
-	res, err := em.Emulate(observed)
-	if err != nil {
-		return err
-	}
-	if streamN > 0 {
-		return runLoRaStream(observed, res.Emulated4M, snr, threshold, realEnv, streamN, seed)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ch, err := buildChannel(snr, realEnv, lora.SampleRate, rng)
-	if err != nil {
-		return err
-	}
+// runLoRa is the Wi-Lo demo: the authentic CSS frame and its
+// WiFi-emulated counterpart through the channel, classified by the dechirp
+// off-peak-energy defense.
+func runLoRa(ch channel.Channel, observed, emulated []complex128, snr, threshold float64, realEnv bool) error {
 	rx, err := lora.NewReceiver(lora.ReceiverConfig{})
 	if err != nil {
 		return err
@@ -193,32 +155,36 @@ func runLoRa(payload string, snr, threshold float64, realEnv bool, seed int64, s
 		if err != nil {
 			return err
 		}
-		verdict := "AUTHENTIC (H0)"
-		if v.Attack {
-			verdict = "ATTACK (H1)"
-		}
 		fmt.Printf("%-9s payload %q  symbols = %d  D² = %.4f  → %s\n",
-			name, rec.Payload, v.Symbols, v.DistanceSquared, verdict)
+			name, rec.Payload, v.Symbols, v.DistanceSquared, verdictLabel(v.Attack))
 		return nil
 	}
 	fmt.Printf("lora channel: SNR %g dB, real environment: %v, Q = %g\n", snr, realEnv, det.Threshold())
 	if err := analyze("authentic", observed); err != nil {
 		return err
 	}
-	return analyze("emulated", res.Emulated4M)
+	return analyze("emulated", emulated)
 }
 
-// loraStreamCapture renders the streaming demo's input: frames authentic
-// CSS frames followed by frames emulated ones, each through its own
-// channel realization, embedded in a noise-floor capture. The
-// channel-applied waveforms are returned alongside so single-shot
-// classification can run on exactly the same inputs (the parity test).
-func loraStreamCapture(observed, emulated []complex128, snr float64, realEnv bool, frames int, seed int64) ([][]complex128, []complex128, error) {
+// verdictLabel names a verdict's hypothesis.
+func verdictLabel(attack bool) string {
+	if attack {
+		return "ATTACK (H1)"
+	}
+	return "AUTHENTIC (H0)"
+}
+
+// streamCapture renders the streaming demo's input: frames authentic
+// frames followed by frames emulated ones, each through its own channel
+// realization, embedded in a noise-floor capture. The channel-applied
+// waveforms are returned alongside so single-shot classification can run
+// on exactly the same inputs (the parity test).
+func streamCapture(observed, emulated []complex128, snr float64, realEnv bool, sampleRate float64, frames int, seed int64) ([][]complex128, []complex128, error) {
 	rng := rand.New(rand.NewSource(seed))
 	wfs := make([][]complex128, 0, 2*frames)
 	for _, wave := range [][]complex128{observed, emulated} {
 		for i := 0; i < frames; i++ {
-			ch, err := buildChannel(snr, realEnv, lora.SampleRate, rng)
+			ch, err := buildChannel(snr, realEnv, sampleRate, rng)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -232,11 +198,11 @@ func loraStreamCapture(observed, emulated []complex128, snr float64, realEnv boo
 	return wfs, capture, nil
 }
 
-// loraStreamVerdicts classifies a capture through the generic streaming
-// engine with the registry-built lora pipeline — the same path hideseekd
-// serves, where the calibration stage hooks in.
-func loraStreamVerdicts(capture []complex128, threshold float64, realEnv bool) ([]stream.Verdict, stream.Stats, error) {
-	pipe, err := phy.Build("lora", phy.Options{Threshold: threshold, RealEnv: realEnv})
+// streamVerdicts classifies a capture through the streaming engine with
+// the registry-built pipeline for proto — the same path hideseekd serves,
+// where the calibration stage hooks in.
+func streamVerdicts(proto string, capture []complex128, threshold float64, realEnv bool) ([]stream.Verdict, stream.Stats, error) {
+	pipe, err := phy.Build(proto, pipelineOptions(proto, threshold, realEnv))
 	if err != nil {
 		return nil, stream.Stats{}, err
 	}
@@ -248,35 +214,41 @@ func loraStreamVerdicts(capture []complex128, threshold float64, realEnv bool) (
 	return verdicts, stats, err
 }
 
-// runLoRaStream prints the generic-engine verdict stream for the demo
-// capture: the first half of the frames is authentic, the second half
-// emulated.
-func runLoRaStream(observed, emulated []complex128, snr, threshold float64, realEnv bool, frames int, seed int64) error {
-	_, capture, err := loraStreamCapture(observed, emulated, snr, realEnv, frames, seed)
+// runStream prints the engine's verdict stream for the demo capture: the
+// first half of the frames is authentic, the second half emulated.
+func runStream(proto string, observed, emulated []complex128, snr, threshold float64, realEnv bool, sampleRate float64, frames int, seed int64) error {
+	_, capture, err := streamCapture(observed, emulated, snr, realEnv, sampleRate, frames, seed)
 	if err != nil {
 		return err
 	}
-	verdicts, stats, err := loraStreamVerdicts(capture, threshold, realEnv)
+	verdicts, stats, err := streamVerdicts(proto, capture, threshold, realEnv)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("lora streaming engine: %d authentic frames, then %d emulated frames\n", frames, frames)
+	fmt.Printf("%s streaming engine: %d authentic frames, then %d emulated frames\n", proto, frames, frames)
 	for i, v := range verdicts {
 		if !v.Decided() {
 			fmt.Printf("frame %2d @%d: not classified (%s)\n", i, v.Offset, v.Err)
 			continue
 		}
-		verdict := "AUTHENTIC (H0)"
-		if v.Attack {
-			verdict = "ATTACK (H1)"
-		}
-		fmt.Printf("frame %2d @%d: payload %q  D² = %.4f  → %s\n", i, v.Offset, v.PSDU, v.DistanceSquared, verdict)
+		fmt.Printf("frame %2d @%d: payload %q  D² = %.4f  → %s\n", i, v.Offset, v.PSDU, v.DistanceSquared, verdictLabel(v.Attack))
 	}
 	if stats.Frames == 0 {
-		return fmt.Errorf("no decodable lora frame in the generated capture")
+		return fmt.Errorf("no decodable %s frame in the generated capture", proto)
 	}
 	writeLatencySummary(os.Stderr, stats, obs.Snap())
 	return nil
+}
+
+// pipelineOptions is the CLI's streaming operating point for proto: the
+// flags' defense threshold and channel variant, plus zigbee's sync
+// threshold.
+func pipelineOptions(proto string, threshold float64, realEnv bool) phy.Options {
+	opts := phy.Options{Threshold: threshold, RealEnv: realEnv}
+	if proto == "zigbee" {
+		opts.SyncThreshold = zigbeeSyncThreshold
+	}
+	return opts
 }
 
 // buildChannel assembles the demo channel: AWGN, optionally preceded by
@@ -325,11 +297,7 @@ func classifyFile(path, proto string, threshold float64, realEnv bool) error {
 	} else {
 		src = iq.NewReaderCF32(f)
 	}
-	opts := phy.Options{Threshold: threshold, RealEnv: realEnv}
-	if proto == "zigbee" {
-		opts.SyncThreshold = 0.3 // the CLI's historical zigbee operating point
-	}
-	pipe, err := phy.Build(proto, opts)
+	pipe, err := phy.Build(proto, pipelineOptions(proto, threshold, realEnv))
 	if err != nil {
 		return fmt.Errorf("-proto: %w (registered: %v)", err, phy.Protocols())
 	}
@@ -339,10 +307,7 @@ func classifyFile(path, proto string, threshold float64, realEnv bool) error {
 			fmt.Printf("%s @%d: frame not classified (%s)\n", path, v.Offset, v.Err)
 			return
 		}
-		verdict := "AUTHENTIC (H0)"
-		if v.Attack {
-			verdict = "ATTACK (H1)"
-		}
+		verdict := verdictLabel(v.Attack)
 		if v.Proto == "lora" {
 			fmt.Printf("%s @%d: payload %q, D² = %.4f → %s\n",
 				path, v.Offset, v.PSDU, v.DistanceSquared, verdict)
@@ -386,43 +351,4 @@ func writeLatencySummary(w io.Writer, stats stream.Stats, snap obs.Snapshot) {
 // fmtNS renders a nanosecond quantile as a human duration.
 func fmtNS(ns float64) string {
 	return time.Duration(ns).Round(100 * time.Nanosecond).String()
-}
-
-// runStream feeds alternating authentic frames followed by an attack burst
-// through the k-of-n monitor.
-func runStream(rx *zigbee.Receiver, ch channel.Channel, authentic, emulated []complex128, frames int, cfg emulation.DefenseConfig) error {
-	sd, err := emulation.NewStreamDetector(cfg, 3, 5)
-	if err != nil {
-		return err
-	}
-	feed := func(label string, wave []complex128, n int) error {
-		for i := 0; i < n; i++ {
-			rec, err := rx.Receive(ch.Apply(wave))
-			if err != nil {
-				fmt.Printf("%s frame %d: reception failed (%v)\n", label, i, err)
-				continue
-			}
-			verdict, alarm, err := sd.Observe(rec)
-			if err != nil {
-				return err
-			}
-			marker := ""
-			if verdict.Attack {
-				marker = " [flagged]"
-			}
-			if alarm {
-				marker += " *** ALARM ***"
-			}
-			fmt.Printf("%s frame %2d: D²E = %.4f%s\n", label, i, verdict.DistanceSquared, marker)
-			if alarm {
-				return nil
-			}
-		}
-		return nil
-	}
-	fmt.Printf("streaming monitor (3-of-5): %d authentic frames, then attack frames\n", frames)
-	if err := feed("authentic", authentic, frames); err != nil {
-		return err
-	}
-	return feed("attack   ", emulated, frames)
 }
