@@ -2,9 +2,9 @@ package hideseek
 
 // The capstone integration test: the complete kill chain of the paper,
 // end to end, with every subsystem in the loop — gateway TX, attacker
-// eavesdropping, CSMA/CA channel access, carrier planning, waveform
-// emulation, the victim's three receiver models, the MAC replay guard,
-// and both the per-frame and streaming defenses.
+// eavesdropping, CSMA/CA channel access, waveform emulation on the
+// 2440 MHz carrier, the victim's three receiver models, the MAC replay
+// guard, and the per-frame defense.
 
 import (
 	"math/rand"
@@ -63,11 +63,7 @@ func TestFullKillChain(t *testing.T) {
 		t.Fatalf("attacker overheard %q", overheard.Payload)
 	}
 
-	// ── Step 2 (Sec. V): plan the carrier and emulate a forged frame.
-	plan, err := emulation.PlanCarrier(2440e6, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// ── Step 2 (Sec. V): emulate a forged frame.
 	em, err := emulation.NewEmulator(emulation.AttackConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +88,12 @@ func TestFullKillChain(t *testing.T) {
 	}
 
 	// ── Step 3: radiate at 2440 MHz; the victim front end mixes down.
-	onAir := emulation.MixForPlan(attack.Emulated20M, plan)
+	onAir := emulation.OnCarrierWaveform(attack.Emulated20M)
 	strikeChannel, err := channel.NewAWGN(15, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atVictimRF, err := emulation.ReceiveForPlan(strikeChannel.Apply(onAir), plan)
+	atVictimRF, err := emulation.ReceiveAtZigBee(strikeChannel.Apply(onAir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func TestFullKillChain(t *testing.T) {
 		t.Fatal("forged frame (fresh sequence) caught by replay guard — should not happen")
 	}
 
-	// ── The PHY defense DOES: per-frame verdict and streaming alarm.
+	// ── The PHY defense DOES.
 	detector, err := emulation.NewDetector(emulation.DefenseConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,25 +176,7 @@ func TestFullKillChain(t *testing.T) {
 		t.Fatalf("defense flagged the legitimate frame: D² = %g", legitVerdict.DistanceSquared)
 	}
 
-	monitor, err := emulation.NewStreamDetector(emulation.DefenseConfig{}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, alarm, err := monitor.Observe(legitRec); err != nil || alarm {
-		t.Fatalf("monitor misbehaved on legit frame: alarm=%v err=%v", alarm, err)
-	}
-	if _, alarm, err := monitor.Observe(vrec); err != nil || alarm {
-		t.Fatalf("monitor alarmed after a single attack frame: alarm=%v err=%v", alarm, err)
-	}
-	_, alarm, err := monitor.Observe(vrec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !alarm {
-		t.Fatal("monitor did not alarm after the second attack frame (2-of-4)")
-	}
-
 	t.Logf("kill chain complete: forged %q decoded by all receivers, replay guard bypassed, "+
-		"PHY defense D² = %.3f (legit %.3f), streaming alarm on frame 2",
+		"PHY defense D² = %.3f (legit %.3f)",
 		forgedDecoded.Payload, verdict.DistanceSquared, legitVerdict.DistanceSquared)
 }

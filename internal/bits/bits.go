@@ -1,7 +1,6 @@
 // Package bits provides bit-level utilities shared by the PHY
-// implementations: bit/byte packing in both bit orders, Gray coding,
-// CRC-16/CCITT (the IEEE 802.15.4 FCS), CRC-32, and the IEEE 802.11
-// frame scrambler.
+// implementations: LSB-first bit/byte packing, Gray decoding, CRC-16/CCITT
+// (the IEEE 802.15.4 FCS), and the IEEE 802.11 frame scrambler.
 package bits
 
 import "fmt"
@@ -39,36 +38,7 @@ func BitsToBytesLSB(bs []Bit) ([]byte, error) {
 	return out, nil
 }
 
-// BytesToBitsMSB unpacks data into bits, most-significant bit first.
-func BytesToBitsMSB(data []byte) []Bit {
-	out := make([]Bit, 0, len(data)*8)
-	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			out = append(out, (b>>uint(i))&1)
-		}
-	}
-	return out
-}
-
-// BitsToBytesMSB packs bits into bytes, most-significant bit first.
-func BitsToBytesMSB(bs []Bit) ([]byte, error) {
-	if len(bs)%8 != 0 {
-		return nil, fmt.Errorf("bits: length %d is not a multiple of 8", len(bs))
-	}
-	out := make([]byte, len(bs)/8)
-	for i, b := range bs {
-		if b > 1 {
-			return nil, fmt.Errorf("bits: value %d at index %d is not a bit", b, i)
-		}
-		out[i/8] |= b << uint(7-i%8)
-	}
-	return out, nil
-}
-
-// GrayEncode converts a binary index to its Gray-coded equivalent.
-func GrayEncode(v uint32) uint32 { return v ^ (v >> 1) }
-
-// GrayDecode inverts GrayEncode.
+// GrayDecode maps a Gray code g = v ^ (v >> 1) back to its binary index v.
 func GrayDecode(g uint32) uint32 {
 	v := g
 	for shift := uint(1); shift < 32; shift <<= 1 {
@@ -91,15 +61,4 @@ func HammingDistance(a, b []Bit) (int, error) {
 		}
 	}
 	return d, nil
-}
-
-// XORInto stores a XOR b into dst. All three must share a length.
-func XORInto(dst, a, b []Bit) error {
-	if len(a) != len(b) || len(dst) != len(a) {
-		return fmt.Errorf("bits: xor length mismatch dst=%d a=%d b=%d", len(dst), len(a), len(b))
-	}
-	for i := range a {
-		dst[i] = a[i] ^ b[i]
-	}
-	return nil
 }

@@ -18,21 +18,3 @@ func CRC16(data []byte) uint16 {
 	}
 	return crc
 }
-
-// CRC32 computes the IEEE 802.3/802.11 FCS (reflected polynomial 0xEDB88320,
-// initial value and final XOR of 0xFFFFFFFF). Implemented locally rather
-// than via hash/crc32 so the PHY packages depend on one bit-utility module.
-func CRC32(data []byte) uint32 {
-	crc := uint32(0xFFFFFFFF)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return crc ^ 0xFFFFFFFF
-}

@@ -36,9 +36,9 @@ func TestAWGNNoisePowerMatchesSNR(t *testing.T) {
 		}
 		x := unitTone(50000)
 		y := ch.Apply(x)
-		diff, err := dsp.Sub(y, x)
-		if err != nil {
-			t.Fatal(err)
+		diff := make([]complex128, len(x))
+		for i := range x {
+			diff[i] = y[i] - x[i]
 		}
 		measured := dsp.Power(diff)
 		if math.Abs(measured-wantNoise)/wantNoise > 0.05 {
@@ -171,53 +171,6 @@ func TestPathLossModel(t *testing.T) {
 	}
 }
 
-func TestPathLossShadowingStatistics(t *testing.T) {
-	m := DefaultIndoorPathLoss()
-	rng := rand.New(rand.NewSource(93))
-	const n = 20000
-	var sum, sumSq float64
-	mean, err := m.LossDB(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, err := m.SampleLossDB(3, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += v - mean
-		sumSq += (v - mean) * (v - mean)
-	}
-	avg := sum / n
-	std := math.Sqrt(sumSq / n)
-	if math.Abs(avg) > 0.1 {
-		t.Errorf("shadowing mean = %g, want ≈ 0", avg)
-	}
-	if math.Abs(std-m.ShadowSigmaDB) > 0.1 {
-		t.Errorf("shadowing std = %g, want %g", std, m.ShadowSigmaDB)
-	}
-	if _, err := m.SampleLossDB(3, nil); err == nil {
-		t.Error("accepted nil rng")
-	}
-}
-
-func TestSNRAtDistanceMonotone(t *testing.T) {
-	m := DefaultIndoorPathLoss()
-	m.ShadowSigmaDB = 0
-	rng := rand.New(rand.NewSource(94))
-	prev := math.Inf(1)
-	for _, d := range []float64{1, 2, 4, 8} {
-		snr, err := m.SNRAtDistance(60, -20, d, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snr >= prev {
-			t.Errorf("SNR at %g m = %g not decreasing (prev %g)", d, snr, prev)
-		}
-		prev = snr
-	}
-}
-
 func TestRayleighRicianStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	const n = 50000
@@ -257,19 +210,19 @@ func TestRayleighRicianStatistics(t *testing.T) {
 
 func TestMultipathValidationAndNormalization(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
-	if _, err := NewMultipath(0, 0.5, rng); err == nil {
+	if _, err := NewRicianMultipath(0, 0.5, 0, rng); err == nil {
 		t.Error("accepted 0 taps")
 	}
-	if _, err := NewMultipath(3, 0, rng); err == nil {
+	if _, err := NewRicianMultipath(3, 0, 0, rng); err == nil {
 		t.Error("accepted decay 0")
 	}
-	if _, err := NewMultipath(3, 1.5, rng); err == nil {
+	if _, err := NewRicianMultipath(3, 1.5, 0, rng); err == nil {
 		t.Error("accepted decay > 1")
 	}
-	if _, err := NewMultipath(3, 0.5, nil); err == nil {
+	if _, err := NewRicianMultipath(3, 0.5, 0, nil); err == nil {
 		t.Error("accepted nil rng")
 	}
-	mp, err := NewMultipath(4, 0.5, rng)
+	mp, err := NewRicianMultipath(4, 0.5, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +237,7 @@ func TestMultipathValidationAndNormalization(t *testing.T) {
 
 func TestMultipathSingleTapIsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	mp, err := NewMultipath(1, 1, rng)
+	mp, err := NewRicianMultipath(1, 1, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +253,7 @@ func TestMultipathSingleTapIsFlat(t *testing.T) {
 
 func TestMultipathPreservesLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
-	mp, err := NewMultipath(6, 0.6, rng)
+	mp, err := NewRicianMultipath(6, 0.6, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

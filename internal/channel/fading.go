@@ -33,35 +33,6 @@ type Multipath struct {
 	taps []complex128
 }
 
-// NewMultipath draws a random multipath realization. numTaps is the channel
-// length in samples; decay is the per-tap power decay factor in (0, 1].
-// The realization is normalized to unit average power so path loss remains
-// a separate concern.
-func NewMultipath(numTaps int, decay float64, rng *rand.Rand) (*Multipath, error) {
-	if numTaps < 1 {
-		return nil, fmt.Errorf("channel: numTaps %d < 1", numTaps)
-	}
-	if decay <= 0 || decay > 1 {
-		return nil, fmt.Errorf("channel: decay %v outside (0, 1]", decay)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("channel: nil rng")
-	}
-	taps := make([]complex128, numTaps)
-	var power float64
-	weight := 1.0
-	for i := range taps {
-		taps[i] = RayleighGain(rng) * complex(math.Sqrt(weight), 0)
-		power += weight
-		weight *= decay
-	}
-	norm := complex(1/math.Sqrt(totalPower(taps)), 0)
-	for i := range taps {
-		taps[i] *= norm
-	}
-	return &Multipath{taps: taps}, nil
-}
-
 // NewRicianMultipath draws a multipath realization whose first tap is
 // Rician with the given K-factor — a line-of-sight-dominated channel
 // matching the short indoor links of the paper's testbed (1–8 m with the

@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // PathLossModel is the log-distance model with log-normal shadowing:
@@ -44,26 +43,4 @@ func (m PathLossModel) LossDB(d float64) (float64, error) {
 		return 0, fmt.Errorf("channel: reference distance %v must be positive", m.RefDistance)
 	}
 	return m.RefLossDB + 10*m.Exponent*math.Log10(d/m.RefDistance), nil
-}
-
-// SampleLossDB returns the path loss at d including a shadowing draw.
-func (m PathLossModel) SampleLossDB(d float64, rng *rand.Rand) (float64, error) {
-	mean, err := m.LossDB(d)
-	if err != nil {
-		return 0, err
-	}
-	if rng == nil {
-		return 0, fmt.Errorf("channel: nil rng")
-	}
-	return mean + rng.NormFloat64()*m.ShadowSigmaDB, nil
-}
-
-// SNRAtDistance converts a transmit power budget into the receive SNR at
-// distance d: txPowerDB − PL(d) − noiseFloorDB, with shadowing.
-func (m PathLossModel) SNRAtDistance(txPowerDB, noiseFloorDB, d float64, rng *rand.Rand) (float64, error) {
-	loss, err := m.SampleLossDB(d, rng)
-	if err != nil {
-		return 0, err
-	}
-	return txPowerDB - loss - noiseFloorDB, nil
 }

@@ -55,18 +55,6 @@ func TestPlanZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestFilterSameIntoZeroAllocs(t *testing.T) {
-	lp, err := DesignLowPass(0.1, 41, Blackman)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randSignal(400, 5)
-	dst := make([]complex128, len(src))
-	if n := testing.AllocsPerRun(20, func() { lp.FilterSameInto(dst, src) }); n != 0 {
-		t.Fatalf("FilterSameInto allocated %v per run, want 0", n)
-	}
-}
-
 func TestProcessIntoZeroAllocs(t *testing.T) {
 	ip, err := NewInterpolator(5, 8)
 	if err != nil {
@@ -109,20 +97,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 	}
 
-	lp, err := DesignLowPass(0.2, 21, Blackman)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := randSignal(200, 9)
-	same := lp.FilterSame(x)
-	dst := make([]complex128, len(x))
-	lp.FilterSameInto(dst, x)
-	for i := range same {
-		if dst[i] != same[i] {
-			t.Fatalf("FilterSameInto[%d] = %v, want %v", i, dst[i], same[i])
-		}
-	}
-
 	ip, err := NewInterpolator(5, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -86,10 +86,3 @@ func benchCorrelator(b *testing.B, direct bool) {
 
 func BenchmarkCorrelatorFFT(b *testing.B)    { benchCorrelator(b, false) }
 func BenchmarkCorrelatorDirect(b *testing.B) { benchCorrelator(b, true) }
-
-func BenchmarkGoertzel(b *testing.B) {
-	x := benchSignal(64)
-	for i := 0; i < b.N; i++ {
-		Goertzel(x, 3)
-	}
-}

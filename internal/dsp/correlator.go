@@ -305,9 +305,15 @@ func (c *Correlator) ExactAt(x []complex128, lag int) float64 {
 
 // syncGuard is how far below the threshold, or below the screen maximum
 // of a refinement range, a screen value may sit and still be confirmed
-// with ExactAt. Screen and exact values differ by rounding (~1e-15
-// relative), far below this margin, so no sync decision and no reported
-// peak depends on the screen's rounding.
+// with ExactAt. Screen and exact values differ by the transform's
+// rounding: against a 200-bit DFT, the FFT's relative error measured
+// 2.4e-14 at 2048 points and 3.9e-13 at 16384 points. For inputs of
+// moderate dynamic range that is far below this margin, so no sync
+// decision and no reported peak depends on the screen's rounding. The
+// open exception is a capture holding a finite but huge sample (1e10 or
+// more near a frame): its rounding then swamps the window's own energy,
+// so the screen can miss a lag that ExactAt would pass, and a frame the
+// direct search finds goes unreported.
 const syncGuard = 1e-9
 
 // FirstCrossing finds the EARLIEST frame start in x: the first lag whose

@@ -1,11 +1,10 @@
 // Package dsp provides the signal-processing substrate used by every PHY in
 // the repository: complex-vector arithmetic, FFT/IFFT, sample-rate
-// conversion, FIR filtering, windows, correlation, and waveform quality
-// metrics. Everything operates on []complex128 baseband samples.
+// conversion, FIR low-pass design, windows, correlation and spectral
+// estimation. Everything operates on []complex128 baseband samples.
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -17,37 +16,6 @@ func Scale(x []complex128, a complex128) []complex128 {
 		out[i] = v * a
 	}
 	return out
-}
-
-// ScaleInPlace multiplies every element of x by a.
-func ScaleInPlace(x []complex128, a complex128) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Add returns x + y element-wise. Lengths must match.
-func Add(x, y []complex128) ([]complex128, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("dsp: add length mismatch %d vs %d", len(x), len(y))
-	}
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out, nil
-}
-
-// Sub returns x − y element-wise. Lengths must match.
-func Sub(x, y []complex128) ([]complex128, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("dsp: sub length mismatch %d vs %d", len(x), len(y))
-	}
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out, nil
 }
 
 // Energy returns the total energy Σ|x|².
@@ -65,34 +33,6 @@ func Power(x []complex128) float64 {
 		return 0
 	}
 	return Energy(x) / float64(len(x))
-}
-
-// MaxAbs returns the largest magnitude in x, or 0 for an empty slice.
-func MaxAbs(x []complex128) float64 {
-	var m float64
-	for _, v := range x {
-		if a := cmplx.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Normalize scales x to unit mean power and returns the scaled copy. A
-// zero-power input is returned unchanged (as a copy) because there is no
-// meaningful scale.
-func Normalize(x []complex128) []complex128 {
-	p := Power(x)
-	out := make([]complex128, len(x))
-	if p == 0 {
-		copy(out, x)
-		return out
-	}
-	g := complex(1/math.Sqrt(p), 0)
-	for i, v := range x {
-		out[i] = v * g
-	}
-	return out
 }
 
 // Conj returns the element-wise complex conjugate of x.
@@ -118,24 +58,6 @@ func Imag(x []complex128) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
 		out[i] = imag(v)
-	}
-	return out
-}
-
-// Abs returns element-wise magnitudes.
-func Abs(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// Phase returns element-wise phase angles in radians.
-func Phase(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Phase(v)
 	}
 	return out
 }

@@ -2,49 +2,15 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestScaleAndAddSub(t *testing.T) {
+func TestScale(t *testing.T) {
 	x := []complex128{1 + 1i, 2}
-	y := []complex128{0 + 1i, -1}
-
 	got := Scale(x, 2)
 	if got[0] != 2+2i || got[1] != 4 {
 		t.Errorf("Scale = %v", got)
-	}
-
-	sum, err := Add(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[0] != 1+2i || sum[1] != 1 {
-		t.Errorf("Add = %v", sum)
-	}
-
-	diff, err := Sub(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff[0] != 1 || diff[1] != 3 {
-		t.Errorf("Sub = %v", diff)
-	}
-
-	if _, err := Add(x, y[:1]); err == nil {
-		t.Error("Add accepted mismatched lengths")
-	}
-	if _, err := Sub(x, y[:1]); err == nil {
-		t.Error("Sub accepted mismatched lengths")
-	}
-}
-
-func TestScaleInPlace(t *testing.T) {
-	x := []complex128{1, 2i}
-	ScaleInPlace(x, 3)
-	if x[0] != 3 || x[1] != 6i {
-		t.Errorf("ScaleInPlace = %v", x)
 	}
 }
 
@@ -61,46 +27,15 @@ func TestEnergyPower(t *testing.T) {
 	}
 }
 
-func TestNormalizeUnitPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := randComplexSlice(rng, 500)
-	ScaleInPlace(x, 7)
-	y := Normalize(x)
-	if p := Power(y); math.Abs(p-1) > 1e-9 {
-		t.Errorf("normalized power = %g, want 1", p)
-	}
-	zeros := Normalize(make([]complex128, 4))
-	if Power(zeros) != 0 {
-		t.Error("Normalize of zero signal should stay zero")
-	}
-}
-
 func TestComponentExtraction(t *testing.T) {
 	x := []complex128{3 + 4i, -1 - 1i}
 	re, im := Real(x), Imag(x)
 	if re[0] != 3 || re[1] != -1 || im[0] != 4 || im[1] != -1 {
 		t.Errorf("Real/Imag = %v %v", re, im)
 	}
-	abs := Abs(x)
-	if math.Abs(abs[0]-5) > 1e-12 {
-		t.Errorf("Abs[0] = %g, want 5", abs[0])
-	}
-	ph := Phase([]complex128{1i})
-	if math.Abs(ph[0]-math.Pi/2) > 1e-12 {
-		t.Errorf("Phase = %g, want π/2", ph[0])
-	}
 	cj := Conj(x)
 	if cj[0] != 3-4i {
 		t.Errorf("Conj = %v", cj)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if m := MaxAbs([]complex128{1, 3i, -2}); math.Abs(m-3) > 1e-12 {
-		t.Errorf("MaxAbs = %g, want 3", m)
-	}
-	if m := MaxAbs(nil); m != 0 {
-		t.Errorf("MaxAbs(nil) = %g", m)
 	}
 }
 
@@ -114,82 +49,5 @@ func TestDBRoundTrip(t *testing.T) {
 	}
 	if !math.IsInf(DB(0), -1) || !math.IsInf(DB(-1), -1) {
 		t.Error("DB of non-positive ratio should be -Inf")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-12 || math.Abs(std-2) > 1e-12 {
-		t.Errorf("MeanStd = %g, %g; want 5, 2", mean, std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Error("MeanStd(nil) should be 0,0")
-	}
-}
-
-func TestNMSE(t *testing.T) {
-	x := []complex128{1, 1, 1, 1}
-	y := []complex128{1, 1, 1, 0}
-	got, err := NMSE(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("NMSE = %g, want 0.25", got)
-	}
-	if _, err := NMSE(x, y[:2]); err == nil {
-		t.Error("NMSE accepted mismatched lengths")
-	}
-	if _, err := NMSE(make([]complex128, 3), make([]complex128, 3)); err == nil {
-		t.Error("NMSE accepted zero-energy reference")
-	}
-}
-
-func TestEVMPercent(t *testing.T) {
-	ideal := []complex128{1, -1, 1i, -1i}
-	meas := make([]complex128, len(ideal))
-	copy(meas, ideal)
-	evm, err := EVMPercent(ideal, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evm != 0 {
-		t.Errorf("EVM of perfect signal = %g", evm)
-	}
-	meas[0] = 1.1
-	evm, err = EVMPercent(ideal, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(evm-5) > 1e-9 { // sqrt(0.01/4)*100
-		t.Errorf("EVM = %g, want 5", evm)
-	}
-}
-
-func TestSNREstimate(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	clean := randComplexSlice(rng, 20000)
-	noisy := make([]complex128, len(clean))
-	sigma := 0.1 // noise power 2σ² = 0.02 per complex dim pair
-	for i := range clean {
-		noisy[i] = clean[i] + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-	}
-	snr, err := SNREstimate(clean, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSNR := Power(clean) / (2 * sigma * sigma)
-	if math.Abs(snr-wantSNR)/wantSNR > 0.05 {
-		t.Errorf("SNR = %g, want ≈ %g", snr, wantSNR)
-	}
-	perfect, err := SNREstimate(clean, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(perfect, 1) {
-		t.Errorf("noiseless SNR = %g, want +Inf", perfect)
-	}
-	if _, err := SNREstimate(clean, clean[:5]); err == nil {
-		t.Error("SNREstimate accepted mismatched lengths")
 	}
 }

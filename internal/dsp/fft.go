@@ -237,17 +237,6 @@ func (p *Plan) transform(dst, src []complex128, inverse bool) {
 	}
 }
 
-// FFTShift rotates a spectrum so the DC bin moves to the center,
-// i.e. output index 0 holds the most negative frequency.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
 // BinFrequency returns the signed frequency in Hz of FFT bin k for an
 // n-point transform at the given sample rate. Bins above n/2 map to
 // negative frequencies.
@@ -259,22 +248,4 @@ func BinFrequency(k, n int, sampleRate float64) (float64, error) {
 		return float64(k) * sampleRate / float64(n), nil
 	}
 	return float64(k-n) * sampleRate / float64(n), nil
-}
-
-// Goertzel evaluates a single DFT bin k of x, equivalent to FFT(x)[k] but in
-// O(N) with O(1) memory — the receiver-side spot checks use it.
-func Goertzel(x []complex128, k int) complex128 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	w := 2 * math.Pi * float64(k) / float64(n)
-	coeff := complex(2*math.Cos(w), 0)
-	ew := cmplx.Rect(1, w)
-	var s1, s2 complex128
-	for _, v := range x {
-		s0 := v + coeff*s1 - s2
-		s2, s1 = s1, s0
-	}
-	return ew*s1 - s2
 }

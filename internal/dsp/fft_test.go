@@ -159,21 +159,6 @@ func TestFFTEmpty(t *testing.T) {
 	}
 }
 
-func TestFFTShift(t *testing.T) {
-	in := []complex128{0, 1, 2, 3}
-	got := FFTShift(in)
-	want := []complex128{2, 3, 0, 1}
-	if d := maxDeviation(got, want); d != 0 {
-		t.Errorf("FFTShift = %v, want %v", got, want)
-	}
-	inOdd := []complex128{0, 1, 2, 3, 4}
-	gotOdd := FFTShift(inOdd)
-	wantOdd := []complex128{3, 4, 0, 1, 2}
-	if d := maxDeviation(gotOdd, wantOdd); d != 0 {
-		t.Errorf("FFTShift odd = %v, want %v", gotOdd, wantOdd)
-	}
-}
-
 func TestBinFrequency(t *testing.T) {
 	fs := 20e6
 	tests := []struct {
@@ -200,20 +185,5 @@ func TestBinFrequency(t *testing.T) {
 	}
 	if _, err := BinFrequency(-1, 64, fs); err == nil {
 		t.Error("BinFrequency accepted negative bin")
-	}
-}
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x := randComplexSlice(rng, 64)
-	spec := FFT(x)
-	for _, k := range []int{0, 1, 3, 31, 32, 61, 63} {
-		got := Goertzel(x, k)
-		if cmplx.Abs(got-spec[k]) > 1e-8 {
-			t.Errorf("Goertzel bin %d = %v, FFT = %v", k, got, spec[k])
-		}
-	}
-	if got := Goertzel(nil, 0); got != 0 {
-		t.Errorf("Goertzel(nil) = %v, want 0", got)
 	}
 }

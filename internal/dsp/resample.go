@@ -83,9 +83,9 @@ func (ip *Interpolator) ProcessInto(dst, x []complex128) {
 }
 
 // processInto filters the zero-stuffed stream s (s[m·factor] = scaled[m],
-// zero elsewhere) into dst. Output i is FilterSameInto's Σ taps[i+d−k]·s[k]
-// over k in [i+d−(len(taps)−1), i+d] ∩ [0, len(s)), with the zero inputs
-// skipped — so only k = m·factor is visited.
+// zero elsewhere) into dst. Output i is the FIR's sameAt(s, i):
+// Σ taps[i+d−k]·s[k] over k in [i+d−(len(taps)−1), i+d] ∩ [0, len(s)),
+// with the zero inputs skipped — so only k = m·factor is visited.
 func (ip *Interpolator) processInto(dst, x, scaled []complex128) {
 	f := ip.factor
 	gain := complex(float64(f), 0) // compensate zero-stuffing energy loss
@@ -152,8 +152,9 @@ func NewDecimator(factor int) (*Decimator, error) {
 func (d *Decimator) Factor() int { return d.factor }
 
 // Process low-pass filters and downsamples x, returning samples 0, factor,
-// 2·factor, … of FilterSame(x) in a freshly allocated slice (the only
-// per-call allocation). Only those outputs are computed.
+// 2·factor, … of the delay-compensated filtering of x (FIR.sameAt) in a
+// freshly allocated slice (the only per-call allocation). Only those
+// outputs are computed.
 func (d *Decimator) Process(x []complex128) []complex128 {
 	if d.factor == 1 {
 		out := make([]complex128, len(x))

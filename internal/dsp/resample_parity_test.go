@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// refFilterSame is the direct same-length convolution FilterSameInto
-// computes: for each output, the taps against the inputs in ascending index
-// order, zero inputs skipped.
+// refFilterSame is the direct same-length convolution whose outputs
+// FIR.sameAt computes one at a time: for each output, the taps against the
+// inputs in ascending index order, zero inputs skipped.
 func refFilterSame(f *FIR, x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	d := f.GroupDelay()
@@ -144,13 +144,17 @@ func TestDecimatorMatchesFilterThenStrideOracle(t *testing.T) {
 	}
 }
 
-func TestFilterSameIntoMatchesDirectOracle(t *testing.T) {
+func TestSameAtMatchesDirectOracle(t *testing.T) {
 	f, err := DesignLowPass(0.1, 41, Blackman)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, x := range parityInputs() {
-		if err := sameBits(f.FilterSame(x), refFilterSame(f, x)); err != nil {
+		got := make([]complex128, len(x))
+		for i := range got {
+			got[i] = f.sameAt(x, i)
+		}
+		if err := sameBits(got, refFilterSame(f, x)); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -61,7 +61,7 @@ func TestInterpolatorReconstructsBandLimited(t *testing.T) {
 	// (edges excluded — the FIR has transients there).
 	guard := 20
 	var worst float64
-	scale := MaxAbs(x)
+	scale := maxAbs(x)
 	for i := guard; i < len(x)-guard; i++ {
 		if d := cmplx.Abs(y[i*5]-x[i]) / scale; d > worst {
 			worst = d
@@ -88,7 +88,7 @@ func TestInterpolateThenDecimateRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip length = %d, want %d", len(down), len(x))
 	}
 	guard := 30
-	scale := MaxAbs(x)
+	scale := maxAbs(x)
 	for i := guard; i < len(x)-guard; i++ {
 		if d := cmplx.Abs(down[i]-x[i]) / scale; d > 0.03 {
 			t.Fatalf("sample %d deviates by %g", i, d)
@@ -148,4 +148,13 @@ func TestInterpolatorPreservesTone(t *testing.T) {
 			t.Fatalf("sample %d: got %v want %v", i, y[i], want)
 		}
 	}
+}
+
+// maxAbs returns the largest magnitude in x.
+func maxAbs(x []complex128) float64 {
+	var m float64
+	for _, v := range x {
+		m = math.Max(m, cmplx.Abs(v))
+	}
+	return m
 }

@@ -6,23 +6,9 @@ import "math"
 // (first and last coefficients equal), which keeps FIR designs linear-phase.
 type WindowFunc func(n int) []float64
 
-// Rectangular returns the all-ones window.
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // Hann returns the raised-cosine window.
 func Hann(n int) []float64 {
 	return cosineWindow(n, []float64{0.5, 0.5})
-}
-
-// Hamming returns the Hamming window (first sidelobe ≈ −43 dB).
-func Hamming(n int) []float64 {
-	return cosineWindow(n, []float64{0.54, 0.46})
 }
 
 // Blackman returns the three-term Blackman window (sidelobes ≈ −58 dB),

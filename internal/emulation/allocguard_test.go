@@ -9,8 +9,9 @@ import (
 
 // Steady-state allocation guard for the detect path (DESIGN.md §15): the
 // value-returning AnalyzeReception (what BenchmarkDetectorAnalyze times)
-// must not allocate once the pooled constellation workspace has warmed,
-// for both the plain and mean-removed (RemoveMean) configurations.
+// and the by-value Analyze(chips) entry point under it must not allocate
+// once the pooled constellation workspace has warmed, for both the plain
+// and mean-removed (RemoveMean) configurations.
 func TestDetectReceptionZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	chips := make([]float64, 512)
@@ -40,12 +41,12 @@ func TestDetectReceptionZeroAllocs(t *testing.T) {
 			t.Errorf("cfg %+v: AnalyzeReception allocates %v times per op, want 0", cfg, allocs)
 		}
 		allocs = testing.AllocsPerRun(50, func() {
-			if _, err := det.AnalyzeReception(rec); err != nil {
+			if _, err := det.Analyze(chips); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("cfg %+v: AnalyzeReception allocates %v times per op, want 0", cfg, allocs)
+			t.Errorf("cfg %+v: Analyze allocates %v times per op, want 0", cfg, allocs)
 		}
 	}
 }

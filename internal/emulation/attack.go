@@ -285,32 +285,6 @@ func (e *Emulator) Emulate(observed []complex128) (*Result, error) {
 	return res, nil
 }
 
-// SegmentNMSE returns the per-WiFi-symbol tail NMSE — the diagnostic that
-// shows where the emulation struggles (segments with chip transitions at
-// the CP seam reproduce worst). Index i covers samples
-// [80i+16, 80(i+1)) of the 20 MS/s waveform.
-func (r *Result) SegmentNMSE() ([]float64, error) {
-	if len(r.Emulated20M) != len(r.Observed20M) {
-		return nil, fmt.Errorf("emulation: length mismatch %d vs %d", len(r.Emulated20M), len(r.Observed20M))
-	}
-	out := make([]float64, r.NumSegments)
-	for s := 0; s < r.NumSegments; s++ {
-		base := s * wifi.SymbolSamples
-		var ref, errE float64
-		for i := base + wifi.CPLength; i < base+wifi.SymbolSamples; i++ {
-			d := r.Emulated20M[i] - r.Observed20M[i]
-			errE += real(d)*real(d) + imag(d)*imag(d)
-			ref += real(r.Observed20M[i])*real(r.Observed20M[i]) + imag(r.Observed20M[i])*imag(r.Observed20M[i])
-		}
-		if ref == 0 {
-			out[s] = 0
-			continue
-		}
-		out[s] = errE / ref
-	}
-	return out, nil
-}
-
 // TailNMSE measures the emulation fidelity over the 3.2 µs tails only (the
 // CP region is wrong by construction — Fig. 5 shows exactly this split).
 func (r *Result) TailNMSE() (float64, error) {

@@ -154,46 +154,6 @@ func TestEmulateTailFidelity(t *testing.T) {
 	}
 }
 
-func TestSegmentNMSEConsistentWithTailNMSE(t *testing.T) {
-	obs := observeFrame(t, []byte("00000"))
-	em, err := NewEmulator(AttackConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := em.Emulate(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSeg, err := res.SegmentNMSE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(perSeg) != res.NumSegments {
-		t.Fatalf("%d per-segment values", len(perSeg))
-	}
-	total, err := res.TailNMSE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every segment NMSE is non-negative, and the aggregate lies within
-	// the per-segment range.
-	min, max := perSeg[0], perSeg[0]
-	for _, v := range perSeg {
-		if v < 0 {
-			t.Fatalf("negative NMSE %g", v)
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if total < min || total > max {
-		t.Errorf("aggregate NMSE %g outside per-segment range [%g, %g]", total, min, max)
-	}
-}
-
 func TestSkipQuantizationIsStrictlyBetter(t *testing.T) {
 	obs := observeFrame(t, []byte("00000"))
 	emQ, err := NewEmulator(AttackConfig{})

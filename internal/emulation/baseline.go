@@ -12,50 +12,6 @@ import (
 // rejects in Sec. VI-A-1 — they exist so the evaluation can demonstrate
 // *why* they fail (Figs. 8 and 9), exactly as the paper does.
 
-// CPRepetitionScore measures the mean normalized correlation between the
-// cyclic-prefix position (first 0.8 µs) and the tail (last 0.8 µs) of each
-// 4 µs window of a 20 MS/s waveform. Emulated waveforms score 1.0 in the
-// noiseless case; authentic ZigBee waveforms score whatever their
-// self-similarity happens to be. Under noise and fading the two
-// distributions overlap, which is the paper's argument for rejecting this
-// defense.
-func CPRepetitionScore(waveform20M []complex128) (float64, error) {
-	if len(waveform20M) < wifi.SymbolSamples {
-		return 0, fmt.Errorf("emulation: waveform shorter than one WiFi symbol")
-	}
-	n := len(waveform20M) / wifi.SymbolSamples
-	var sum float64
-	for s := 0; s < n; s++ {
-		seg := waveform20M[s*wifi.SymbolSamples : (s+1)*wifi.SymbolSamples]
-		corr, err := wifi.VerifyCyclicPrefix(seg)
-		if err != nil {
-			return 0, err
-		}
-		sum += corr
-	}
-	return sum / float64(n), nil
-}
-
-// CPRepetitionDetector flags waveforms whose CP-position self-correlation
-// exceeds a threshold.
-type CPRepetitionDetector struct {
-	// Threshold on the mean CP correlation; sensible values sit in (0, 1).
-	Threshold float64
-}
-
-// Detect returns true when the waveform looks like it carries cyclic
-// prefixes.
-func (d CPRepetitionDetector) Detect(waveform20M []complex128) (bool, float64, error) {
-	if d.Threshold <= 0 || d.Threshold >= 1 {
-		return false, 0, fmt.Errorf("emulation: CP threshold %v outside (0, 1)", d.Threshold)
-	}
-	score, err := CPRepetitionScore(waveform20M)
-	if err != nil {
-		return false, 0, err
-	}
-	return score > d.Threshold, score, nil
-}
-
 // FrequencyProfile summarizes the OQPSK demodulation output (instantaneous
 // frequency) of a waveform — the paper's Fig. 9a candidate. The paper
 // rejects it because authentic and emulated waveforms share the trend; the
@@ -133,17 +89,4 @@ func DownsampledCPSegmentScores(waveform4M []complex128) ([]float64, error) {
 		out[s] = dsp.SegmentCorrelation(seg[:cpLen], seg[symbolLen-cpLen:])
 	}
 	return out, nil
-}
-
-// DownsampledCPScore averages DownsampledCPSegmentScores over the packet.
-func DownsampledCPScore(waveform4M []complex128) (float64, error) {
-	scores, err := DownsampledCPSegmentScores(waveform4M)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, v := range scores {
-		sum += v
-	}
-	return sum / float64(len(scores)), nil
 }

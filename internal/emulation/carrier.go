@@ -8,7 +8,6 @@ import (
 	"hideseek/internal/bits"
 	"hideseek/internal/dsp"
 	"hideseek/internal/wifi"
-	"hideseek/internal/zigbee"
 )
 
 // CarrierOffsetHz is the spacing between the attacker's WiFi center
@@ -181,10 +180,4 @@ func CodedEmulation(res *Result, tx *wifi.Transmitter) (*CodedResult, error) {
 		AtVictim4M:    atVictim,
 		TargetHitRate: float64(hits) / float64(total),
 	}, nil
-}
-
-// ZigBeeSampleBudget returns how many 4 MS/s samples an emulated waveform
-// yields for n ZigBee symbols — a convenience for sizing buffers.
-func ZigBeeSampleBudget(numZigBeeSymbols int) int {
-	return numZigBeeSymbols * zigbee.SamplesPerSymbol
 }

@@ -129,9 +129,3 @@ func TestCodedEmulation(t *testing.T) {
 		t.Error("accepted unquantized result")
 	}
 }
-
-func TestZigBeeSampleBudget(t *testing.T) {
-	if got := ZigBeeSampleBudget(3); got != 3*zigbee.SamplesPerSymbol {
-		t.Errorf("budget = %d", got)
-	}
-}

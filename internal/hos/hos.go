@@ -2,8 +2,7 @@
 // second-order moments C20/C21 and fourth-order cumulants C40/C41/C42 with
 // their sample estimators (paper Eqs. 5–9), the theoretical cumulant table
 // for common constellations (Table III), a Euclidean/Voronoi constellation
-// classifier, k-means clustering for constellation visualization, and
-// histogram helpers.
+// classifier, and k-means clustering for constellation visualization.
 package hos
 
 import (
@@ -47,35 +46,6 @@ func Estimate(d []complex128) (Cumulants, error) {
 }
 
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
-
-// EstimateNoiseCorrected estimates cumulants with the additive-noise
-// correction of Sec. VI-B-2: complex Gaussian noise contributes nothing to
-// the fourth-order cumulants (Gaussian cumulants above order 2 vanish) but
-// inflates C̃21 by the noise power, biasing the normalized Ĉ4q toward
-// zero. Subtracting a known/estimated noise power from C̃21 before
-// normalizing removes that bias, so Ĉ42 stays near −1 for clean QPSK even
-// at low SNR.
-func EstimateNoiseCorrected(d []complex128, noisePower float64) (Cumulants, error) {
-	if noisePower < 0 {
-		return Cumulants{}, fmt.Errorf("hos: negative noise power %v", noisePower)
-	}
-	raw, err := estimateRaw(d)
-	if err != nil {
-		return Cumulants{}, err
-	}
-	signalPower := raw.c21 - noisePower
-	if signalPower <= 0 {
-		return Cumulants{}, fmt.Errorf("hos: noise power %v ≥ measured power %v", noisePower, raw.c21)
-	}
-	norm := complex(signalPower*signalPower, 0)
-	return Cumulants{
-		C20: raw.c20 / complex(signalPower, 0),
-		C21: signalPower,
-		C40: raw.c40 / norm,
-		C41: raw.c41 / norm,
-		C42: raw.c42 / (signalPower * signalPower),
-	}, nil
-}
 
 // rawCumulants holds unnormalized sample cumulants.
 type rawCumulants struct {

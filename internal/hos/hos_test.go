@@ -293,63 +293,6 @@ func TestC41Behavior(t *testing.T) {
 	}
 }
 
-func TestEstimateNoiseCorrectedRemovesBias(t *testing.T) {
-	// At 5 dB the plain estimate of QPSK's C42 is biased toward zero by
-	// the factor (1+1/γ)²; the corrected estimate must land near −1.
-	rng := rand.New(rand.NewSource(107))
-	const n = 300000
-	gamma := math.Pow(10, 0.5) // 5 dB
-	noisePower := 1 / gamma
-	sigma := math.Sqrt(noisePower / 2)
-	d := drawConstellation("QPSK", n, rng)
-	for i := range d {
-		d[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-	}
-	plain, err := Estimate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrected, err := EstimateNoiseCorrected(d, noisePower)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(plain.C42+1) < 0.2 {
-		t.Errorf("plain C42 = %g — bias missing, test vacuous", plain.C42)
-	}
-	if math.Abs(corrected.C42+1) > 0.07 {
-		t.Errorf("corrected C42 = %g, want ≈ −1", corrected.C42)
-	}
-	if math.Abs(real(corrected.C40)-1) > 0.07 {
-		t.Errorf("corrected C40 = %v, want ≈ 1", corrected.C40)
-	}
-}
-
-func TestEstimateNoiseCorrectedValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(108))
-	d := drawConstellation("QPSK", 100, rng)
-	if _, err := EstimateNoiseCorrected(d, -1); err == nil {
-		t.Error("accepted negative noise power")
-	}
-	if _, err := EstimateNoiseCorrected(d, 100); err == nil {
-		t.Error("accepted noise power above signal power")
-	}
-	if _, err := EstimateNoiseCorrected(nil, 0.1); err == nil {
-		t.Error("accepted empty input")
-	}
-	// Zero noise power degenerates to the plain estimate.
-	plain, err := Estimate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := EstimateNoiseCorrected(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(plain.C42-zero.C42) > 1e-12 {
-		t.Error("zero-noise correction altered the estimate")
-	}
-}
-
 func TestLookupTheoretical(t *testing.T) {
 	row, err := LookupTheoretical("QPSK")
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -98,55 +97,5 @@ func TestKMeansDegenerateIdenticalSamples(t *testing.T) {
 	}
 	if res.WithinSS > 1e-12 {
 		t.Errorf("WSS = %g for identical samples", res.WithinSS)
-	}
-}
-
-func TestIntHistogram(t *testing.T) {
-	h := NewIntHistogram()
-	if h.Total() != 0 || h.Rate(1) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-	if _, err := h.Quantile(0.5); err == nil {
-		t.Error("quantile of empty histogram should error")
-	}
-	for _, v := range []int{4, 5, 5, 6, 6, 6, 8} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Count(6) != 3 {
-		t.Errorf("Count(6) = %d", h.Count(6))
-	}
-	if math.Abs(h.Rate(5)-2.0/7) > 1e-12 {
-		t.Errorf("Rate(5) = %g", h.Rate(5))
-	}
-	if math.Abs(h.Mean()-40.0/7) > 1e-12 {
-		t.Errorf("Mean = %g", h.Mean())
-	}
-	vals := h.Values()
-	if !sort.IntsAreSorted(vals) || len(vals) != 4 {
-		t.Errorf("Values = %v", vals)
-	}
-	if s := h.String(); s != "4:1 5:2 6:3 8:1" {
-		t.Errorf("String = %q", s)
-	}
-	med, err := h.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 6 {
-		t.Errorf("median = %d, want 6", med)
-	}
-	lo, err := h.Quantile(0)
-	if err != nil || lo != 4 {
-		t.Errorf("q0 = %d, %v", lo, err)
-	}
-	hi, err := h.Quantile(1)
-	if err != nil || hi != 8 {
-		t.Errorf("q1 = %d, %v", hi, err)
-	}
-	if _, err := h.Quantile(1.5); err == nil {
-		t.Error("accepted out-of-range quantile")
 	}
 }

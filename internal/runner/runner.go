@@ -242,14 +242,6 @@ func Map[S, T any](p Pool, sw Sweep, n int, newScratch func() (S, error), fn fun
 	return results, nil
 }
 
-// ForEach is Map for trial functions with no result value.
-func ForEach[S any](p Pool, sw Sweep, n int, newScratch func() (S, error), fn func(t Trial, scratch S) error) error {
-	_, err := Map(p, sw, n, newScratch, func(t Trial, s S) (struct{}, error) {
-		return struct{}{}, fn(t, s)
-	})
-	return err
-}
-
 func makeScratch[S any](newScratch func() (S, error)) (S, error) {
 	if newScratch == nil {
 		var zero S

@@ -116,25 +116,10 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	err := ForEach(NewPool(8), Sweep{Seed: 3}, 100, nil,
-		func(tr Trial, _ struct{}) error {
-			sum.Add(int64(tr.Index))
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 99*100/2 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestTrialsExecutedAdvances(t *testing.T) {
 	before := TrialsExecuted()
-	if err := ForEach(NewPool(2), Sweep{Seed: 5}, 10, nil,
-		func(Trial, struct{}) error { return nil }); err != nil {
+	if _, err := Map(NewPool(2), Sweep{Seed: 5}, 10, nil,
+		func(Trial, struct{}) (int, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := TrialsExecuted() - before; got < 10 {

@@ -15,7 +15,7 @@ import (
 type LinkSession struct {
 	// Channel applied to every transmission (both directions).
 	Channel channel.Channel
-	// MaxRetries bounds gateway retransmissions (default 3).
+	// MaxRetries bounds gateway retransmissions.
 	MaxRetries int
 
 	gatewayAddr uint16
@@ -28,11 +28,9 @@ type LinkSession struct {
 	rxGate   *zigbee.Receiver
 }
 
-// NewLinkSession wires a gateway↔device pair over the channel.
-func NewLinkSession(ch channel.Channel, pan, gatewayAddr, deviceAddr uint16) (*LinkSession, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("sim: nil channel")
-	}
+// newLinkSession wires a gateway↔device pair: the transmitter and both
+// receivers, with no channel yet (set Channel before SendCommand).
+func newLinkSession() (*LinkSession, error) {
 	rxD, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: 0.3})
 	if err != nil {
 		return nil, err
@@ -42,11 +40,10 @@ func NewLinkSession(ch channel.Channel, pan, gatewayAddr, deviceAddr uint16) (*L
 		return nil, err
 	}
 	return &LinkSession{
-		Channel:     ch,
 		MaxRetries:  3,
-		gatewayAddr: gatewayAddr,
-		deviceAddr:  deviceAddr,
-		pan:         pan,
+		gatewayAddr: 0x0001,
+		deviceAddr:  0xB01B,
+		pan:         0x1234,
 		tx:          zigbee.NewTransmitter(),
 		rxDevice:    rxD,
 		rxGate:      rxG,
@@ -135,44 +132,21 @@ func SessionReliability(cfg Config) (*SessionReliabilityResult, error) {
 	if commands < 1 {
 		return nil, fmt.Errorf("sim: commands %d < 1", commands)
 	}
-	type sessionKit struct {
-		tx       *zigbee.Transmitter
-		rxDevice *zigbee.Receiver
-		rxGate   *zigbee.Receiver
-	}
 	res := &SessionReliabilityResult{SNRsDB: snrsDB, Commands: commands}
 	for i, snr := range snrsDB {
 		snr := snr
 		// One acknowledged command per trial, each over a private AWGN
 		// realization; the radio hardware (tx + both receivers) is per-worker.
 		outcomes, err := runner.Map(pool(), runner.Sweep{Seed: seed, Base: sweepBase(regionSession, i)}, commands,
-			func() (*sessionKit, error) {
-				rxD, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: 0.3})
-				if err != nil {
-					return nil, err
-				}
-				rxG, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: 0.3})
-				if err != nil {
-					return nil, err
-				}
-				return &sessionKit{tx: zigbee.NewTransmitter(), rxDevice: rxD, rxGate: rxG}, nil
-			},
-			func(t runner.Trial, kit *sessionKit) (*ExchangeResult, error) {
+			newLinkSession,
+			func(t runner.Trial, radios *LinkSession) (*ExchangeResult, error) {
 				awgn, err := channel.NewAWGN(snr, t.RNG)
 				if err != nil {
 					return nil, err
 				}
-				session := &LinkSession{
-					Channel:     awgn,
-					MaxRetries:  3,
-					gatewayAddr: 0x0001,
-					deviceAddr:  0xB01B,
-					pan:         0x1234,
-					seq:         byte(t.Index),
-					tx:          kit.tx,
-					rxDevice:    kit.rxDevice,
-					rxGate:      kit.rxGate,
-				}
+				session := *radios
+				session.Channel = awgn
+				session.seq = byte(t.Index)
 				return session.SendCommand([]byte(fmt.Sprintf("%05d", t.Index)))
 			})
 		if err != nil {

@@ -7,22 +7,17 @@ import (
 	"hideseek/internal/channel"
 )
 
-func TestNewLinkSessionValidation(t *testing.T) {
-	if _, err := NewLinkSession(nil, 1, 2, 3); err == nil {
-		t.Error("accepted nil channel")
-	}
-}
-
 func TestSessionDeliversAtHighSNR(t *testing.T) {
 	rng := rngFor(21, 1)
 	awgn, err := channel.NewAWGN(20, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewLinkSession(awgn, 0x1234, 1, 2)
+	s, err := newLinkSession()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Channel = awgn
 	for i := 0; i < 5; i++ {
 		r, err := s.SendCommand([]byte("light on"))
 		if err != nil {

@@ -457,9 +457,6 @@ func TestProcessOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithMaxPending(-1)); err == nil {
-		t.Fatal("WithMaxPending(-1) accepted")
-	}
 	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithProto("nope")); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}

@@ -3,8 +3,8 @@ package stream
 import "hideseek/internal/calib"
 
 // SessionOption configures one Process session. The variadic-options form
-// is the one session API: protocol selection, per-session backpressure,
-// and shard affinity all travel the same way, so new per-session knobs
+// is the one session API: protocol selection, shard affinity and
+// calibration class all travel the same way, so new per-session knobs
 // never fork the Process signature again.
 type SessionOption func(*sessionOpts)
 
@@ -12,9 +12,8 @@ type SessionOption func(*sessionOpts)
 // means: default protocol, engine-default MaxPending, no shard-affinity
 // key, full-fidelity (non-degraded) operating point.
 type sessionOpts struct {
-	proto      string
-	maxPending int    // 0 = engine default
-	key        string // shard-affinity key ("" = unpinned)
+	proto string
+	key   string // shard-affinity key ("" = unpinned)
 
 	// Online-calibration knobs (no-ops when the engine runs without
 	// Config.Calibration): the session class whose rolling D²
@@ -27,22 +26,16 @@ type sessionOpts struct {
 
 	// Degraded operating point, set by fleet admission control (never by
 	// callers): raised sync threshold scale and a tightened in-flight
-	// budget.
-	degraded  bool
-	syncScale float64
+	// budget (0 = engine default).
+	degraded   bool
+	syncScale  float64
+	maxPending int
 }
 
 // WithProto binds the session to the named victim-PHY protocol ("" = the
 // engine's default, its first configured pipeline).
 func WithProto(proto string) SessionOption {
 	return func(o *sessionOpts) { o.proto = proto }
-}
-
-// WithMaxPending overrides the engine's per-session in-flight frame bound
-// for this session (0 keeps the engine default; values < 1 after
-// defaulting are rejected by Process).
-func WithMaxPending(n int) SessionOption {
-	return func(o *sessionOpts) { o.maxPending = n }
 }
 
 // WithSessionKey sets the session's shard-affinity key: a Fleet routes
@@ -71,16 +64,6 @@ func WithCalibClass(class string) SessionOption {
 // fallback threshold's own decisions). Ignored without Config.Calibration.
 func WithWarmupLabel(l calib.Label) SessionOption {
 	return func(o *sessionOpts) { o.warmupLabel = l }
-}
-
-// withDegrade is the internal option fleet admission control applies to
-// sessions admitted under the degrade tier.
-func withDegrade(syncScale float64, maxPending int) SessionOption {
-	return func(o *sessionOpts) {
-		o.degraded = true
-		o.syncScale = syncScale
-		o.maxPending = maxPending
-	}
 }
 
 // resolveOpts folds a Process call's options into one sessionOpts.

@@ -229,16 +229,16 @@ func TestTruncatedFinalFrame(t *testing.T) {
 	}
 }
 
-// TestReplaySourceDeterministic: same seed → same stream → same verdicts.
-func TestReplaySourceDeterministic(t *testing.T) {
+// TestBuildCaptureDeterministic: same seed → same capture → same verdicts.
+func TestBuildCaptureDeterministic(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("det"))
 	run := func() []Verdict {
-		src, err := NewReplaySource(rand.New(rand.NewSource(42)), 1e-3, 800, authentic, emulated)
+		capture, err := BuildCapture(rand.New(rand.NewSource(42)), 1e-3, 800, authentic, emulated)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []Verdict
-		if _, err := Process(context.Background(), testConfig(t), src, func(v Verdict) {
+		if _, err := Process(context.Background(), testConfig(t), NewSliceSource(capture), func(v Verdict) {
 			got = append(got, v)
 		}); err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ type Session struct {
 	seq        uint64
 	sid        uint64      // engine-unique session id, stamped on traces
 	tracer     *obs.Tracer // nil when tracing is off
-	maxPending int         // per-session in-flight bound (engine default or WithMaxPending)
+	maxPending int         // per-session in-flight bound (engine default, or the degrade tier's)
 	degraded   bool        // admitted under the degrade tier; stamped on every Verdict
 	tenant     string      // normalized session key for heavy-hitter attribution
 
@@ -151,9 +151,8 @@ func (s *Session) detector() (phy.Detector, float64, string) {
 // the calling goroutine runs ingest + preamble scanning, workers run
 // decode + the defense, and emit observes every Verdict in stream order.
 // Options select the session's protocol (WithProto; default = the first
-// configured pipeline), its in-flight frame bound (WithMaxPending), and
-// its shard-affinity key (WithSessionKey — meaningful on a Fleet,
-// accepted and ignored here).
+// configured pipeline) and its shard-affinity key (WithSessionKey —
+// meaningful on a Fleet, accepted and ignored here).
 //
 // emit is called from a dedicated per-session delivery goroutine with no
 // locks held — a slow consumer throttles only its own session (its
@@ -183,9 +182,6 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so sessionOpts) (Stats, error) {
 	if src == nil {
 		return Stats{}, fmt.Errorf("stream: nil source")
-	}
-	if so.maxPending < 0 {
-		return Stats{}, fmt.Errorf("stream: max pending %d < 1", so.maxPending)
 	}
 	pipe, err := e.pipeline(so.proto)
 	if err != nil {

@@ -36,36 +36,14 @@ func (s *SliceSource) ReadBlock(dst []complex128) (int, error) {
 	return n, nil
 }
 
-// ReplaySource is the in-process synthetic source: it replays a list of
-// waveforms (authentic transmissions, emulated attacks, or a mix)
-// separated by noise-floor gaps, deterministically by seed. It is what
-// the tests and the smoke target use to stand in for live SDR traffic.
-type ReplaySource struct {
-	slice *SliceSource
-}
-
-// NewReplaySource concatenates the given waveforms with gap noise-floor
-// samples before, between, and after them. noiseStd sets the Gaussian
-// noise floor per I/Q axis (it must be positive: a mathematically silent
-// gap has zero energy, which no real front end ever sees and which makes
-// normalized correlation degenerate). The rng makes the stream
-// deterministic by seed.
-func NewReplaySource(rng *rand.Rand, noiseStd float64, gap int, waveforms ...[]complex128) (*ReplaySource, error) {
-	capture, err := BuildCapture(rng, noiseStd, gap, waveforms...)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplaySource{slice: NewSliceSource(capture)}, nil
-}
-
-// ReadBlock implements Source.
-func (s *ReplaySource) ReadBlock(dst []complex128) (int, error) {
-	return s.slice.ReadBlock(dst)
-}
-
-// BuildCapture renders the concatenated capture a ReplaySource streams —
-// exposed so equivalence tests can run the batch receiver over the exact
-// same samples.
+// BuildCapture renders a synthetic capture: the given waveforms
+// (authentic transmissions, emulated attacks, or a mix) with gap
+// noise-floor samples before, between, and after them. noiseStd sets the
+// Gaussian noise floor per I/Q axis (it must be positive: a silent gap has
+// zero energy, which no real front end ever sees and which makes
+// normalized correlation degenerate). The rng makes the capture
+// deterministic by seed. Stream it through a SliceSource; the batch
+// receivers can read the exact same samples.
 func BuildCapture(rng *rand.Rand, noiseStd float64, gap int, waveforms ...[]complex128) ([]complex128, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("stream: nil rng")

@@ -11,8 +11,8 @@
 //
 // Stage by stage:
 //   - A Source yields fixed-size sample blocks (wrap iq.ReaderCF32 for
-//     cf32 pipes, SliceSource for in-memory captures, ReplaySource for
-//     synthetic traffic).
+//     cf32 pipes, SliceSource for in-memory captures such as the
+//     synthetic ones BuildCapture renders).
 //   - Each session owns a sliding window buffer whose overlap policy
 //     makes preamble synchronization byte-identical to whole-capture
 //     processing for captures whose detected frames all decode:

@@ -33,17 +33,6 @@ func BenchmarkViterbiDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkConvInvert(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	coded := ConvEncode(randomBits(rng, 576))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ConvInvert(coded); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkQAM64MapDemap(b *testing.B) {
 	c, err := NewConstellation(QAM64)
 	if err != nil {

@@ -34,42 +34,9 @@ func ConvEncode(in []bits.Bit) []bits.Bit {
 	return out
 }
 
-// ConvInvert recovers the encoder input from a *noiseless* coded stream.
-// Generator A (133 octal = 1011011₂) taps the current input and state bits
-// 2,3,5,6, so with the running state known each input bit is one XOR — the
-// invertibility the paper's attacker exploits to obtain MAC data bits from
-// target QAM points. Inconsistent streams (that no encoder could emit) are
-// reported as errors.
-func ConvInvert(coded []bits.Bit) ([]bits.Bit, error) {
-	if len(coded)%2 != 0 {
-		return nil, fmt.Errorf("wifi: coded length %d is odd", len(coded))
-	}
-	n := len(coded) / 2
-	out := make([]bits.Bit, n)
-	state := 0
-	for t := 0; t < n; t++ {
-		a := coded[2*t]
-		b := coded[2*t+1]
-		if a > 1 || b > 1 {
-			return nil, fmt.Errorf("wifi: non-bit value in coded stream at %d", t)
-		}
-		// genA without the newest-bit tap:
-		par := bits.Bit(mathbits.OnesCount(uint(state&genA)) & 1)
-		x := a ^ par
-		reg := int(x)<<(constraintLen-1) | state
-		wantB := bits.Bit(mathbits.OnesCount(uint(reg&genB)) & 1)
-		if wantB != b {
-			return nil, fmt.Errorf("wifi: coded stream inconsistent at bit pair %d", t)
-		}
-		out[t] = x
-		state = reg >> 1
-	}
-	return out, nil
-}
-
 // ViterbiDecode performs hard-decision maximum-likelihood decoding of the
 // interleaved coded stream, returning the most probable input sequence.
-// It tolerates channel bit errors, unlike ConvInvert. Positions holding
+// It tolerates channel bit errors. Positions holding
 // Erasure (inserted by Depuncture) cost nothing against either branch.
 func ViterbiDecode(coded []bits.Bit) ([]bits.Bit, error) {
 	if len(coded)%2 != 0 {

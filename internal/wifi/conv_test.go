@@ -43,43 +43,6 @@ func TestConvEncodeRate(t *testing.T) {
 	}
 }
 
-func TestConvInvertRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		in := bits.BytesToBitsLSB(data)
-		back, err := ConvInvert(ConvEncode(in))
-		if err != nil || len(back) != len(in) {
-			return false
-		}
-		for i := range in {
-			if in[i] != back[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConvInvertDetectsInconsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	in := randomBits(rng, 64)
-	coded := ConvEncode(in)
-	// Flip one output bit: the stream can no longer be an exact encoder
-	// output, and the inconsistency must surface at or after the flip.
-	coded[20] ^= 1
-	if _, err := ConvInvert(coded); err == nil {
-		t.Error("accepted a corrupted coded stream")
-	}
-	if _, err := ConvInvert(coded[:5]); err == nil {
-		t.Error("accepted odd-length stream")
-	}
-	if _, err := ConvInvert([]bits.Bit{7, 0}); err == nil {
-		t.Error("accepted non-bit values")
-	}
-}
-
 func TestViterbiDecodesCleanStream(t *testing.T) {
 	f := func(data []byte) bool {
 		if len(data) == 0 {

@@ -23,32 +23,11 @@ func Example() {
 	// rate 54 Mb/s, 10-byte PSDU: "hello wifi"
 }
 
-// ExampleSyncReceiver decodes a frame with unknown delay and channel gain.
-func ExampleSyncReceiver() {
-	frame, err := wifi.BuildFrame([]byte{0xCA, 0xFE}, wifi.Rate12, 0x5D)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Delay by 123 samples and scale by a complex gain.
-	wave := make([]complex128, 123+len(frame)+40)
-	for i, v := range frame {
-		wave[123+i] = v * (0.4 - 0.3i)
-	}
-	rx := wifi.NewSyncReceiver()
-	psdu, sig, err := rx.Receive(wave)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("found rate-%d frame: %x\n", int(sig.Rate), psdu)
-	// Output:
-	// found rate-12 frame: cafe
-}
-
-// ExampleConvEncode demonstrates the invertibility the attacker exploits.
+// ExampleConvEncode encodes bits at rate 1/2 and decodes them back.
 func ExampleConvEncode() {
 	data := []byte{1, 0, 1, 1, 0, 0, 1, 0}
 	coded := wifi.ConvEncode(data)
-	back, err := wifi.ConvInvert(coded)
+	back, err := wifi.ViterbiDecode(coded)
 	if err != nil {
 		log.Fatal(err)
 	}

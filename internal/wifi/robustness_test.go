@@ -23,24 +23,6 @@ func TestDecodeFrameNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-// TestSyncReceiverNeverPanicsOnGarbage fuzzes the synchronizing decoder.
-func TestSyncReceiverNeverPanicsOnGarbage(t *testing.T) {
-	rx := NewSyncReceiver()
-	f := func(seed int64, lenSel uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(lenSel%3000) + 1
-		w := make([]complex128, n)
-		for i := range w {
-			w[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		_, _, _ = rx.Receive(w)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSignalFieldCorruptionDetection flips bits of an encoded SIGNAL
 // symbol's subcarriers and checks that decoding either fails (parity or
 // unknown rate) or returns a plausible field — never panics, and single
@@ -71,25 +53,6 @@ func TestSignalFieldCorruptionDetection(t *testing.T) {
 	// for the vast majority of positions.
 	if recovered < 48 {
 		t.Errorf("only %d/64 single-bin corruptions recovered", recovered)
-	}
-}
-
-// TestConvInvertFuzz ensures the strict inverse never panics on arbitrary
-// bit patterns.
-func TestConvInvertFuzz(t *testing.T) {
-	f := func(data []byte) bool {
-		in := make([]byte, len(data))
-		for i, b := range data {
-			in[i] = b & 1
-		}
-		if len(in)%2 != 0 {
-			in = in[:len(in)-len(in)%2]
-		}
-		_, _ = ConvInvert(in)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

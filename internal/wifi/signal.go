@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hideseek/internal/bits"
-	"hideseek/internal/dsp"
 )
 
 // Rate identifies an 802.11g ERP-OFDM data rate.
@@ -218,7 +217,3 @@ func bpskPoint(b bits.Bit) complex128 {
 	}
 	return -1
 }
-
-// SignalSymbolPower is exposed for tests: SIGNAL symbols use unit-power
-// BPSK points like every other symbol.
-func SignalSymbolPower(symbol []complex128) float64 { return dsp.Power(symbol) }

@@ -167,9 +167,12 @@ func BenchmarkClockRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	cr := DefaultClockRecovery()
+	soft := make([]float64, len(chips))
+	timing := make([]float64, len(chips)/2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cr.Recover(wave, len(chips)); err != nil {
+		if err := cr.RecoverInto(soft, timing, wave); err != nil {
 			b.Fatal(err)
 		}
 	}

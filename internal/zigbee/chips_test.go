@@ -210,7 +210,7 @@ func TestDespreadSoftBeatsHardAtHighNoise(t *testing.T) {
 		if sres[0].Symbol == sym {
 			softOK++
 		}
-		hres, err := DespreadHard(HardChips(soft), DefaultHammingThreshold)
+		hres, err := DespreadHard(hardChips(soft), DefaultHammingThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +235,8 @@ func TestBytesSymbolsRoundTrip(t *testing.T) {
 			t.Errorf("symbol %d = %#x, want %#x", i, syms[i], want[i])
 		}
 	}
-	back, err := SymbolsToBytes(syms)
-	if err != nil {
+	back := make([]byte, len(syms)/2)
+	if err := SymbolsToBytesInto(back, syms); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -244,32 +244,10 @@ func TestBytesSymbolsRoundTrip(t *testing.T) {
 			t.Errorf("byte %d = %#x, want %#x", i, back[i], data[i])
 		}
 	}
-	if _, err := SymbolsToBytes([]byte{1}); err == nil {
+	if err := SymbolsToBytesInto(nil, []byte{1}); err == nil {
 		t.Error("accepted odd symbol count")
 	}
-	if _, err := SymbolsToBytes([]byte{1, 16}); err == nil {
+	if err := SymbolsToBytesInto(make([]byte, 1), []byte{1, 16}); err == nil {
 		t.Error("accepted 5-bit symbol")
-	}
-}
-
-func TestChannelFrequency(t *testing.T) {
-	f, err := ChannelFrequency(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 2435e6 {
-		t.Errorf("channel 17 = %g, want 2435 MHz", f)
-	}
-	if f, _ := ChannelFrequency(11); f != 2405e6 {
-		t.Errorf("channel 11 = %g", f)
-	}
-	if f, _ := ChannelFrequency(26); f != 2480e6 {
-		t.Errorf("channel 26 = %g", f)
-	}
-	if _, err := ChannelFrequency(10); err == nil {
-		t.Error("accepted channel 10")
-	}
-	if _, err := ChannelFrequency(27); err == nil {
-		t.Error("accepted channel 27")
 	}
 }

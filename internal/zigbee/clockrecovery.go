@@ -2,7 +2,6 @@ package zigbee
 
 import (
 	"fmt"
-	"math"
 )
 
 // ClockRecovery is an early–late gate symbol-timing loop for the half-sine
@@ -13,7 +12,7 @@ import (
 // and a first-order loop filter tracks the offset.
 //
 // On a clean O-QPSK waveform the loop locks to the pulse peaks and the
-// output matches PeakChips. On a distorted waveform — such as the OFDM
+// output matches PeakChipsInto. On a distorted waveform — such as the OFDM
 // emulation with its per-segment cyclic-prefix seams and quantization
 // ripple — the detector output is noisy, the timing estimate jitters, and
 // the chip samples pick up the amplitude modulation that the paper's
@@ -39,33 +38,10 @@ type RecoveredChips struct {
 	Timing []float64
 }
 
-// Recover runs the loop over a chip-aligned waveform and extracts numChips
-// soft chip values.
-func (c ClockRecovery) Recover(waveform []complex128, numChips int) (*RecoveredChips, error) {
-	if c.Mu <= 0 || c.Mu > 1 {
-		return nil, fmt.Errorf("zigbee: clock recovery gain %v outside (0, 1]", c.Mu)
-	}
-	if c.MaxOffset <= 0 || c.MaxOffset >= SamplesPerPulse/2 {
-		return nil, fmt.Errorf("zigbee: max offset %v outside (0, %d)", c.MaxOffset, SamplesPerPulse/2)
-	}
-	if numChips <= 0 || numChips%2 != 0 {
-		return nil, fmt.Errorf("zigbee: invalid chip count %d", numChips)
-	}
-	pairs := numChips / 2
-	out := &RecoveredChips{
-		Soft:   make([]float64, numChips),
-		Timing: make([]float64, pairs),
-	}
-	if err := c.RecoverInto(out.Soft, out.Timing, waveform); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RecoverInto is Recover writing the loop output into caller-provided
-// buffers (usually arena carves) without allocating: soft receives
-// len(soft) chips and timing the per-pair estimates, so len(timing) must
-// be len(soft)/2. The produced values are bitwise identical to Recover's.
+// RecoverInto runs the loop over a chip-aligned waveform, writing its
+// output into caller-provided buffers (usually arena carves) without
+// allocating: soft receives len(soft) chips and timing the per-pair
+// estimates, so len(timing) must be len(soft)/2.
 func (c ClockRecovery) RecoverInto(soft, timing []float64, waveform []complex128) error {
 	if c.Mu <= 0 || c.Mu > 1 {
 		return fmt.Errorf("zigbee: clock recovery gain %v outside (0, 1]", c.Mu)
@@ -110,25 +86,6 @@ func (c ClockRecovery) RecoverInto(soft, timing []float64, waveform []complex128
 		}
 	}
 	return nil
-}
-
-// TimingJitter returns the standard deviation of the timing track — a
-// scalar "how unlocked was the loop" diagnostic.
-func (r *RecoveredChips) TimingJitter() float64 {
-	if len(r.Timing) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, v := range r.Timing {
-		mean += v
-	}
-	mean /= float64(len(r.Timing))
-	var ss float64
-	for _, v := range r.Timing {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(r.Timing)))
 }
 
 func sign(v float64) float64 {

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// recoverChips runs the loop into fresh buffers for numChips chips.
+func recoverChips(c ClockRecovery, wave []complex128, numChips int) (*RecoveredChips, error) {
+	r := &RecoveredChips{Soft: make([]float64, numChips), Timing: make([]float64, numChips/2)}
+	return r, c.RecoverInto(r.Soft, r.Timing, wave)
+}
+
+// timingJitter is the standard deviation of a timing track: how far the
+// loop wandered.
+func timingJitter(timing []float64) float64 {
+	var mean, ss float64
+	for _, v := range timing {
+		mean += v
+	}
+	mean /= float64(len(timing))
+	for _, v := range timing {
+		ss += (v - mean) * (v - mean)
+	}
+	return math.Sqrt(ss / float64(len(timing)))
+}
+
 func TestClockRecoveryValidation(t *testing.T) {
 	good := DefaultClockRecovery()
 	chips := randomChips(rand.New(rand.NewSource(1)), 64)
@@ -13,16 +33,16 @@ func TestClockRecoveryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (ClockRecovery{Mu: 0, MaxOffset: 1}).Recover(wave, 64); err == nil {
+	if _, err := recoverChips(ClockRecovery{Mu: 0, MaxOffset: 1}, wave, 64); err == nil {
 		t.Error("accepted zero gain")
 	}
-	if _, err := (ClockRecovery{Mu: 0.05, MaxOffset: 2}).Recover(wave, 64); err == nil {
+	if _, err := recoverChips(ClockRecovery{Mu: 0.05, MaxOffset: 2}, wave, 64); err == nil {
 		t.Error("accepted max offset ≥ half pulse")
 	}
-	if _, err := good.Recover(wave, 63); err == nil {
+	if _, err := recoverChips(good, wave, 63); err == nil {
 		t.Error("accepted odd chip count")
 	}
-	if _, err := good.Recover(wave[:16], 64); err == nil {
+	if _, err := recoverChips(good, wave[:16], 64); err == nil {
 		t.Error("accepted short waveform")
 	}
 }
@@ -34,7 +54,7 @@ func TestClockRecoveryLocksOnCleanWaveform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := DefaultClockRecovery().Recover(wave, len(chips))
+	rec, err := recoverChips(DefaultClockRecovery(), wave, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +71,7 @@ func TestClockRecoveryLocksOnCleanWaveform(t *testing.T) {
 			t.Fatalf("chip %d flipped", i)
 		}
 	}
-	if j := rec.TimingJitter(); j > 0.05 {
+	if j := timingJitter(rec.Timing); j > 0.05 {
 		t.Errorf("timing jitter on clean waveform = %g", j)
 	}
 	for _, tau := range rec.Timing {
@@ -71,7 +91,7 @@ func TestClockRecoveryPullsInStaticOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	shifted := append(make([]complex128, 1), wave...)
-	rec, err := DefaultClockRecovery().Recover(shifted, len(chips))
+	rec, err := recoverChips(DefaultClockRecovery(), shifted, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +114,6 @@ func TestClockRecoveryPullsInStaticOffset(t *testing.T) {
 	}
 }
 
-func TestTimingJitterEmpty(t *testing.T) {
-	r := &RecoveredChips{}
-	if r.TimingJitter() != 0 {
-		t.Error("empty jitter should be 0")
-	}
-}
-
 func TestPeakChipsMatchesModulatedAmplitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	chips := randomChips(rng, 128)
@@ -108,7 +121,7 @@ func TestPeakChipsMatchesModulatedAmplitudes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peaks, err := PeakChips(wave, len(chips))
+	peaks, err := chipsInto(PeakChipsInto, wave, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +134,10 @@ func TestPeakChipsMatchesModulatedAmplitudes(t *testing.T) {
 			t.Fatalf("chip %d peak = %g, want %g", i, peaks[i], want)
 		}
 	}
-	if _, err := PeakChips(wave, 3); err == nil {
+	if _, err := chipsInto(PeakChipsInto, wave, 3); err == nil {
 		t.Error("accepted odd chip count")
 	}
-	if _, err := PeakChips(wave[:4], 8); err == nil {
+	if _, err := chipsInto(PeakChipsInto, wave[:4], 8); err == nil {
 		t.Error("accepted short waveform")
 	}
 }
@@ -138,7 +151,7 @@ func TestDiscriminatorChipsConstantMagnitudeOnCleanWaveform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := DiscriminatorChips(wave, len(chips))
+	disc, err := chipsInto(DiscriminatorChipsInto, wave, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +166,10 @@ func TestDiscriminatorChipsConstantMagnitudeOnCleanWaveform(t *testing.T) {
 			t.Fatalf("chip %d discriminator value %g, want ±1", i+1, v)
 		}
 	}
-	if _, err := DiscriminatorChips(wave, 0); err == nil {
+	if _, err := chipsInto(DiscriminatorChipsInto, wave, 0); err == nil {
 		t.Error("accepted zero chips")
 	}
-	if _, err := DiscriminatorChips(wave[:8], 64); err == nil {
+	if _, err := chipsInto(DiscriminatorChipsInto, wave[:8], 64); err == nil {
 		t.Error("accepted short waveform")
 	}
 }
@@ -171,7 +184,7 @@ func TestDiscriminatorChipsEncodeMSKDifferentially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := DiscriminatorChips(wave, len(chips))
+	d1, err := chipsInto(DiscriminatorChipsInto, wave, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +194,7 @@ func TestDiscriminatorChipsEncodeMSKDifferentially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := DiscriminatorChips(wave2, len(chips2))
+	d2, err := chipsInto(DiscriminatorChipsInto, wave2, len(chips2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,11 @@ package zigbee
 import (
 	"fmt"
 	"math/rand"
-
-	"hideseek/internal/dsp"
 )
 
 // This file implements the unslotted CSMA/CA algorithm of IEEE 802.15.4
-// §6.2.5.1 together with energy-detection clear channel assessment — the
-// mechanism the WiFi attacker uses to confirm "that ZigBee devices are not
+// §6.2.5.1 together with clear channel assessment against a modelled
+// medium — the mechanism the WiFi attacker uses to confirm "that ZigBee devices are not
 // communicating" before transmitting the emulated waveform (paper Sec. IV-B).
 
 // CSMA timing constants (2.4 GHz O-QPSK PHY).
@@ -133,21 +131,4 @@ func PerformCSMA(cfg CSMAConfig, medium Medium, startUs float64, rng *rand.Rand)
 			be++
 		}
 	}
-}
-
-// EnergyDetect performs sample-domain CCA: it measures the mean power of a
-// received window and compares it against a threshold in dB relative to
-// unit power. This is what the attacker applies to its own front-end
-// samples to sense nearby ZigBee activity.
-func EnergyDetect(window []complex128, thresholdDB float64) (bool, float64, error) {
-	if len(window) == 0 {
-		return false, 0, fmt.Errorf("zigbee: empty CCA window")
-	}
-	level := dsp.DB(dsp.Power(window))
-	return level > thresholdDB, level, nil
-}
-
-// CCASamples returns how many 4 MS/s samples an 8-symbol CCA spans.
-func CCASamples() int {
-	return int(CCADurationUs * SampleRate / 1e6)
 }

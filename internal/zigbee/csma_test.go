@@ -120,35 +120,3 @@ func TestPeriodicTrafficWindows(t *testing.T) {
 		t.Error("zero-period traffic reported busy")
 	}
 }
-
-func TestEnergyDetect(t *testing.T) {
-	if _, _, err := EnergyDetect(nil, -10); err == nil {
-		t.Error("accepted empty window")
-	}
-	quiet := make([]complex128, 512)
-	for i := range quiet {
-		quiet[i] = complex(0.001, 0)
-	}
-	busy, level, err := EnergyDetect(quiet, -40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if busy {
-		t.Errorf("quiet window flagged busy (level %g dB)", level)
-	}
-	tx := NewTransmitter()
-	wave, err := tx.TransmitPSDU([]byte{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy, level, err = EnergyDetect(wave[:CCASamples()], -40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !busy {
-		t.Errorf("active transmission not detected (level %g dB)", level)
-	}
-	if CCASamples() != 512 {
-		t.Errorf("CCASamples = %d, want 512", CCASamples())
-	}
-}

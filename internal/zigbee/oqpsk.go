@@ -67,26 +67,12 @@ func chipAmplitude(c bits.Bit) float64 {
 	return -1
 }
 
-// Demodulate matched-filters a baseband waveform (assumed chip-aligned:
-// sample 0 is the start of the first I pulse) back into soft chip values.
-// numChips bounds the output; the waveform must be long enough to cover
-// them. The returned slice interleaves I and Q chips in transmit order and
+// DemodulateInto matched-filters a baseband waveform (assumed
+// chip-aligned: sample 0 is the start of the first I pulse) back into
+// len(dst) soft chip values, written into dst (usually a reused scratch or
+// arena carve) without allocating. The waveform must be long enough to
+// cover them. The output interleaves I and Q chips in transmit order and
 // each value is normalized so a clean ±1 pulse yields ±1.
-func Demodulate(waveform []complex128, numChips int) ([]float64, error) {
-	if numChips <= 0 || numChips%2 != 0 {
-		return nil, fmt.Errorf("zigbee: invalid chip count %d", numChips)
-	}
-	soft := make([]float64, numChips)
-	if err := DemodulateInto(soft, waveform); err != nil {
-		return nil, err
-	}
-	return soft, nil
-}
-
-// DemodulateInto is Demodulate writing len(dst) soft chips into dst
-// (usually a reused scratch or arena carve) so hot paths demodulate
-// without allocating. The produced values are bitwise identical to
-// Demodulate's.
 func DemodulateInto(dst []float64, waveform []complex128) error {
 	numChips := len(dst)
 	if numChips <= 0 || numChips%2 != 0 {
@@ -111,26 +97,13 @@ func DemodulateInto(dst []float64, waveform []complex128) error {
 	return nil
 }
 
-// PeakChips samples each half-sine pulse once at its center instead of
-// matched-filtering the whole pulse. This mirrors the one-sample-per-chip
-// stream a clock-recovery loop (e.g. GNU Radio's 802.15.4 receiver) hands
-// to DSSS demodulation — the signal the paper's defense analyzes. Peak
-// sampling preserves waveform distortion that the 4-sample matched filter
-// would average away, which is exactly why the defense taps it.
-func PeakChips(waveform []complex128, numChips int) ([]float64, error) {
-	if numChips <= 0 || numChips%2 != 0 {
-		return nil, fmt.Errorf("zigbee: invalid chip count %d", numChips)
-	}
-	out := make([]float64, numChips)
-	if err := PeakChipsInto(out, waveform); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PeakChipsInto is PeakChips writing len(dst) chip-center samples into
-// dst without allocating. The produced values are bitwise identical to
-// PeakChips'.
+// PeakChipsInto samples each half-sine pulse once at its center instead of
+// matched-filtering the whole pulse, writing len(dst) chips into dst
+// without allocating. This mirrors the one-sample-per-chip stream a
+// clock-recovery loop (e.g. GNU Radio's 802.15.4 receiver) hands to DSSS
+// demodulation — the signal the paper's defense analyzes. Peak sampling
+// preserves waveform distortion that the 4-sample matched filter would
+// average away, which is exactly why the defense taps it.
 func PeakChipsInto(dst []float64, waveform []complex128) error {
 	numChips := len(dst)
 	if numChips <= 0 || numChips%2 != 0 {
@@ -150,10 +123,11 @@ func PeakChipsInto(dst []float64, waveform []complex128) error {
 	return nil
 }
 
-// DiscriminatorChips extracts one real value per chip from the FM
+// DiscriminatorChipsInto extracts one real value per chip from the FM
 // (quadrature) discriminator, the front end of the GNU Radio 802.15.4
 // receiver the paper's experiments build on (Bloessl et al., paper ref
 // [22]): instantaneous frequency → chip-rate sampling → normalization.
+// It writes len(dst) values into dst without allocating.
 //
 // Half-sine O-QPSK is an MSK signal, so a clean waveform has constant
 // instantaneous frequency ±π/4 rad/sample at 2 samples/chip; the output is
@@ -161,23 +135,10 @@ func PeakChipsInto(dst []float64, waveform []complex128) error {
 // distortion — quantization ripple, cyclic-prefix seams — appears directly
 // as frequency excursions, which is what makes the discriminator stream
 // far more revealing for the constellation defense than matched-filter
-// outputs. Each chip averages the two phase increments it spans.
-func DiscriminatorChips(waveform []complex128, numChips int) ([]float64, error) {
-	if numChips <= 0 {
-		return nil, fmt.Errorf("zigbee: invalid chip count %d", numChips)
-	}
-	out := make([]float64, numChips)
-	if err := DiscriminatorChipsInto(out, waveform); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DiscriminatorChipsInto is DiscriminatorChips writing len(dst) values
-// into dst without allocating: the phase increments are evaluated only at
-// the chip-rate sample points instead of materializing the whole
-// InstantaneousFrequency stream, which produces bitwise-identical values
-// (each output depends only on one sample pair).
+// outputs. The phase increments are evaluated only at the chip-rate
+// sample points instead of materializing the whole InstantaneousFrequency
+// stream, which produces bitwise-identical values (each output depends
+// only on one sample pair).
 func DiscriminatorChipsInto(dst []float64, waveform []complex128) error {
 	numChips := len(dst)
 	if numChips <= 0 {
@@ -206,17 +167,6 @@ func DiscriminatorChipsInto(dst []float64, waveform []complex128) error {
 		dst[k] = math.Atan2(im, re) / nominal
 	}
 	return nil
-}
-
-// HardChips slices soft chip values at zero.
-func HardChips(soft []float64) []bits.Bit {
-	out := make([]bits.Bit, len(soft))
-	for i, v := range soft {
-		if v >= 0 {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // InstantaneousFrequency returns the discrete phase derivative of the

@@ -47,11 +47,11 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		soft, err := Demodulate(w, len(chips))
+		soft, err := chipsInto(DemodulateInto, w, len(chips))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hard := HardChips(soft)
+		hard := hardChips(soft)
 		for i := range chips {
 			if hard[i] != chips[i] {
 				t.Fatalf("trial %d chip %d flipped (soft=%g)", trial, i, soft[i])
@@ -65,13 +65,13 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 
 func TestDemodulateValidation(t *testing.T) {
 	w, _ := Modulate(make([]bits.Bit, 4))
-	if _, err := Demodulate(w, 3); err == nil {
+	if _, err := chipsInto(DemodulateInto, w, 3); err == nil {
 		t.Error("accepted odd chip count")
 	}
-	if _, err := Demodulate(w, 0); err == nil {
+	if _, err := chipsInto(DemodulateInto, w, 0); err == nil {
 		t.Error("accepted zero chips")
 	}
-	if _, err := Demodulate(w[:4], 4); err == nil {
+	if _, err := chipsInto(DemodulateInto, w[:4], 4); err == nil {
 		t.Error("accepted short waveform")
 	}
 }
@@ -128,16 +128,6 @@ func TestModulateSpectrumConcentratedIn2MHz(t *testing.T) {
 	}
 }
 
-func TestHardChips(t *testing.T) {
-	got := HardChips([]float64{-0.5, 0.5, 0, -2})
-	want := []bits.Bit{0, 1, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("chip %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestInstantaneousFrequencyOfTone(t *testing.T) {
 	// A pure tone at f has constant phase increment 2πf/fs.
 	n := 100
@@ -169,4 +159,22 @@ func TestSymbolWaveform(t *testing.T) {
 	if _, err := SymbolWaveform(200); err == nil {
 		t.Error("accepted invalid symbol")
 	}
+}
+
+// chipsInto runs one of the allocation-free chip kernels (DemodulateInto,
+// PeakChipsInto, DiscriminatorChipsInto) into a fresh numChips buffer.
+func chipsInto(kernel func([]float64, []complex128) error, wave []complex128, numChips int) ([]float64, error) {
+	dst := make([]float64, max(numChips, 0))
+	return dst, kernel(dst, wave)
+}
+
+// hardChips slices soft chip values at zero.
+func hardChips(soft []float64) []bits.Bit {
+	out := make([]bits.Bit, len(soft))
+	for i, v := range soft {
+		if v >= 0 {
+			out[i] = 1
+		}
+	}
+	return out
 }

@@ -525,9 +525,9 @@ func (rx *Receiver) header(waveform []complex128, start, n int) (acc complex128,
 }
 
 // despreadHardInto despreads soft chips with the hard-decision rule into
-// res, one result per 32-chip window, matching DespreadHard(HardChips(
-// soft), threshold): the symbol at minimum Hamming distance, first index
-// winning ties.
+// res, one result per 32-chip window, matching DespreadHard on the soft
+// chips sliced at zero: the symbol at minimum Hamming distance, first
+// index winning ties.
 func (rx *Receiver) despreadHardInto(res []DespreadResult, soft []float64) error {
 	defer obsDespread.Since(time.Now())
 	if len(soft)%ChipsPerSymbol != 0 {

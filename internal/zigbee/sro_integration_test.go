@@ -64,7 +64,7 @@ func TestClockRecoveryTracksSkew(t *testing.T) {
 	skewed := sro.Apply(wave)
 	numChips := (len(skewed) - QOffsetSamples - 4) / SamplesPerPulse * 2
 	numChips &^= 1
-	rec, err := DefaultClockRecovery().Recover(skewed, numChips)
+	rec, err := recoverChips(DefaultClockRecovery(), skewed, numChips)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,21 +41,6 @@ const (
 // distance 10 of a codeword decodes; anything farther is dropped.
 const DefaultHammingThreshold = 10
 
-// FirstChannel and LastChannel bound the 2.4 GHz channel page.
-const (
-	FirstChannel = 11
-	LastChannel  = 26
-)
-
-// ChannelFrequency returns the center frequency in Hz of a 2.4 GHz band
-// channel (11–26). Channel 17 — the paper's example — is 2435 MHz.
-func ChannelFrequency(ch int) (float64, error) {
-	if ch < FirstChannel || ch > LastChannel {
-		return 0, fmt.Errorf("zigbee: channel %d outside [%d, %d]", ch, FirstChannel, LastChannel)
-	}
-	return 2405e6 + 5e6*float64(ch-FirstChannel), nil
-}
-
 // BytesToSymbols expands octets into 4-bit symbols, low nibble first, per
 // IEEE 802.15.4 §12.2.3.
 func BytesToSymbols(data []byte) []byte {
@@ -66,18 +51,9 @@ func BytesToSymbols(data []byte) []byte {
 	return out
 }
 
-// SymbolsToBytes packs 4-bit symbols back into octets. The symbol count
-// must be even and every symbol < 16.
-func SymbolsToBytes(symbols []byte) ([]byte, error) {
-	out := make([]byte, len(symbols)/2)
-	if err := SymbolsToBytesInto(out, symbols); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SymbolsToBytesInto is SymbolsToBytes packing into dst (which must hold
-// exactly len(symbols)/2 bytes) without allocating.
+// SymbolsToBytesInto packs 4-bit symbols back into octets, low nibble
+// first, into dst (which must hold exactly len(symbols)/2 bytes) without
+// allocating. The symbol count must be even and every symbol < 16.
 func SymbolsToBytesInto(dst []byte, symbols []byte) error {
 	if len(symbols)%2 != 0 {
 		return fmt.Errorf("zigbee: odd symbol count %d", len(symbols))
