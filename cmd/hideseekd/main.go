@@ -175,6 +175,22 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 	}
 
+	// teardown releases what run has acquired, newest first: the
+	// listeners (the raw-TCP one after its sessions drain), then the SLO
+	// engine (no rule evaluates against a half-drained registry) and the
+	// profiler, then the fleet's pools, then the tracer and its sink, so
+	// no frame finishes a trace after the sink closes. Every exit runs it
+	// once; a clean shutdown runs it before the manifest, so the
+	// profiler's final drain lands in the manifest's runtime histograms.
+	var undo []func()
+	teardown := func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
+		}
+		undo = nil
+	}
+	defer teardown()
+
 	var tracer *obs.Tracer
 	var traceSink *os.File
 	if *traceFile != "" && *traces == 0 {
@@ -192,15 +208,14 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		tracer = obs.NewTracer(tcfg)
 	}
-	closeTracer := func() {
+	undo = append(undo, func() {
 		if err := tracer.Close(); err != nil {
 			fmt.Fprintf(logw, "hideseekd: trace sink: %v\n", err)
 		}
 		if traceSink != nil {
 			traceSink.Close()
-			traceSink = nil
 		}
-	}
+	})
 
 	var pipelines []*phy.Pipeline
 	for _, name := range strings.Split(*protos, ",") {
@@ -217,13 +232,11 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		p, err := phy.Build(name, opts)
 		if err != nil {
-			closeTracer()
 			return fmt.Errorf("-protos: %w (registered: %v)", err, phy.Protocols())
 		}
 		pipelines = append(pipelines, p)
 	}
 	if len(pipelines) == 0 {
-		closeTracer()
 		return fmt.Errorf("-protos %q selects no protocols", *protos)
 	}
 
@@ -231,7 +244,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if *calibOn {
 		calCfg = &calib.Config{WarmupPerClass: *calibWarmup, DriftCheckEvery: *calibDriftEvery}
 	} else if *calibWarmup != 0 || *calibDriftEvery != 0 {
-		closeTracer()
 		return fmt.Errorf("-calib-warmup / -calib-drift-every require -calib")
 	}
 
@@ -250,63 +262,47 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		TopK:      *topK,
 	})
 	if err != nil {
-		closeTracer()
 		return err
 	}
+	undo = append(undo, fleet.Close)
 
 	// The runtime profiler always runs: go.sched_latency_ns and
 	// go.gc_pause_ns are first-class histograms whether or not SLO rules
 	// read them.
 	profiler := obs.StartRuntimeProfiler(nil, 0)
+	undo = append(undo, profiler.Stop)
 
 	var alerts *alert.Engine
 	if *sloOn {
 		alerts, err = alert.New(alert.Config{Rules: sloRuleSet, Every: *sloEvery})
 		if err != nil {
-			profiler.Stop()
-			fleet.Close()
-			closeTracer()
 			return err
 		}
 		alerts.Start()
+		undo = append(undo, alerts.Stop)
 	}
 
 	d := newDaemon(fleet, *deadline)
 	d.tracer = tracer
 	d.alerts = alerts
 
-	// stopTelemetry halts the background evaluators: the SLO engine first
-	// (no rule evaluates against a half-drained registry), then the
-	// profiler, whose Stop runs a final drain so the manifest's runtime
-	// histograms include the last tick.
-	stopTelemetry := func() {
-		alerts.Stop()
-		profiler.Stop()
-	}
-
 	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	httpLn, err := net.Listen("tcp", *addr)
 	if err != nil {
-		stopTelemetry()
-		fleet.Close()
-		closeTracer()
 		return err
 	}
+	undo = append(undo, func() { httpLn.Close() })
 
-	var debugLn net.Listener
 	if *debugAddr != "" {
 		// pprof lives on its own mux and listener so profiling handlers are
 		// never reachable through the service address.
-		debugLn, err = net.Listen("tcp", *debugAddr)
+		debugLn, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			httpLn.Close()
-			stopTelemetry()
-			fleet.Close()
-			closeTracer()
 			return fmt.Errorf("-debug-addr: %w", err)
 		}
+		undo = append(undo, func() { debugLn.Close() })
 		dbgMux := http.NewServeMux()
 		dbgMux.HandleFunc("/debug/pprof/", pprof.Index)
 		dbgMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -315,11 +311,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		dbgMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		fmt.Fprintf(logw, "hideseekd: pprof on http://%s/debug/pprof/\n", debugLn.Addr())
 		go http.Serve(debugLn, dbgMux)
-	}
-	closeDebug := func() {
-		if debugLn != nil {
-			debugLn.Close()
-		}
 	}
 	fmt.Fprintf(logw, "hideseekd: serving protocols %v on %d shard(s), admission control %v\n",
 		fleet.Protocols(), fleet.Shards(), fleet.AdmissionEnabled())
@@ -331,18 +322,16 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 	fmt.Fprintf(logw, "hideseekd: listening on http://%s\n", httpLn.Addr())
 
-	var tcpLn net.Listener
-	var conns sync.WaitGroup
 	if *tcpAddr != "" {
-		tcpLn, err = net.Listen("tcp", *tcpAddr)
+		tcpLn, err := net.Listen("tcp", *tcpAddr)
 		if err != nil {
-			httpLn.Close()
-			closeDebug()
-			stopTelemetry()
-			fleet.Close()
-			closeTracer()
 			return err
 		}
+		var conns sync.WaitGroup
+		undo = append(undo, func() {
+			tcpLn.Close()
+			conns.Wait()
+		})
 		fmt.Fprintf(logw, "hideseekd: raw tcp on %s\n", tcpLn.Addr())
 		go d.serveTCP(sigCtx, tcpLn, &conns)
 	}
@@ -350,37 +339,24 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(httpLn) }()
 
+	var serveErr error
 	select {
-	case err := <-errc:
-		if tcpLn != nil {
-			tcpLn.Close()
-			conns.Wait()
-		}
-		closeDebug()
-		stopTelemetry()
-		fleet.Close()
-		closeTracer()
-		return err
+	case serveErr = <-errc:
 	case <-sigCtx.Done():
+		fmt.Fprintln(logw, "hideseekd: shutting down")
+		graceCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(graceCtx); err != nil {
+			fmt.Fprintf(logw, "hideseekd: http shutdown: %v\n", err)
+		}
+		<-errc // Serve has returned http.ErrServerClosed
 	}
-
-	fmt.Fprintln(logw, "hideseekd: shutting down")
-	graceCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(graceCtx); err != nil {
-		fmt.Fprintf(logw, "hideseekd: http shutdown: %v\n", err)
+	// Teardown waits for the raw-TCP sessions before the pools stop and
+	// the trace sink flushes: no frame finishes a trace after this point.
+	teardown()
+	if serveErr != nil {
+		return serveErr
 	}
-	<-errc // Serve has returned http.ErrServerClosed
-	if tcpLn != nil {
-		tcpLn.Close()
-		conns.Wait()
-	}
-	// All sessions have drained; now the pools can stop and the trace sink
-	// can flush — no frame will finish a trace after this point.
-	closeDebug()
-	stopTelemetry()
-	fleet.Close()
-	closeTracer()
 
 	if *manifest != "" {
 		m := obs.NewManifest("hideseekd", 0, fleet.Workers())
@@ -534,17 +510,7 @@ func (d *daemon) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Unblock a pending body read when the daemon shuts down mid-upload.
 	stopAfter := context.AfterFunc(ctx, func() { rc.SetReadDeadline(time.Now()) })
 	defer stopAfter()
-	// Same idle-read-deadline policy as /v1/stream: an actively uploading
-	// client may take as long as it needs, only a stalled one times out.
-	src := &deadlineSource{src: iq.NewReaderCF32(r.Body), refresh: func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if d.deadline > 0 {
-			return rc.SetReadDeadline(time.Now().Add(d.deadline))
-		}
-		return nil
-	}}
+	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
 	verdicts := make([]stream.Verdict, 0)
 	opts := append([]stream.SessionOption{stream.WithProto(proto), stream.WithSessionKey(sessionKey(r))}, calOpts...)
 	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
@@ -599,15 +565,7 @@ func (d *daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		rc.SetWriteDeadline(time.Now())
 	})
 	defer stopAfter()
-	src := &deadlineSource{src: iq.NewReaderCF32(r.Body), refresh: func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if d.deadline > 0 {
-			return rc.SetReadDeadline(time.Now().Add(d.deadline))
-		}
-		return nil
-	}}
+	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
 	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
 		headerOnce.Do(writeHeader)
 		// A write deadline per verdict: a client that streams samples but
@@ -921,15 +879,7 @@ func (d *daemon) serveConn(ctx context.Context, conn net.Conn) {
 		enc.Encode(trailer{Err: err.Error()})
 		return
 	}
-	src := &deadlineSource{src: iq.NewReaderCF32(br), refresh: func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if d.deadline > 0 {
-			return conn.SetReadDeadline(time.Now().Add(d.deadline))
-		}
-		return nil
-	}}
+	src := d.idleSource(ctx, br, conn.SetReadDeadline)
 	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
 		// Bound every verdict write so a peer that stops reading errors the
 		// session rather than wedging its delivery goroutine.
@@ -950,17 +900,29 @@ func (d *daemon) serveConn(ctx context.Context, conn net.Conn) {
 	enc.Encode(t)
 }
 
-// deadlineSource refreshes an idle read deadline before every block so a
-// stalled client cannot hold a session (and its MaxPending budget) open
-// forever.
+// idleSource reads cf32 samples from r. Before every block it fails once
+// ctx is done and pushes the read deadline, through setRead, the
+// daemon's idle deadline into the future, so a stalled client cannot
+// hold a session (and its MaxPending budget) open forever while an
+// actively uploading one may take as long as it needs.
+func (d *daemon) idleSource(ctx context.Context, r io.Reader, setRead func(time.Time) error) stream.Source {
+	return &deadlineSource{src: iq.NewReaderCF32(r), ctx: ctx, idle: d.deadline, setRead: setRead}
+}
+
+// deadlineSource is idleSource's reader.
 type deadlineSource struct {
 	src     stream.Source
-	refresh func() error
+	ctx     context.Context
+	idle    time.Duration // 0 = no deadline
+	setRead func(time.Time) error
 }
 
 func (s *deadlineSource) ReadBlock(dst []complex128) (int, error) {
-	if s.refresh != nil {
-		if err := s.refresh(); err != nil {
+	if err := s.ctx.Err(); err != nil {
+		return 0, err
+	}
+	if s.idle > 0 {
+		if err := s.setRead(time.Now().Add(s.idle)); err != nil {
 			return 0, err
 		}
 	}

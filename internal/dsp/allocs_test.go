@@ -117,7 +117,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	NormalizedCrossCorrelateInto(corrDst, x, ref)
 	for i := range corr {
 		if corrDst[i] != corr[i] {
-			t.Fatalf("CorrelateInto[%d] = %v, want %v", i, corrDst[i], corr[i])
+			t.Fatalf("NormalizedCrossCorrelateInto[%d] = %v, want %v", i, corrDst[i], corr[i])
 		}
 	}
 

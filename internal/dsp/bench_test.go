@@ -66,7 +66,7 @@ func BenchmarkNormalizedCrossCorrelate(b *testing.B) {
 	}
 }
 
-// benchCorrelator times CorrelateInto at the ZigBee-sync shape (a ~638-
+// benchCorrelator times a full scan of every lag at the ZigBee-sync shape (a ~638-
 // sample SHR reference against a frame-sized capture) on either path.
 func benchCorrelator(b *testing.B, direct bool) {
 	b.Helper()
@@ -80,7 +80,7 @@ func benchCorrelator(b *testing.B, direct bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CorrelateInto(dst, x)
+		fullScan(c, dst, x)
 	}
 }
 

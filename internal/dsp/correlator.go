@@ -36,9 +36,8 @@ type CorrelatorConfig struct {
 // N·bits.Len(N), decided at each block start), they are screened with
 // ExactAt instead. Screen values differ from exact ones by rounding, and
 // that rounding depends on where the block holding the lag starts, so
-// FirstCrossing and BestCrossing never decide or report from a screen
-// value: any lag within syncGuard of a decision is confirmed with
-// ExactAt.
+// FirstCrossing never decides or reports from a screen value: any lag
+// within syncGuard of a decision is confirmed with ExactAt.
 //
 // The screen reads a sample whose |x|² is not finite (NaN, ±Inf, or a
 // magnitude whose square overflows) as zero, both in the transformed
@@ -139,84 +138,43 @@ func (c *Correlator) Clone() *Correlator {
 // yields (≤ 0 when the signal is shorter than the reference).
 func (c *Correlator) Lags(sigLen int) int { return sigLen - len(c.ref) + 1 }
 
-// CorrelateInto computes the normalized cross-correlation of x against
-// the reference into dst, which must have length Lags(len(x)) ≥ 1: exact
-// values on the direct path, screen values on the FFT path. It panics on
-// undersized input or a mis-sized buffer, allocates nothing, and returns
-// dst.
-func (c *Correlator) CorrelateInto(dst []float64, x []complex128) []float64 {
-	var s CorrelationScan
-	c.ScanInto(&s, dst, x)
-	s.ComputeThrough(s.lags - 1)
-	return dst
-}
-
-// CorrelationScan is a lazily evaluated CorrelateInto: lags are computed
-// in prefix order on demand, so a first-crossing search (frame sync over
-// a long capture) pays only for the prefix it actually inspects instead
-// of the whole lag range. Values in dst[0:Done()] are bitwise identical
-// to what CorrelateInto would have produced; CorrelateInto is a scan run
-// to the last lag.
+// scan is FirstCrossing's lazily evaluated correlation of x into dst,
+// one value per lag (len(dst) = Lags(len(x))): lags are computed in
+// prefix order on demand, so a search over a long capture pays only for
+// the prefix it inspects. dst[0:done] is final: exact values on the
+// direct path, screen values on the FFT path.
 //
 // Each block starts its energy recurrence from a direct sum, so a value
 // depends only on the lag and where its block starts, never on the lags
 // before it: rounding drift cannot outlive one block on an endless
 // stream, and a search may start its blocks at any lag (a resumed
 // FirstCrossing starts at the first lag it has not screened).
-//
-// A scan borrows the correlator's block scratch plus the dst and x
-// slices handed to ScanInto: finish (or abandon) it before using the
-// correlator for anything else, and never run two scans at once.
-type CorrelationScan struct {
+type scan struct {
 	c    *Correlator
 	x    []complex128
 	dst  []float64
-	lags int
-	done int // computed prefix length; dst[0:done] is final
+	done int
 }
 
-// ScanInto prepares a lazy correlation of x into dst, which must have
-// length Lags(len(x)) ≥ 1 (panics on undersized input or a mis-sized
-// buffer). Nothing is computed until ComputeThrough; dst entries beyond
-// the computed prefix hold stale values.
-func (c *Correlator) ScanInto(s *CorrelationScan, dst []float64, x []complex128) {
-	lags := c.Lags(len(x))
-	if lags < 1 {
-		panic("dsp: correlation scan on undersized input")
-	}
-	if len(dst) != lags {
-		panic(fmt.Sprintf("dsp: correlate into %d-lag buffer, want %d", len(dst), lags))
-	}
-	*s = CorrelationScan{c: c, x: x, dst: dst, lags: lags}
-}
-
-// Done returns the computed prefix length: dst[0:Done()] is final.
-func (s *CorrelationScan) Done() int { return s.done }
-
-// Lags returns the total lag count of the scan.
-func (s *CorrelationScan) Lags() int { return s.lags }
-
-// ComputeThrough extends the computed prefix to cover lag (clamped to the
-// last lag), allocating nothing. Calls for already-computed lags return
-// immediately, so a sequential consumer can call it per lag for free.
-func (s *CorrelationScan) ComputeThrough(lag int) {
-	if lag >= s.lags {
-		lag = s.lags - 1
-	}
+// computeThrough extends the computed prefix to cover lag, which must be
+// below len(dst), allocating nothing. Calls for already-computed lags
+// return immediately, so a sequential consumer can call it per lag.
+func (s *scan) computeThrough(lag int) {
+	lags := len(s.dst)
 	if lag < s.done {
 		return
 	}
 	c := s.c
 	if c.refEnergy == 0 {
 		clear(s.dst[s.done:])
-		c.screened += s.lags - s.done
-		s.done = s.lags
+		c.screened += lags - s.done
+		s.done = lags
 		return
 	}
 	m := len(c.ref)
 	for s.done <= lag {
 		pos := s.done
-		if c.direct || (s.lags-pos)*m < c.n*bits.Len(uint(c.n)) {
+		if c.direct || (lags-pos)*m < c.n*bits.Len(uint(c.n)) {
 			// Direct path, or too few lags left to pay for a block's
 			// transforms: ExactAt per lag, only as far as asked.
 			for l := pos; l <= lag; l++ {
@@ -241,7 +199,7 @@ func (s *CorrelationScan) ComputeThrough(lag int) {
 			c.block[i] = v * c.refSpec[i]
 		}
 		c.plan.Inverse(c.block, c.block)
-		v := min(c.step, s.lags-pos)
+		v := min(c.step, lags-pos)
 		s.normalize(pos, pos+v)
 		c.screened += v
 		s.done = pos + v
@@ -253,7 +211,7 @@ func (s *CorrelationScan) ComputeThrough(lag int) {
 // window and runs by recurrence to hi, so its rounding depends on where
 // the block starts, which is why screen values never decide a sync on
 // their own.
-func (s *CorrelationScan) normalize(lo, hi int) {
+func (s *scan) normalize(lo, hi int) {
 	c := s.c
 	m := len(c.ref)
 	var w float64
@@ -325,18 +283,16 @@ const syncGuard = 1e-9
 // diagnostic no decision reads.
 //
 // The search is lazy: only the inspected prefix of the correlation is
-// computed (see CorrelationScan), and after a Resume only the lags the
-// correlator has not screened yet. Its results never depend on the calls
-// before it. x must hold at least len(ref) samples. The screen lives in
-// the correlator's lag scratch, so the search allocates nothing once
-// that has grown to the largest x seen.
+// computed, and after a Resume only the lags the correlator has not
+// screened yet. Its results never depend on the calls before it. x must
+// hold at least len(ref) samples. The screen lives in the correlator's
+// lag scratch, so the search allocates nothing once that has grown to
+// the largest x seen.
 func (c *Correlator) FirstCrossing(x []complex128, threshold float64) (lag int, peak float64, found bool) {
 	cur := c.cur
 	screen, keep := c.scratch(len(x))
-	var s CorrelationScan
-	c.ScanInto(&s, screen, x)
-	s.done = keep
-	lag, peak, found = c.firstCrossing(&s, threshold)
+	s := scan{c: c, x: x, dst: screen, done: keep}
+	lag, peak, found = s.firstCrossing(threshold)
 	if cur.resumed {
 		c.cur = cursor{at: cur.at, done: s.done}
 	}
@@ -350,7 +306,7 @@ func (c *Correlator) FirstCrossing(x []complex128, threshold float64) (lag int, 
 // for lags at or past at, and starts its blocks at the first lag it has
 // not screened; a stream scanner that calls Resume before each search
 // screens each lag once. A FirstCrossing without a Resume before it is
-// fresh and drops the kept values, and so does BestCrossing.
+// fresh and drops the kept values.
 func (c *Correlator) Resume(at int64) {
 	keep := 0
 	if d := at - c.cur.at; d >= 0 && d < int64(c.cur.done) {
@@ -359,11 +315,11 @@ func (c *Correlator) Resume(at int64) {
 	c.cur = cursor{at: at, done: keep, resumed: true}
 }
 
-// firstCrossing runs the search over a prepared scan.
-func (c *Correlator) firstCrossing(s *CorrelationScan, threshold float64) (int, float64, bool) {
-	x, screen := s.x, s.dst
-	for i := 0; i < s.lags; i++ {
-		s.ComputeThrough(i)
+// firstCrossing runs the search over the scan's lags.
+func (s *scan) firstCrossing(threshold float64) (int, float64, bool) {
+	c, x, screen := s.c, s.x, s.dst
+	for i := range screen {
+		s.computeThrough(i)
 		if screen[i] < threshold-syncGuard {
 			continue
 		}
@@ -371,29 +327,14 @@ func (c *Correlator) firstCrossing(s *CorrelationScan, threshold float64) (int, 
 		if !(v >= threshold) {
 			continue
 		}
-		end := min(i+len(c.ref), s.lags-1)
-		s.ComputeThrough(end)
-		if best, bestV := c.peakIn(x, screen, i, end); best >= 0 {
+		end := min(i+len(c.ref), len(screen)-1)
+		s.computeThrough(end)
+		if best, bestV := s.peakIn(i, end); best >= 0 {
 			return best, bestV, true
 		}
 		return i, v, true
 	}
-	return c.noCrossing(x, screen)
-}
-
-// BestCrossing finds the lag with the largest exact value over all of x
-// (ties to the earliest) and reports whether it reaches threshold. When
-// it does not, peak is the same diagnostic FirstCrossing reports. x must
-// hold at least len(ref) samples; the screen lives in the lag scratch.
-func (c *Correlator) BestCrossing(x []complex128, threshold float64) (lag int, peak float64, found bool) {
-	screen, _ := c.scratch(len(x))
-	c.CorrelateInto(screen, x)
-	if screenMax(screen) >= threshold-syncGuard {
-		if best, v := c.peakIn(x, screen, 0, len(screen)-1); best >= 0 && v >= threshold {
-			return best, v, true
-		}
-	}
-	return c.noCrossing(x, screen)
+	return s.noCrossing()
 }
 
 // scratch returns the lag scratch resized for a sigLen-sample signal and
@@ -420,14 +361,19 @@ func (c *Correlator) scratch(sigLen int) ([]float64, int) {
 
 // peakIn returns the earliest lag in [lo, hi] with the largest exact
 // value among the lags whose screen value lies within syncGuard of the
-// range's screen maximum, and that value; -1 when none has a non-NaN
-// exact value.
-func (c *Correlator) peakIn(x []complex128, screen []float64, lo, hi int) (int, float64) {
-	top := screenMax(screen[lo : hi+1])
+// range's largest non-NaN screen value, and that value; -1 when none has
+// a non-NaN exact value.
+func (s *scan) peakIn(lo, hi int) (int, float64) {
+	top := math.Inf(-1)
+	for _, v := range s.dst[lo : hi+1] {
+		if v > top {
+			top = v
+		}
+	}
 	best, bestV := -1, -1.0
 	for j := lo; j <= hi; j++ {
-		if screen[j] >= top-syncGuard {
-			if v := c.ExactAt(x, j); v > bestV {
+		if s.dst[j] >= top-syncGuard {
+			if v := s.c.ExactAt(s.x, j); v > bestV {
 				best, bestV = j, v
 			}
 		}
@@ -435,23 +381,11 @@ func (c *Correlator) peakIn(x []complex128, screen []float64, lo, hi int) (int, 
 	return best, bestV
 }
 
-// screenMax returns the largest non-NaN screen value (−Inf when none).
-func screenMax(screen []float64) float64 {
-	top := math.Inf(-1)
-	for _, v := range screen {
-		if v > top {
-			top = v
-		}
-	}
-	return top
-}
-
-// noCrossing is the not-found result of both searches: the exact value
-// at the earliest screen maximum, or 0 when that is NaN or every screen
-// value is NaN.
-func (c *Correlator) noCrossing(x []complex128, screen []float64) (int, float64, bool) {
-	if p := PeakIndex(screen); p >= 0 {
-		if v := c.ExactAt(x, p); v == v {
+// noCrossing is the not-found result: the exact value at the earliest
+// screen maximum, or 0 when that is NaN or every screen value is NaN.
+func (s *scan) noCrossing() (int, float64, bool) {
+	if p := PeakIndex(s.dst); p >= 0 {
+		if v := s.c.ExactAt(s.x, p); v == v {
 			return 0, v, false
 		}
 	}

@@ -17,14 +17,23 @@ func newFFTCorrelator(t *testing.T, ref []complex128) *Correlator {
 	return c
 }
 
-// correlate runs CorrelateInto into a fresh buffer; nil when x is shorter
+// fullScan runs the correlator's scan over every lag of x into dst, which
+// must have length Lags(len(x)) ≥ 1: exact values on the direct path,
+// screen values on the FFT path. It returns dst.
+func fullScan(c *Correlator, dst []float64, x []complex128) []float64 {
+	s := scan{c: c, x: x, dst: dst}
+	s.computeThrough(len(dst) - 1)
+	return dst
+}
+
+// correlate runs a full scan into a fresh buffer; nil when x is shorter
 // than the reference.
 func correlate(c *Correlator, x []complex128) []float64 {
 	lags := c.Lags(len(x))
 	if lags < 1 {
 		return nil
 	}
-	return c.CorrelateInto(make([]float64, lags), x)
+	return fullScan(c, make([]float64, lags), x)
 }
 
 func TestCorrelatorMatchesDirectValues(t *testing.T) {
@@ -103,8 +112,8 @@ func TestCorrelatorIntoZeroAllocs(t *testing.T) {
 	ref := randSignal(638, 32)
 	c := newFFTCorrelator(t, ref)
 	dst := make([]float64, c.Lags(len(x)))
-	if n := testing.AllocsPerRun(20, func() { c.CorrelateInto(dst, x) }); n != 0 {
-		t.Fatalf("CorrelateInto allocated %v per run, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { fullScan(c, dst, x) }); n != 0 {
+		t.Fatalf("full scan allocated %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { c.ExactAt(x, 1234) }); n != 0 {
 		t.Fatalf("ExactAt allocated %v per run, want 0", n)
@@ -154,12 +163,6 @@ func TestCorrelatorDegenerate(t *testing.T) {
 	if got := correlate(c, randSignal(8, 37)); got != nil {
 		t.Error("signal shorter than reference should give nil")
 	}
-	assertPanics(t, "CorrelateInto undersized", func() {
-		c.CorrelateInto(make([]float64, 1), randSignal(8, 38))
-	})
-	assertPanics(t, "CorrelateInto mis-sized dst", func() {
-		c.CorrelateInto(make([]float64, 3), randSignal(32, 39))
-	})
 	assertPanics(t, "ExactAt out of range", func() {
 		c.ExactAt(randSignal(32, 40), 30)
 	})
@@ -213,10 +216,10 @@ func assertPanics(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestCorrelationScanPrefixBitwise pins the CorrelationScan contract: any
-// prefix computed lazily is bitwise identical to the same prefix of a full
-// CorrelateInto pass, on both the FFT and direct paths, regardless of how
-// the prefix is reached (single jump, lag-at-a-time, or clamped past-end).
+// TestCorrelationScanPrefixBitwise pins the scan contract: any prefix
+// computed lazily is bitwise identical to the same prefix of a full scan,
+// on both the FFT and direct paths, regardless of how the prefix is
+// reached (single jump or lag-at-a-time).
 func TestCorrelationScanPrefixBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct{ sigLen, refLen int }{
@@ -230,44 +233,40 @@ func TestCorrelationScanPrefixBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			lags := tc.sigLen - tc.refLen + 1
-			want := make([]float64, lags)
-			c.CorrelateInto(want, x)
+			if c.Lags(len(x)) != lags {
+				t.Fatalf("Lags = %d, want %d", c.Lags(len(x)), lags)
+			}
+			want := fullScan(c, make([]float64, lags), x)
 
 			// One jump straight to a mid-point, then to the end.
-			got := make([]float64, lags)
-			var scan CorrelationScan
-			c.ScanInto(&scan, got, x)
-			if scan.Lags() != lags {
-				t.Fatalf("Lags() = %d, want %d", scan.Lags(), lags)
-			}
+			s := scan{c: c, x: x, dst: make([]float64, lags)}
 			mid := lags / 2
-			scan.ComputeThrough(mid)
-			if scan.Done() != mid+1 && scan.Done() < mid+1 {
-				t.Fatalf("Done() = %d after ComputeThrough(%d)", scan.Done(), mid)
+			s.computeThrough(mid)
+			if s.done < mid+1 {
+				t.Fatalf("done = %d after computeThrough(%d)", s.done, mid)
 			}
 			for l := 0; l <= mid; l++ {
-				if got[l] != want[l] {
+				if s.dst[l] != want[l] {
 					t.Fatalf("sig=%d ref=%d direct=%v lag %d: scan %v != full %v",
-						tc.sigLen, tc.refLen, direct, l, got[l], want[l])
+						tc.sigLen, tc.refLen, direct, l, s.dst[l], want[l])
 				}
 			}
-			scan.ComputeThrough(lags + 100) // clamped
+			s.computeThrough(lags - 1)
 			for l := range want {
-				if got[l] != want[l] {
-					t.Fatalf("sig=%d ref=%d direct=%v lag %d (post-clamp): scan %v != full %v",
-						tc.sigLen, tc.refLen, direct, l, got[l], want[l])
+				if s.dst[l] != want[l] {
+					t.Fatalf("sig=%d ref=%d direct=%v lag %d (after the jump): scan %v != full %v",
+						tc.sigLen, tc.refLen, direct, l, s.dst[l], want[l])
 				}
 			}
 
 			// Lag at a time, interleaved with redundant backward requests.
-			got2 := make([]float64, lags)
-			c.ScanInto(&scan, got2, x)
+			s = scan{c: c, x: x, dst: make([]float64, lags)}
 			for l := 0; l < lags; l++ {
-				scan.ComputeThrough(l)
-				scan.ComputeThrough(l / 2) // no-op: already done
-				if got2[l] != want[l] {
+				s.computeThrough(l)
+				s.computeThrough(l / 2) // no-op: already done
+				if s.dst[l] != want[l] {
 					t.Fatalf("sig=%d ref=%d direct=%v lag %d (incremental): scan %v != full %v",
-						tc.sigLen, tc.refLen, direct, l, got2[l], want[l])
+						tc.sigLen, tc.refLen, direct, l, s.dst[l], want[l])
 				}
 			}
 		}
@@ -275,7 +274,7 @@ func TestCorrelationScanPrefixBitwise(t *testing.T) {
 }
 
 // TestCorrelationScanZeroEnergyRef pins that a zero-energy reference zeroes
-// every lag immediately (matching CorrelateInto's contract).
+// every lag at the first request.
 func TestCorrelationScanZeroEnergyRef(t *testing.T) {
 	zc, err := NewCorrelator(make([]complex128, 8), CorrelatorConfig{})
 	if err != nil {
@@ -286,11 +285,10 @@ func TestCorrelationScanZeroEnergyRef(t *testing.T) {
 	for i := range got {
 		got[i] = 999
 	}
-	var scan CorrelationScan
-	zc.ScanInto(&scan, got, x)
-	scan.ComputeThrough(0)
-	if scan.Done() != scan.Lags() {
-		t.Fatalf("zero-energy scan Done() = %d, want all %d", scan.Done(), scan.Lags())
+	s := scan{c: zc, x: x, dst: got}
+	s.computeThrough(0)
+	if s.done != len(got) {
+		t.Fatalf("zero-energy scan done = %d, want all %d", s.done, len(got))
 	}
 	for l, v := range got {
 		if v != 0 {
@@ -299,33 +297,14 @@ func TestCorrelationScanZeroEnergyRef(t *testing.T) {
 	}
 }
 
-func TestCorrelationScanValidation(t *testing.T) {
-	ref := randSignal(16, 46)
-	c := newFFTCorrelator(t, ref)
-	var scan CorrelationScan
-	assertPanics(t, "short input", func() {
-		c.ScanInto(&scan, make([]float64, 1), make([]complex128, 8))
-	})
-	assertPanics(t, "wrong dst size", func() {
-		c.ScanInto(&scan, make([]float64, 3), make([]complex128, 64))
-	})
-}
-
 func TestCorrelationScanZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ref := randComplexSlice(rng, 64)
 	x := randComplexSlice(rng, 2048)
 	c := newFFTCorrelator(t, ref)
 	dst := make([]float64, len(x)-len(ref)+1)
-	var scan CorrelationScan
-	c.ScanInto(&scan, dst, x) // warm the correlator's block scratch
-	scan.ComputeThrough(scan.Lags() - 1)
-	allocs := testing.AllocsPerRun(20, func() {
-		var s CorrelationScan
-		c.ScanInto(&s, dst, x)
-		s.ComputeThrough(s.Lags() - 1)
-	})
-	if allocs != 0 {
+	fullScan(c, dst, x) // warm the correlator's block scratch
+	if allocs := testing.AllocsPerRun(20, func() { fullScan(c, dst, x) }); allocs != 0 {
 		t.Errorf("scan allocates %v times per run, want 0", allocs)
 	}
 }

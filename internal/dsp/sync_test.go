@@ -67,11 +67,6 @@ func TestFirstCrossingAnchorFree(t *testing.T) {
 						name, noise, k, lag, peak, found, lag0-k, peak0)
 				}
 			}
-			best, bestPeak, found := c.BestCrossing(x, 0.5)
-			if !found || best != lag0 || bestPeak != peak0 {
-				t.Errorf("%s noise %v: BestCrossing = (%d, %v, %v), want (%d, %v, true)",
-					name, noise, best, bestPeak, found, lag0, peak0)
-			}
 		}
 	}
 }
@@ -79,8 +74,8 @@ func TestFirstCrossingAnchorFree(t *testing.T) {
 // TestFirstCrossingGuardedArgmax covers the refinement on a near-tie: the
 // reference is periodic and the capture repeats its period past the
 // frame, so lags start, start+P, ... see bit-identical windows and tie
-// exactly, while their FFT screen values differ by rounding. Both
-// searches must return the earliest of them on both paths, at any cut.
+// exactly, while their FFT screen values differ by rounding. The search
+// must return the earliest of them on both paths, at any cut.
 func TestFirstCrossingGuardedArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const period, repeats, start = 24, 8, 3000
@@ -112,16 +107,12 @@ func TestFirstCrossingGuardedArgmax(t *testing.T) {
 					}
 				}
 			}
-			if best, _, found := c.BestCrossing(x, 0.5); !found || best != start {
-				t.Errorf("trial %d %s: BestCrossing = %d (found %v), want the earliest tied lag %d",
-					trial, name, best, found, start)
-			}
 		}
 	}
 }
 
 // TestFirstCrossingNotFound pins the no-crossing result: the exact value
-// at the screen maximum, shared by both searches, and 0 on NaN input.
+// at the screen maximum, and 0 on NaN input.
 func TestFirstCrossingNotFound(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	ref := randComplexSlice(rng, 64)
@@ -130,9 +121,6 @@ func TestFirstCrossingNotFound(t *testing.T) {
 		_, first, found := c.FirstCrossing(x, 0.9)
 		if found || !(first > 0 && first < 0.9) {
 			t.Errorf("%s: FirstCrossing on noise = (%v, %v), want a sub-threshold peak", name, first, found)
-		}
-		if _, best, found := c.BestCrossing(x, 0.9); found || best != first {
-			t.Errorf("%s: BestCrossing on noise = (%v, %v), want (%v, false)", name, best, found, first)
 		}
 		nan := make([]complex128, len(x))
 		for i := range nan {
@@ -145,7 +133,7 @@ func TestFirstCrossingNotFound(t *testing.T) {
 	}
 }
 
-// TestSyncSearchZeroAllocs pins that both searches, resumed or not, reuse
+// TestSyncSearchZeroAllocs pins that the search, resumed or not, reuses
 // the correlator's lag scratch once it has grown.
 func TestSyncSearchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
@@ -160,10 +148,9 @@ func TestSyncSearchZeroAllocs(t *testing.T) {
 		c.FirstCrossing(x[:3000], 0.5)
 		c.Resume(1000)
 		c.FirstCrossing(x[1000:], 0.5)
-		c.BestCrossing(x, 0.5)
 	})
 	if allocs != 0 {
-		t.Errorf("sync searches allocate %v times per run, want 0", allocs)
+		t.Errorf("sync search allocates %v times per run, want 0", allocs)
 	}
 }
 
@@ -188,8 +175,8 @@ func nonFiniteValue(kind uint8, mag float64) complex128 {
 	return complex(v, 0)
 }
 
-// assertSyncParity requires the FFT path's FirstCrossing and BestCrossing
-// on x to return the direct path's lag, peak bits and found flag.
+// assertSyncParity requires the FFT path's FirstCrossing on x to return
+// the direct path's lag, peak bits and found flag.
 func assertSyncParity(t *testing.T, cs map[string]*Correlator, x []complex128, threshold float64, what string) {
 	t.Helper()
 	type result struct {
@@ -203,9 +190,6 @@ func assertSyncParity(t *testing.T, cs map[string]*Correlator, x []complex128, t
 	}
 	if got, want := run(cs["fft"].FirstCrossing), run(cs["direct"].FirstCrossing); got != want {
 		t.Errorf("%s: FirstCrossing fft %+v, direct %+v", what, got, want)
-	}
-	if got, want := run(cs["fft"].BestCrossing), run(cs["direct"].BestCrossing); got != want {
-		t.Errorf("%s: BestCrossing fft %+v, direct %+v", what, got, want)
 	}
 }
 
@@ -235,7 +219,7 @@ func TestFirstCrossingNonFinite(t *testing.T) {
 
 // FuzzFirstCrossingNonFinite inserts NaN, ±Inf or overflowing samples at
 // fuzzed positions of a fixed two-frame capture, inside frames too, and
-// requires the FFT path's sync searches to return the direct path's
+// requires the FFT path's FirstCrossing to return the direct path's
 // result bit for bit. The reference repeats its first 40 samples four
 // times, like a preamble, so partial overlaps cross the threshold before
 // the frame start and the refinement range holds lags whose window the

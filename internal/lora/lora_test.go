@@ -217,6 +217,49 @@ func TestReceiveAllMultipleFrames(t *testing.T) {
 	}
 }
 
+// TestReceiveReturnsEarliestFrame pins that Receive runs the one
+// first-crossing search: on a capture whose later frame correlates
+// better, it decodes the earlier frame, at the start and sync peak bits
+// of ReceiveAll's first frame.
+func TestReceiveReturnsEarliestFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	tx := NewTransmitter()
+	first, err := tx.TransmitPayload([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tx.TransmitPayload([]byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := make([]complex128, 300)
+	capture = append(capture, addAWGN(t, rng, first, 0)...)
+	capture = append(capture, make([]complex128, 500)...)
+	capture = append(capture, second...)
+	capture = append(capture, make([]complex128, 300)...)
+
+	rx, err := NewReceiver(ReceiverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := rx.Receive(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := rx.ReceiveAll(capture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || !(all[1].SyncPeak > all[0].SyncPeak) {
+		t.Fatalf("ReceiveAll found %d frames; want two, the later one stronger", len(all))
+	}
+	if string(rec.Payload) != "first" || rec.StartSample != all[0].StartSample ||
+		math.Float64bits(rec.SyncPeak) != math.Float64bits(all[0].SyncPeak) {
+		t.Errorf("Receive = (%d, %v, %q), want ReceiveAll's first frame (%d, %v, %q)",
+			rec.StartSample, rec.SyncPeak, rec.Payload, all[0].StartSample, all[0].SyncPeak, all[0].Payload)
+	}
+}
+
 // TestFrameSpanRejectsCorruptHeader checks header validation: a
 // corrupted checksum symbol must fail FrameSpan (and therefore make the
 // scanner skip the sync point), and a valid header must report the whole

@@ -148,17 +148,12 @@ func TestNoPreambleSentinel(t *testing.T) {
 	if !errors.Is(err, ErrNoPreamble) || !(first > 0) {
 		t.Fatalf("SynchronizeFirst on noise: peak %v, err %v; want a positive peak and ErrNoPreamble", first, err)
 	}
-	_, best, err := rx.Synchronize(noise)
-	if !errors.Is(err, ErrNoPreamble) || best != first {
-		t.Fatalf("Synchronize on noise: peak %v, err %v; want peak %v and ErrNoPreamble", best, err, first)
-	}
 	rec, err := rx.Receive(noise)
-	if !errors.Is(err, ErrNoPreamble) || rec.SyncPeak != best {
-		t.Fatalf("Receive on noise: SyncPeak %v, err %v; want %v and ErrNoPreamble", rec.SyncPeak, err, best)
+	if !errors.Is(err, ErrNoPreamble) || rec.SyncPeak != first {
+		t.Fatalf("Receive on noise: SyncPeak %v, err %v; want %v and ErrNoPreamble", rec.SyncPeak, err, first)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		rx.SynchronizeFirst(noise)
-		rx.Synchronize(noise)
 	})
 	if allocs != 0 {
 		t.Errorf("no-preamble sync allocates %v times per op, want 0", allocs)
@@ -170,7 +165,7 @@ func TestNoPreambleSentinel(t *testing.T) {
 	if _, _, err := rx.SynchronizeFirst(nan); !errors.Is(err, ErrNoPreamble) {
 		t.Errorf("SynchronizeFirst on NaN: err %v, want ErrNoPreamble", err)
 	}
-	if _, _, err := rx.Synchronize(nan); !errors.Is(err, ErrNoPreamble) {
-		t.Errorf("Synchronize on NaN: err %v, want ErrNoPreamble", err)
+	if rec, err := rx.Receive(nan); !errors.Is(err, ErrNoPreamble) || rec.SyncPeak != 0 {
+		t.Errorf("Receive on NaN: SyncPeak %v, err %v; want 0 and ErrNoPreamble", rec.SyncPeak, err)
 	}
 }

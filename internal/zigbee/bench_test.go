@@ -27,7 +27,7 @@ func benchSynchronize(b *testing.B, direct bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rx.Synchronize(wave); err != nil {
+		if _, _, err := rx.SynchronizeFirst(wave); err != nil {
 			b.Fatal(err)
 		}
 	}

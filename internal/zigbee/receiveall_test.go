@@ -2,6 +2,7 @@ package zigbee
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -91,5 +92,48 @@ func TestReceiveAllEmptyAndNoise(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Errorf("noise yielded %d frames", len(recs))
+	}
+}
+
+// TestReceiveReturnsEarliestFrame pins that Receive runs the one
+// first-crossing search: on a capture whose later frame correlates
+// better, it decodes the earlier frame, at the start and sync peak bits
+// of ReceiveAll's first frame.
+func TestReceiveReturnsEarliestFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	tx := NewTransmitter()
+	first, err := tx.TransmitPSDU([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tx.TransmitPSDU([]byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := make([]complex128, 300)
+	capture = append(capture, addAWGN(rng, first, 0.4)...)
+	capture = append(capture, make([]complex128, 2210-len(capture))...)
+	capture = append(capture, second...)
+	capture = append(capture, make([]complex128, 300)...)
+
+	rx, err := NewReceiver(ReceiverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := rx.Receive(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := rx.ReceiveAll(capture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || !(all[1].SyncPeak > all[0].SyncPeak) {
+		t.Fatalf("ReceiveAll found %d frames; want two, the later one stronger", len(all))
+	}
+	if string(rec.PSDU) != "first" || rec.StartSample != all[0].StartSample ||
+		math.Float64bits(rec.SyncPeak) != math.Float64bits(all[0].SyncPeak) {
+		t.Errorf("Receive = (%d, %v, %q), want ReceiveAll's first frame (%d, %v, %q)",
+			rec.StartSample, rec.SyncPeak, rec.PSDU, all[0].StartSample, all[0].SyncPeak, all[0].PSDU)
 	}
 }

@@ -246,32 +246,17 @@ func OutOfBandSNREstimate(waveform []complex128) (float64, error) {
 	return dsp.DB((totalPower - noisePower) / noisePower), nil
 }
 
-// ErrNoPreamble is what Synchronize and SynchronizeFirst return when no
-// correlation lag crosses the sync threshold (or every lag is NaN). It
-// is a sentinel so the streaming scanner's no-sync path, which runs on
-// every chunk of frame-free input, allocates nothing; the best peak still
-// comes back as the second result (0 when every lag is NaN).
+// ErrNoPreamble is what SynchronizeFirst returns when no correlation lag
+// crosses the sync threshold (or every lag is NaN). It is a sentinel so
+// the streaming scanner's no-sync path, which runs on every chunk of
+// frame-free input, allocates nothing; the best peak still comes back as
+// the second result (0 when every lag is NaN).
 var ErrNoPreamble = errors.New("zigbee: no preamble found")
-
-// Synchronize finds the frame start by normalized correlation against the
-// modulated SHR. It returns the start sample and the correlation peak.
-func (rx *Receiver) Synchronize(waveform []complex128) (int, float64, error) {
-	defer obsSync.Since(time.Now())
-	if len(waveform) < len(rx.syncRef) {
-		return 0, 0, fmt.Errorf("zigbee: waveform shorter than sync reference (%d < %d)", len(waveform), len(rx.syncRef))
-	}
-	start, peak, found := rx.sync.BestCrossing(waveform, rx.cfg.SyncThreshold)
-	if !found {
-		return 0, peak, ErrNoPreamble
-	}
-	return start, peak, nil
-}
 
 // SynchronizeFirst finds the EARLIEST frame start: the first index where
 // the normalized preamble correlation crosses the threshold, refined to
 // the local maximum within the following reference length (see
-// dsp.Correlator.FirstCrossing). Use it when a capture may hold several
-// frames; Synchronize picks the global best.
+// dsp.Correlator.FirstCrossing).
 func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error) {
 	if len(waveform) < len(rx.syncRef) {
 		return 0, 0, fmt.Errorf("zigbee: waveform shorter than sync reference (%d < %d)", len(waveform), len(rx.syncRef))
@@ -290,13 +275,17 @@ func (rx *Receiver) SynchronizeFirst(waveform []complex128) (int, float64, error
 // it is a fresh search.
 func (rx *Receiver) ResumeSync(at int64) { rx.sync.Resume(at) }
 
-// Receive synchronizes, demodulates, despreads, and parses one frame from
-// the waveform. A Reception is returned even on decode failure (with as
-// much diagnostic state as was extracted) alongside the error. Unlike
-// ReceiveAll/DecodeAt, the returned Reception is owned by the caller and
-// stays valid across later receiver calls.
+// Receive synchronizes, demodulates, despreads, and parses the earliest
+// frame in the waveform: on a capture holding several frames it decodes
+// the first one SynchronizeFirst finds, which is where ReceiveAll starts
+// too, not the strongest. A Reception is returned even on decode failure
+// (with as much diagnostic state as was extracted) alongside the error.
+// Unlike ReceiveAll/DecodeAt, the returned Reception is owned by the
+// caller and stays valid across later receiver calls.
 func (rx *Receiver) Receive(waveform []complex128) (*Reception, error) {
-	start, peak, err := rx.Synchronize(waveform)
+	t0 := time.Now()
+	start, peak, err := rx.SynchronizeFirst(waveform)
+	obsSync.Since(t0)
 	if err != nil {
 		return &Reception{SyncPeak: peak}, err
 	}

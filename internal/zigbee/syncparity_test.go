@@ -1,6 +1,7 @@
 package zigbee
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -72,24 +73,15 @@ func parityCorpus(t *testing.T) [][]complex128 {
 	return corpus
 }
 
+// TestSynchronizeParityFFTvsDirect runs the corpus through both sync
+// entry points, Receive and SynchronizeFirst, on both paths.
 func TestSynchronizeParityFFTvsDirect(t *testing.T) {
 	fft, direct := parityReceivers(t, ReceiverConfig{})
 	for i, capture := range parityCorpus(t) {
-		fStart, fPeak, fErr := fft.Synchronize(capture)
-		dStart, dPeak, dErr := direct.Synchronize(capture)
-		if (fErr == nil) != (dErr == nil) {
-			t.Errorf("capture %d: Synchronize accept mismatch: fft err=%v, direct err=%v", i, fErr, dErr)
-			continue
-		}
-		if fStart != dStart {
-			t.Errorf("capture %d: Synchronize start %d (fft) vs %d (direct)", i, fStart, dStart)
-		}
-		if fPeak != dPeak {
-			t.Errorf("capture %d: Synchronize peak %v (fft) vs %v (direct), must be bitwise equal", i, fPeak, dPeak)
-		}
+		assertReceiveParity(t, fft, direct, capture, fmt.Sprintf("capture %d", i))
 
-		fStart, fPeak, fErr = fft.SynchronizeFirst(capture)
-		dStart, dPeak, dErr = direct.SynchronizeFirst(capture)
+		fStart, fPeak, fErr := fft.SynchronizeFirst(capture)
+		dStart, dPeak, dErr := direct.SynchronizeFirst(capture)
 		if (fErr == nil) != (dErr == nil) {
 			t.Errorf("capture %d: SynchronizeFirst accept mismatch: fft err=%v, direct err=%v", i, fErr, dErr)
 			continue
@@ -97,6 +89,26 @@ func TestSynchronizeParityFFTvsDirect(t *testing.T) {
 		if fStart != dStart || fPeak != dPeak {
 			t.Errorf("capture %d: SynchronizeFirst (%d, %v) fft vs (%d, %v) direct", i, fStart, fPeak, dStart, dPeak)
 		}
+	}
+}
+
+// assertReceiveParity requires Receive on the FFT path to return the
+// direct path's error, start, peak bits and PSDU.
+func assertReceiveParity(t *testing.T, fft, direct *Receiver, capture []complex128, what string) {
+	t.Helper()
+	f, fErr := fft.Receive(capture)
+	d, dErr := direct.Receive(capture)
+	if fmt.Sprint(fErr) != fmt.Sprint(dErr) {
+		t.Errorf("%s: Receive err %v (fft) vs %v (direct)", what, fErr, dErr)
+	}
+	if f.StartSample != d.StartSample {
+		t.Errorf("%s: Receive start %d (fft) vs %d (direct)", what, f.StartSample, d.StartSample)
+	}
+	if f.SyncPeak != d.SyncPeak {
+		t.Errorf("%s: Receive peak %v (fft) vs %v (direct), must be bitwise equal", what, f.SyncPeak, d.SyncPeak)
+	}
+	if string(f.PSDU) != string(d.PSDU) {
+		t.Errorf("%s: Receive PSDU %q (fft) vs %q (direct)", what, f.PSDU, d.PSDU)
 	}
 }
 
@@ -145,13 +157,8 @@ func TestSynchronizeParityNearThreshold(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		capture := addAWGN(rng, wave, 1.05+0.04*float64(seed%10))
-		fStart, fPeak, fErr := fft.Synchronize(capture)
-		dStart, dPeak, dErr := direct.Synchronize(capture)
-		if (fErr == nil) != (dErr == nil) || fStart != dStart || fPeak != dPeak {
-			t.Errorf("seed %d: fft (%d, %v, %v) vs direct (%d, %v, %v)",
-				seed, fStart, fPeak, fErr, dStart, dPeak, dErr)
-		}
-		if fErr == nil {
+		assertReceiveParity(t, fft, direct, capture, fmt.Sprintf("seed %d", seed))
+		if _, _, err := fft.SynchronizeFirst(capture); err == nil {
 			accepts++
 		}
 	}
