@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare experiments experiments-check manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke examples clean
+.PHONY: all build vet test race bench bench-compare experiments experiments-check manifest-smoke stream-smoke lora-smoke obs-smoke calib-smoke alert-smoke framebench-smoke examples clean
 
 all: build vet test
 
@@ -86,6 +86,14 @@ calib-smoke:
 # shutdown manifest records the fired alert.
 alert-smoke:
 	$(GO) test ./cmd/hideseekd -run TestAlertSmoke -count=1
+
+# Smoke-test the frame-path benchmark end to end: a short traced run
+# boots hideseekd, drives all three workloads (zigbee-stream,
+# lora-classify, attack-forge) in one process, checks every verdict
+# against the in-process stream.Process reference and the replays
+# through stream.NewEngine, and exits non-zero on any failed operation.
+framebench-smoke:
+	bash framebench/run.sh --workload zigbee-stream --seed 1 --seconds 3 --trace 1
 
 examples:
 	$(GO) run ./examples/quickstart

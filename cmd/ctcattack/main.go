@@ -109,7 +109,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: mode, SyncThreshold: 0.3})
+	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{Mode: mode, SyncThreshold: zigbee.EdgeSyncThreshold})
 	if err != nil {
 		return err
 	}

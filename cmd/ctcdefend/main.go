@@ -34,9 +34,6 @@ import (
 	_ "hideseek/internal/phy/zigbeephy"
 )
 
-// zigbeeSyncThreshold is the CLI's historical zigbee operating point.
-const zigbeeSyncThreshold = 0.3
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "ctcdefend:", err)
@@ -100,7 +97,7 @@ func run() error {
 // runZigBee classifies the authentic and the emulated O-QPSK waveform
 // through the channel with the constellation-cumulant defense.
 func runZigBee(ch channel.Channel, observed, emulated []complex128, snr, threshold float64, realEnv bool) error {
-	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: zigbeeSyncThreshold})
+	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: zigbee.EdgeSyncThreshold})
 	if err != nil {
 		return err
 	}
@@ -246,7 +243,7 @@ func runStream(proto string, observed, emulated []complex128, snr, threshold flo
 func pipelineOptions(proto string, threshold float64, realEnv bool) phy.Options {
 	opts := phy.Options{Threshold: threshold, RealEnv: realEnv}
 	if proto == "zigbee" {
-		opts.SyncThreshold = zigbeeSyncThreshold
+		opts.SyncThreshold = zigbee.EdgeSyncThreshold
 	}
 	return opts
 }
@@ -299,7 +296,7 @@ func classifyFile(path, proto string, threshold float64, realEnv bool) error {
 	}
 	pipe, err := phy.Build(proto, pipelineOptions(proto, threshold, realEnv))
 	if err != nil {
-		return fmt.Errorf("-proto: %w (registered: %v)", err, phy.Protocols())
+		return fmt.Errorf("-proto: %w", err)
 	}
 	cfg := stream.Config{Pipelines: []*phy.Pipeline{pipe}}
 	stats, err := stream.Process(context.Background(), cfg, src, func(v stream.Verdict) {

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -37,7 +39,7 @@ var parityPHYs = map[string]parityPHY{
 		transmit:   zigbee.NewTransmitter().TransmitPSDU,
 		sampleRate: zigbee.SampleRate,
 		classify: func(wave []complex128, realEnv, batch bool) ([]frame, error) {
-			rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: zigbeeSyncThreshold})
+			rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: zigbee.EdgeSyncThreshold})
 			if err != nil {
 				return nil, err
 			}
@@ -209,5 +211,22 @@ func TestWriteLatencySummaryNoHistograms(t *testing.T) {
 	writeLatencySummary(&b, stream.Stats{Frames: 1}, obs.Snapshot{})
 	if got := strings.Count(b.String(), "\n"); got != 1 {
 		t.Fatalf("expected header line only, got %d lines:\n%s", got, b.String())
+	}
+}
+
+// TestClassifyFileUnknownProtocolListsRegisteredOnce: -in with an
+// unknown -proto fails with phy.Build's error, which already names the
+// registered protocols; classifyFile must not append the list again.
+func TestClassifyFileUnknownProtocolListsRegisteredOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.cf32")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := classifyFile(path, "nope", 0, false)
+	if err == nil {
+		t.Fatal("-proto nope accepted")
+	}
+	if n := strings.Count(err.Error(), "registered:"); n != 1 {
+		t.Fatalf("error lists the registered protocols %d times, want once: %v", n, err)
 	}
 }

@@ -56,20 +56,18 @@ func testDaemonProtos(t *testing.T, workers int) (*daemon, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := stream.NewFleet(stream.FleetConfig{
-		Config: stream.Config{
-			Workers:   workers,
-			Pipelines: []*phy.Pipeline{zb, lr},
-		},
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:   workers,
+		Pipelines: []*phy.Pipeline{zb, lr},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDaemon(fleet, 30*time.Second)
+	d := newDaemon(engine, 30*time.Second)
 	ts := httptest.NewServer(d.routes())
 	t.Cleanup(func() {
 		ts.Close()
-		fleet.Close()
+		engine.Close()
 	})
 	return d, ts
 }

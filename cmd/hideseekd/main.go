@@ -1,17 +1,17 @@
 // Command hideseekd is the online defense service: a daemon that accepts
 // captured or live 4 MS/s I/Q streams and runs the streaming detection
-// pipeline (internal/stream) over them. Sessions are sharded across
-// -shards independent engines (one worker pool + bounded queue each)
-// behind a stream.Fleet; each session is pinned to one shard by its
-// session key — ?session=<key> on HTTP requests, defaulting to the
-// client's host — so one client's sessions share a queue and a latency
-// budget. The pipeline is protocol-generic (internal/phy): -protos
-// selects which victim PHYs the daemon serves (default "zigbee,lora" —
-// ZigBee O-QPSK frame sync + constellation-cumulant defense, and LoRa
-// CSS dechirp + off-peak-energy defense). Each session binds one
-// protocol: HTTP clients pick with ?proto=<name> on /v1/classify and
-// /v1/stream, raw TCP clients with an optional "#HSPROTO <name>\n"
-// preamble line; unspecified sessions get the first configured protocol.
+// pipeline (internal/stream) over them. One stream.Engine shards
+// sessions across -shards independent worker pools (one bounded queue
+// each); each session is pinned to one shard by its session key —
+// ?session=<key> on HTTP requests, defaulting to the client's host — so
+// one client's sessions share a queue and a latency budget. The pipeline
+// is protocol-generic (internal/phy): -protos selects which victim PHYs
+// the daemon serves (default "zigbee,lora" — ZigBee O-QPSK frame sync +
+// constellation-cumulant defense, and LoRa CSS dechirp + off-peak-energy
+// defense). Each session binds one protocol: HTTP clients pick with
+// ?proto=<name> on /v1/classify and /v1/stream, raw TCP clients with an
+// optional "#HSPROTO <name>\n" preamble line; unspecified sessions get
+// the first configured protocol.
 //
 // With -admission each shard runs tiered admission control: under load
 // new sessions are degraded (raised sync threshold, tightened in-flight
@@ -20,7 +20,7 @@
 // keeping accepted sessions' latency bounded instead of letting every
 // session slowly starve.
 //
-// With -calib the fleet runs the online calibration stage (internal/calib):
+// With -calib the engine runs the online calibration stage (internal/calib):
 // per-protocol session classes track rolling D² distributions, fit the
 // authentic/emulated decision boundary from labeled warmup traffic
 // (?calib_label=authentic|emulated on /v1/classify and /v1/stream marks a
@@ -46,7 +46,7 @@
 //	PUT  /v1/calib      operator threshold override / clear / re-arm warmup
 //	GET  /v1/alerts     SLO rule states (inactive/pending/firing/resolved)
 //	                    plus the transition history ring
-//	GET  /v1/top        fleet-wide heavy-hitter session keys by frames,
+//	GET  /v1/top        engine-wide heavy-hitter session keys by frames,
 //	                    drops, sheds, and summed verdict latency (?k=max)
 //
 // The daemon evaluates SLO rules continuously (-slo, on by default):
@@ -117,6 +117,7 @@ import (
 	"hideseek/internal/obs/alert"
 	"hideseek/internal/phy"
 	"hideseek/internal/stream"
+	"hideseek/internal/zigbee"
 
 	// Served victim-PHY plugins register themselves on import.
 	_ "hideseek/internal/phy/loraphy"
@@ -144,7 +145,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	pending := fs.Int("pending", 64, "max in-flight frames per session before its reads block")
 	threshold := fs.Float64("threshold", 0, "decision threshold Q for every served protocol (0 = per-protocol default)")
 	realEnv := fs.Bool("real", false, "real-environment statistics: mean removal + |C40| (Sec. VI-C)")
-	syncThr := fs.Float64("sync", 0, "preamble sync correlation threshold for every served protocol (0 = per-protocol default; zigbee's daemon default is 0.3)")
+	syncThr := fs.Float64("sync", 0, fmt.Sprintf("preamble sync correlation threshold for every served protocol (0 = per-protocol default; zigbee's daemon default is %v)", zigbee.EdgeSyncThreshold))
 	deadline := fs.Duration("deadline", 30*time.Second, "per-request idle read/write deadline (0 = none)")
 	manifest := fs.String("manifest", "", "write a kind=service run manifest here on shutdown")
 	traces := fs.Int("traces", 256, "per-frame span traces kept queryable at /v1/traces (0 disables tracing)")
@@ -178,7 +179,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	// teardown releases what run has acquired, newest first: the
 	// listeners (the raw-TCP one after its sessions drain), then the SLO
 	// engine (no rule evaluates against a half-drained registry) and the
-	// profiler, then the fleet's pools, then the tracer and its sink, so
+	// profiler, then the engine's pools, then the tracer and its sink, so
 	// no frame finishes a trace after the sink closes. Every exit runs it
 	// once; a clean shutdown runs it before the manifest, so the
 	// profiler's final drain lands in the manifest's runtime histograms.
@@ -225,14 +226,14 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		opts := phy.Options{SyncThreshold: *syncThr, Threshold: *threshold, RealEnv: *realEnv}
 		if opts.SyncThreshold == 0 && name == "zigbee" {
-			// The daemon has always run zigbee sync at 0.3 (below the
-			// receiver's own 0.5 default) to catch weak preambles; keep that
-			// operating point unless -sync overrides it.
-			opts.SyncThreshold = 0.3
+			// The daemon has always run zigbee sync at the edge threshold
+			// (below the receiver's own 0.5 default) to catch weak
+			// preambles; keep that operating point unless -sync overrides it.
+			opts.SyncThreshold = zigbee.EdgeSyncThreshold
 		}
 		p, err := phy.Build(name, opts)
 		if err != nil {
-			return fmt.Errorf("-protos: %w (registered: %v)", err, phy.Protocols())
+			return fmt.Errorf("-protos: %w", err)
 		}
 		pipelines = append(pipelines, p)
 	}
@@ -247,24 +248,22 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		return fmt.Errorf("-calib-warmup / -calib-drift-every require -calib")
 	}
 
-	fleet, err := stream.NewFleet(stream.FleetConfig{
-		Config: stream.Config{
-			ChunkSize:   *chunk,
-			Workers:     *workers,
-			QueueDepth:  *queue,
-			MaxPending:  *pending,
-			Pipelines:   pipelines,
-			Tracer:      tracer,
-			Calibration: calCfg,
-		},
-		Shards:    *shards,
-		Admission: stream.AdmissionConfig{Enabled: *admission},
-		TopK:      *topK,
+	engine, err := stream.NewEngine(stream.Config{
+		ChunkSize:   *chunk,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		MaxPending:  *pending,
+		Pipelines:   pipelines,
+		Tracer:      tracer,
+		Calibration: calCfg,
+		Shards:      *shards,
+		Admission:   stream.AdmissionConfig{Enabled: *admission},
+		TopK:        *topK,
 	})
 	if err != nil {
 		return err
 	}
-	undo = append(undo, fleet.Close)
+	undo = append(undo, engine.Close)
 
 	// The runtime profiler always runs: go.sched_latency_ns and
 	// go.gc_pause_ns are first-class histograms whether or not SLO rules
@@ -282,7 +281,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		undo = append(undo, alerts.Stop)
 	}
 
-	d := newDaemon(fleet, *deadline)
+	d := newDaemon(engine, *deadline)
 	d.tracer = tracer
 	d.alerts = alerts
 
@@ -313,7 +312,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		go http.Serve(debugLn, dbgMux)
 	}
 	fmt.Fprintf(logw, "hideseekd: serving protocols %v on %d shard(s), admission control %v\n",
-		fleet.Protocols(), fleet.Shards(), fleet.AdmissionEnabled())
+		engine.Protocols(), engine.Shards(), engine.AdmissionEnabled())
 	srv := &http.Server{
 		Handler: d.routes(),
 		// Request contexts descend from the signal context, so streaming
@@ -359,9 +358,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	if *manifest != "" {
-		m := obs.NewManifest("hideseekd", 0, fleet.Workers())
+		m := obs.NewManifest("hideseekd", 0, engine.Workers())
 		m.Kind = obs.KindService
-		m.Protocols = fleet.Protocols()
+		m.Protocols = engine.Protocols()
 		m.WallMS = float64(time.Since(d.start).Microseconds()) / 1000
 		m.Snapshot = d.snap()
 		if err := m.Validate(); err != nil {
@@ -375,9 +374,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	return nil
 }
 
-// daemon binds the shard fleet to the protocol handlers.
+// daemon binds the sharded engine to the protocol handlers.
 type daemon struct {
-	fleet    *stream.Fleet
+	engine   *stream.Engine
 	tracer   *obs.Tracer   // nil when tracing is off
 	alerts   *alert.Engine // nil when -slo is off
 	deadline time.Duration
@@ -395,8 +394,8 @@ func (d *daemon) snap() obs.Snapshot {
 	return s
 }
 
-func newDaemon(f *stream.Fleet, deadline time.Duration) *daemon {
-	return &daemon{fleet: f, deadline: deadline, start: time.Now()}
+func newDaemon(e *stream.Engine, deadline time.Duration) *daemon {
+	return &daemon{engine: e, deadline: deadline, start: time.Now()}
 }
 
 func (d *daemon) routes() *http.ServeMux {
@@ -429,18 +428,18 @@ type trailer struct {
 
 // sessionProto resolves a request's ?proto= selector against the served
 // set, so protocol typos fail with 400 before any samples are consumed
-// ("" = the fleet default).
+// ("" = the engine default).
 func (d *daemon) sessionProto(r *http.Request) (string, error) {
 	proto := r.URL.Query().Get("proto")
 	if proto == "" {
 		return "", nil
 	}
-	for _, served := range d.fleet.Protocols() {
+	for _, served := range d.engine.Protocols() {
 		if proto == served {
 			return proto, nil
 		}
 	}
-	return "", fmt.Errorf("protocol %q not served (have %v)", proto, d.fleet.Protocols())
+	return "", fmt.Errorf("protocol %q not served (have %v)", proto, d.engine.Protocols())
 }
 
 // calibOptions resolves a request's calibration selectors: operator
@@ -513,7 +512,7 @@ func (d *daemon) handleClassify(w http.ResponseWriter, r *http.Request) {
 	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
 	verdicts := make([]stream.Verdict, 0)
 	opts := append([]stream.SessionOption{stream.WithProto(proto), stream.WithSessionKey(sessionKey(r))}, calOpts...)
-	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
+	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
 		verdicts = append(verdicts, v)
 	}, opts...)
 	if err != nil {
@@ -566,7 +565,7 @@ func (d *daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stopAfter()
 	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
-	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
+	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
 		headerOnce.Do(writeHeader)
 		// A write deadline per verdict: a client that streams samples but
 		// never reads responses errors the session instead of blocking its
@@ -638,7 +637,7 @@ func (d *daemon) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleTop reports the fleet-wide heavy-hitter session keys (?k bounds
+// handleTop reports the engine-wide heavy-hitter session keys (?k bounds
 // entries per dimension; default 10).
 func (d *daemon) handleTop(w http.ResponseWriter, r *http.Request) {
 	k := 10
@@ -651,7 +650,7 @@ func (d *daemon) handleTop(w http.ResponseWriter, r *http.Request) {
 		k = v
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(d.fleet.Top(k))
+	json.NewEncoder(w).Encode(d.engine.Top(k))
 }
 
 // handleTraces streams the most recent completed span traces as NDJSON
@@ -698,7 +697,7 @@ type calibUpdate struct {
 // session class's threshold/fit/drift status, PUT applies operator
 // operations to one class.
 func (d *daemon) handleCalib(w http.ResponseWriter, r *http.Request) {
-	mgr := d.fleet.Calibration()
+	mgr := d.engine.Calibration()
 	switch r.Method {
 	case http.MethodGet:
 		st := calibStatus{Enabled: mgr != nil}
@@ -749,7 +748,7 @@ func (d *daemon) handleCalib(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// health is the /healthz document: liveness, fleet state (per-shard load
+// health is the /healthz document: liveness, engine state (per-shard load
 // and admission tier), build identity, runtime gauges, and the rolling
 // per-stage latency windows — enough to tell what the service is and how
 // it is doing right now from one probe.
@@ -786,18 +785,18 @@ func (d *daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := health{
 		Status:         "ok",
 		UptimeMS:       float64(time.Since(d.start).Microseconds()) / 1000,
-		Protocols:      d.fleet.Protocols(),
-		Shards:         d.fleet.Shards(),
-		Admission:      d.fleet.AdmissionEnabled(),
-		Workers:        d.fleet.Workers(),
-		ActiveSessions: d.fleet.ActiveSessions(),
-		QueueDepth:     d.fleet.QueueDepth(),
-		ShardTable:     d.fleet.ShardTable(),
+		Protocols:      d.engine.Protocols(),
+		Shards:         d.engine.Shards(),
+		Admission:      d.engine.AdmissionEnabled(),
+		Workers:        d.engine.Workers(),
+		ActiveSessions: d.engine.ActiveSessions(),
+		QueueDepth:     d.engine.QueueDepth(),
+		ShardTable:     d.engine.ShardTable(),
 		Build:          obs.ReadBuild(),
 		Runtime:        snap.Runtime,
 		Windows:        windows,
 	}
-	if mgr := d.fleet.Calibration(); mgr != nil {
+	if mgr := d.engine.Calibration(); mgr != nil {
 		h.Calibration = mgr.Status()
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -880,7 +879,7 @@ func (d *daemon) serveConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 	src := d.idleSource(ctx, br, conn.SetReadDeadline)
-	stats, err := d.fleet.Process(ctx, src, func(v stream.Verdict) {
+	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
 		// Bound every verdict write so a peer that stops reading errors the
 		// session rather than wedging its delivery goroutine.
 		if d.deadline > 0 {

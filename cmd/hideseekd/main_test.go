@@ -3,11 +3,14 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,21 +63,19 @@ func zigbeePipelines(t *testing.T) []*phy.Pipeline {
 
 func testDaemon(t *testing.T, workers int) (*daemon, *httptest.Server) {
 	t.Helper()
-	fleet, err := stream.NewFleet(stream.FleetConfig{
-		Config: stream.Config{
-			Workers:   workers,
-			Pipelines: zigbeePipelines(t),
-		},
-		Shards: 2,
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:   workers,
+		Pipelines: zigbeePipelines(t),
+		Shards:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDaemon(fleet, 30*time.Second)
+	d := newDaemon(engine, 30*time.Second)
 	ts := httptest.NewServer(d.routes())
 	t.Cleanup(func() {
 		ts.Close()
-		fleet.Close()
+		engine.Close()
 	})
 	return d, ts
 }
@@ -209,11 +210,11 @@ func TestMethodAndHealthEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Workers != d.fleet.Workers() {
+	if h.Status != "ok" || h.Workers != d.engine.Workers() {
 		t.Errorf("health %+v", h)
 	}
-	if h.Shards != d.fleet.Shards() || len(h.ShardTable) != d.fleet.Shards() {
-		t.Errorf("health shard table %+v, want %d shards", h.ShardTable, d.fleet.Shards())
+	if h.Shards != d.engine.Shards() || len(h.ShardTable) != d.engine.Shards() {
+		t.Errorf("health shard table %+v, want %d shards", h.ShardTable, d.engine.Shards())
 	}
 	for i, row := range h.ShardTable {
 		if row.Shard != i || row.Tier != "accept" {
@@ -247,11 +248,9 @@ func TestObsEndpointExposesDropCounter(t *testing.T) {
 // same shard is shed — /v1/classify and /v1/stream must answer 503, not
 // a half-open NDJSON stream.
 func TestAdmissionShedsWith503(t *testing.T) {
-	fleet, err := stream.NewFleet(stream.FleetConfig{
-		Config: stream.Config{
-			Workers:   2,
-			Pipelines: zigbeePipelines(t),
-		},
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:   2,
+		Pipelines: zigbeePipelines(t),
 		Admission: stream.AdmissionConfig{
 			Enabled:          true,
 			DegradeScanP95NS: 1, ShedScanP95NS: 1,
@@ -260,11 +259,11 @@ func TestAdmissionShedsWith503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDaemon(fleet, 30*time.Second)
+	d := newDaemon(engine, 30*time.Second)
 	ts := httptest.NewServer(d.routes())
 	t.Cleanup(func() {
 		ts.Close()
-		fleet.Close()
+		engine.Close()
 	})
 
 	capture, _ := testCapture(t, 23)
@@ -289,5 +288,18 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("%s on hot shard: status %d, want 503", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestUnknownProtocolListsRegisteredOnce: an unknown -protos entry fails
+// with phy.Build's error, which already names the registered protocols;
+// the daemon must not append the list a second time.
+func TestUnknownProtocolListsRegisteredOnce(t *testing.T) {
+	err := run(context.Background(), []string{"-protos", "nope"}, io.Discard)
+	if err == nil {
+		t.Fatal("-protos nope accepted")
+	}
+	if n := strings.Count(err.Error(), "registered:"); n != 1 {
+		t.Fatalf("error lists the registered protocols %d times, want once: %v", n, err)
 	}
 }

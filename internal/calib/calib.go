@@ -155,7 +155,7 @@ func (c Config) Validate() error {
 }
 
 // Manager owns the calibrators of every session class. One Manager is
-// shared by every shard of a fleet, so a session keeps its class's
+// shared by every shard of an engine, so a session keeps its class's
 // calibrated threshold wherever admission lands it (including the
 // degraded tier). Managers are safe for concurrent use.
 type Manager struct {

@@ -263,6 +263,31 @@ func TestDriftEventAndThrottle(t *testing.T) {
 	}
 }
 
+// TestThinWindowDoesNotRestartThrottle: a drift check that bails out on
+// a window thinner than MinWindowCount must not start a new
+// DriftCheckEvery period. Nine drifted samples arrive 2 ms apart (each
+// check sees a thin window), then seven more land 10 µs apart, inside
+// one throttle period; the check on the sixteenth sample must evaluate
+// the now-full window and raise drift.
+func TestThinWindowDoesNotRestartThrottle(t *testing.T) {
+	clk := newFakeClock()
+	m, _ := NewManager(Config{WarmupPerClass: 6, DriftCheckEvery: time.Millisecond, Now: clk.now})
+	c := m.Class("zigbee", 0.2)
+	warmUp(t, c, clk, 0.05, 0.80)
+	clk.advance(obs.WindowLong + 10*time.Second)
+	for i := 0; i < 9; i++ {
+		c.Observe(0.50, LabelAuthentic)
+		clk.advance(2 * time.Millisecond)
+	}
+	for i := 0; i < 7; i++ {
+		c.Observe(0.50, LabelAuthentic)
+		clk.advance(10 * time.Microsecond)
+	}
+	if got := c.DriftTotal(); got != 1 {
+		t.Fatalf("drift total %d after a full drifted window, want 1", got)
+	}
+}
+
 func TestStableTrafficNoDrift(t *testing.T) {
 	clk := newFakeClock()
 	m, _ := NewManager(testConfig(clk))

@@ -195,16 +195,19 @@ func (c *Calibrator) maybeFitLocked(now time.Time) {
 }
 
 // checkDriftLocked compares the last-60 s authentic quantiles against
-// the fit baseline, at most once per DriftCheckEvery.
+// the fit baseline, at most once per DriftCheckEvery. A check that finds
+// fewer than MinWindowCount samples evaluates nothing, so it does not
+// start a new throttle period: the sample that fills the window is
+// checked at once.
 func (c *Calibrator) checkDriftLocked(now time.Time) *DriftEvent {
 	if now.Sub(c.lastCheck) < c.cfg.DriftCheckEvery {
 		return nil
 	}
-	c.lastCheck = now
 	n := c.auth.merged(c.scratchA, now, obs.WindowShort)
 	if n < uint64(c.cfg.MinWindowCount) {
 		return nil
 	}
+	c.lastCheck = now
 	p50 := quantileOf(c.scratchA, n, 0.50, c.cfg.MaxValue)
 	p95 := quantileOf(c.scratchA, n, 0.95, c.cfg.MaxValue)
 	ev := driftOf(c.class, "p50", c.fit.AuthP50, p50, c.cfg.DriftFrac, now)

@@ -17,7 +17,7 @@ import (
 //
 // Weights are float64 so the same sketch attributes both event counts
 // (w=1 per frame) and magnitudes (w=latency nanoseconds). A single
-// mutex guards the sketch: each fleet shard owns its own sketches, so
+// mutex guards the sketch: each engine shard owns its own sketches, so
 // contention is bounded by per-shard concurrency, like shardObs.
 type TopK struct {
 	mu  sync.Mutex
@@ -108,7 +108,7 @@ func (t *TopK) Top(k int) []TopKEntry {
 }
 
 // Merge folds the entries of a Top() report into t (used to combine
-// per-shard sketches into a fleet-wide view). Error bounds add: the
+// per-shard sketches into an engine-wide view). Error bounds add: the
 // merged overestimate is at most the sum of the parts'.
 func (t *TopK) Merge(entries []TopKEntry) {
 	for _, e := range entries {

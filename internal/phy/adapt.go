@@ -4,7 +4,7 @@ import "fmt"
 
 // NativeReceiver is the method set a protocol package's own receiver
 // (R, returning receptions of type Rec) must have for Adapt to present it
-// as a Receiver and SyncTuner.
+// as a Receiver.
 type NativeReceiver[R, Rec any] interface {
 	Clone() R
 	SyncThreshold() float64
@@ -39,10 +39,9 @@ type Native[Rec, D any] struct {
 }
 
 // Adapt wraps a protocol's native receiver and detector as a Pipeline.
-// The receiver is a SyncTuner and the detector a DetectTuner. The
-// receiver wrapper caches the Reception it hands out, so DecodeAt adds no
-// allocation to the native decode, and a detector refuses any reception
-// but its own protocol's.
+// The detector is a DetectTuner. The receiver wrapper caches the
+// Reception it hands out, so DecodeAt adds no allocation to the native
+// decode, and a detector refuses any reception but its own protocol's.
 func Adapt[R NativeReceiver[R, Rec], Rec any, D NativeDetector[D]](n *Native[Rec, D], rx R, det D) *Pipeline {
 	return &Pipeline{
 		Protocol: n.Protocol,

@@ -87,30 +87,22 @@ func contractFrames(t *testing.T) ([]string, map[string]*contractFrame) {
 	return names, frames
 }
 
-// TestAdapterContract checks every registered adapter for the optional
-// capabilities the streaming tier relies on (degraded sync and online
-// calibration), and that a detector refuses another protocol's
-// reception.
+// TestAdapterContract checks every registered adapter's re-thresholded
+// receiver clones (degraded sync), the optional detector capability the
+// streaming tier relies on (online calibration), and that a detector
+// refuses another protocol's reception.
 func TestAdapterContract(t *testing.T) {
 	names, frames := contractFrames(t)
 	for _, name := range names {
 		f := frames[name]
 
-		st, ok := f.pipe.Receiver.(phy.SyncTuner)
-		if !ok {
-			t.Errorf("%s: receiver %T is not a phy.SyncTuner", name, f.pipe.Receiver)
-		} else {
-			rx, err := st.CloneWithSyncThreshold(0.75)
-			if err != nil {
-				t.Errorf("%s: CloneWithSyncThreshold: %v", name, err)
-			} else if rt, ok := rx.(phy.SyncTuner); !ok {
-				t.Errorf("%s: re-thresholded receiver %T is not a phy.SyncTuner", name, rx)
-			} else if got := rt.SyncThreshold(); got != 0.75 {
-				t.Errorf("%s: re-thresholded receiver reports sync threshold %v, want 0.75", name, got)
-			}
-			if got := st.SyncThreshold(); got == 0.75 {
-				t.Errorf("%s: re-thresholding changed the prototype's sync threshold", name)
-			}
+		if rx, err := f.pipe.Receiver.CloneWithSyncThreshold(0.75); err != nil {
+			t.Errorf("%s: CloneWithSyncThreshold: %v", name, err)
+		} else if got := rx.SyncThreshold(); got != 0.75 {
+			t.Errorf("%s: re-thresholded receiver reports sync threshold %v, want 0.75", name, got)
+		}
+		if got := f.pipe.Receiver.SyncThreshold(); got == 0.75 {
+			t.Errorf("%s: re-thresholding changed the prototype's sync threshold", name)
 		}
 
 		dt, ok := f.pipe.Detector.(phy.DetectTuner)

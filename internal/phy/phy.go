@@ -107,21 +107,13 @@ type Receiver interface {
 	// starting at start; syncPeak is recorded in the Reception. The
 	// Reception is scratch-backed (see the Reception lifetime note).
 	DecodeAt(waveform []complex128, start int, syncPeak float64) (Reception, error)
-}
-
-// SyncTuner is an optional Receiver capability: a receiver that can
-// report its effective preamble sync threshold and produce a cheap
-// re-thresholded clone (sharing the immutable reference spectrum and
-// correlation plan, exactly like Clone). The streaming tier's degraded
-// admission mode uses it to raise the sync bar on overloaded shards;
-// receivers without the capability still degrade by reduced in-flight
-// budget only.
-type SyncTuner interface {
-	Receiver
-	// SyncThreshold reports the effective sync threshold.
+	// SyncThreshold reports the effective preamble sync threshold.
 	SyncThreshold() float64
 	// CloneWithSyncThreshold returns a Clone whose sync threshold is t
-	// (t must be in the receiver's valid range).
+	// (t must be in the receiver's valid range), sharing the immutable
+	// reference spectrum and correlation plan exactly like Clone. The
+	// streaming engine's degrade admission tier uses it to raise the
+	// sync bar on overloaded shards.
 	CloneWithSyncThreshold(t float64) (Receiver, error)
 }
 
@@ -145,9 +137,9 @@ type Detector interface {
 }
 
 // DetectTuner is an optional Detector capability, the detect-side mirror
-// of SyncTuner: a detector that can report its decision threshold (Q in
-// the paper's hypothesis test) and produce a cheap re-thresholded clone
-// sharing its immutable reference state. The online calibration stage
+// of Receiver.CloneWithSyncThreshold: a detector that can report its
+// decision threshold (Q in the paper's hypothesis test) and produce a
+// cheap re-thresholded clone sharing its immutable reference state. The online calibration stage
 // (internal/calib, threaded through internal/stream) uses it to apply a
 // fitted or operator-overridden threshold per session without touching
 // the shared pipeline detector; detectors without the capability keep

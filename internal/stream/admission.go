@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Tier is a fleet shard's admission tier. Tiers order by load: every
+// Tier is an engine shard's admission tier. Tiers order by load: every
 // session is admitted at full fidelity under TierAccept, admitted at a
 // reduced operating point under TierDegrade, and rejected outright under
 // TierShed. Escalation is immediate (one overloaded sample moves the
@@ -35,7 +35,7 @@ func (t Tier) String() string {
 	}
 }
 
-// AdmissionConfig parameterizes a Fleet's per-shard admission control.
+// AdmissionConfig parameterizes an Engine's per-shard admission control.
 // The zero value disables admission entirely (every session is accepted
 // at full fidelity); set Enabled to turn it on with the documented
 // defaults. Load is judged from two signals per shard: the instantaneous
@@ -44,7 +44,7 @@ func (t Tier) String() string {
 // stream.shard<i>.scan_ns).
 type AdmissionConfig struct {
 	// Enabled turns admission control on. When false every other field is
-	// ignored and Fleet.Process admits unconditionally.
+	// ignored and Engine.Process admits unconditionally.
 	Enabled bool
 	// DegradeQueueDepth / DegradeScanP95NS move a shard to TierDegrade
 	// when either is reached (defaults: half the engine QueueDepth; 5 ms).
@@ -56,8 +56,7 @@ type AdmissionConfig struct {
 	ShedScanP95NS  float64
 	// SyncScale multiplies the receiver's preamble sync threshold for
 	// degrade-tier sessions (default 1.5; clamped so the threshold never
-	// exceeds 1). Receivers without the phy.SyncTuner capability keep
-	// their normal threshold and degrade by in-flight budget only.
+	// exceeds 1).
 	SyncScale float64
 	// DegradedMaxPending is the in-flight frame bound for degrade-tier
 	// sessions (default: a quarter of the engine MaxPending, minimum 1).
@@ -71,7 +70,7 @@ type AdmissionConfig struct {
 	RecoveryHold time.Duration
 }
 
-// applyDefaults resolves zero fields against the fleet's engine config
+// applyDefaults resolves zero fields against the engine config
 // (whose own defaults have already been applied).
 func (a *AdmissionConfig) applyDefaults(base *Config) error {
 	if a.DegradeQueueDepth == 0 {

@@ -155,8 +155,8 @@ func BenchmarkEngineSaturation(b *testing.B) {
 			)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f, err := NewFleet(FleetConfig{
-					Config:    Config{Pipelines: []*phy.Pipeline{zigbeePipeline(b)}},
+				f, err := NewEngine(Config{
+					Pipelines: []*phy.Pipeline{zigbeePipeline(b)},
 					Shards:    4,
 					Admission: AdmissionConfig{Enabled: true},
 				})

@@ -269,7 +269,9 @@ func TestCalibDriftCounterAndSpan(t *testing.T) {
 func TestCalibSharedAcrossFleetShards(t *testing.T) {
 	authentic, emulated := testFrames(t, []byte("calib-fleet"))
 	clk := newTickClock()
-	f, err := NewFleet(FleetConfig{Config: calibTestConfig(t, clk), Shards: 3})
+	cfg := calibTestConfig(t, clk)
+	cfg.Shards = 3
+	f, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package stream
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hideseek/internal/calib"
+	"hideseek/internal/obs"
 	"hideseek/internal/phy"
 	"hideseek/internal/runner"
 )
@@ -33,8 +35,7 @@ type enginePipe struct {
 // degradedRx returns the protocol's degraded-tier receiver prototype: the
 // served prototype with its sync threshold scaled up by syncScale
 // (clamped to 1), sharing the same immutable reference spectrum and FFT
-// plan. Receivers without the phy.SyncTuner capability degrade by
-// in-flight budget only and keep their normal prototype.
+// plan.
 func (ep *enginePipe) degradedRx(syncScale float64) phy.Receiver {
 	ep.degMu.Lock()
 	defer ep.degMu.Unlock()
@@ -42,41 +43,67 @@ func (ep *enginePipe) degradedRx(syncScale float64) phy.Receiver {
 		return ep.deg
 	}
 	ep.deg = ep.rx
-	if st, ok := ep.rx.(phy.SyncTuner); ok && syncScale > 1 {
-		t := st.SyncThreshold() * syncScale
-		if t > 1 {
-			t = 1
-		}
-		if deg, err := st.CloneWithSyncThreshold(t); err == nil {
+	if syncScale > 1 {
+		if deg, err := ep.rx.CloneWithSyncThreshold(min(ep.rx.SyncThreshold()*syncScale, 1)); err == nil {
 			ep.deg = deg
 		}
 	}
 	return ep.deg
 }
 
-// Engine owns the shared decode/detect worker pool and the bounded frame
-// queue. Many sessions (one per connection or capture) feed one Engine
-// concurrently; frames from every session — across every served protocol
-// — are batched through the same workers, which is how the daemon serves
-// many clients with a fixed resource envelope.
+// Engine serves sessions. It runs Config.Shards shards, each one worker
+// pool with its own bounded frame queue, admission tier and
+// shard-labelled instruments. Many sessions (one per connection or
+// capture) feed one Engine concurrently; a session is pinned to one
+// shard for its whole life, and frames from every session on a shard —
+// across every served protocol — are batched through that shard's
+// workers, which is how the daemon serves many clients with a fixed
+// resource envelope.
+//
+// Sessions with equal shard-affinity keys (WithSessionKey) land on the
+// same shard — consistent assignment by FNV-1a hash — so one client's
+// sessions share a queue and a latency budget; keyless sessions spread
+// round-robin. With Config.Admission enabled, an overloaded shard
+// degrades new sessions (raised sync threshold, tightened in-flight
+// budget) and past that sheds them at admission with a typed
+// *ShedError, keeping accepted sessions' latency bounded instead of
+// letting every session slowly starve.
 type Engine struct {
 	cfg    Config
 	pipes  []*enginePipe
 	byName map[string]*enginePipe
-	q      *jobQueue
-	wg     sync.WaitGroup
+	shards []*shard
 	sids   atomic.Uint64  // session-id allocator (stamped on traces)
-	shard  *shardObs      // shard-labelled instruments when fleet-owned (nil standalone)
-	calib  *calib.Manager // online-calibration classes; nil when the stage is disabled
+	rr     atomic.Uint64  // round-robin cursor for keyless sessions
+	calib  *calib.Manager // online-calibration classes shared by every shard and tier; nil when the stage is disabled
+
+	// sample reads a shard's load for an admission decision; replaced by
+	// tests to drive the tier machine with synthetic load.
+	sample func(shard int) admissionSample
+	// now is the admission clock; replaced by tests.
+	now func() time.Time
 
 	mu     sync.Mutex
 	closed bool
-	active int // sessions currently running
 }
 
-// NewEngine validates cfg, builds the served pipelines, and starts the
-// worker pool. Close must be called to release the workers. At least
-// one pipeline is required.
+// shard is one worker pool with its bounded frame queue, its admission
+// tier and its shard-labelled instruments.
+type shard struct {
+	shardObs
+	q      *jobQueue
+	adm    admission
+	wg     sync.WaitGroup
+	active atomic.Int64 // sessions currently running
+}
+
+func newShard(i int, cfg Config) *shard {
+	return &shard{shardObs: newShardObs(i, cfg.TopK), q: newJobQueue(cfg.QueueDepth), adm: admission{cfg: cfg.Admission}}
+}
+
+// NewEngine validates cfg, builds the served pipelines and the shards,
+// and starts every shard's worker pool. Close must be called to release
+// the workers. At least one pipeline is required.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -84,20 +111,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runner.DefaultWorkers()
 	}
-	// Fleet-owned engines share the fleet's manager (one calibrated
-	// threshold per class across every shard and tier); standalone
-	// engines build their own.
-	mgr := cfg.calibMgr
-	if mgr == nil && cfg.Calibration != nil {
-		var err error
-		mgr, err = calib.NewManager(*cfg.Calibration)
+	e := &Engine{cfg: cfg, byName: make(map[string]*enginePipe, len(cfg.Pipelines)), now: time.Now}
+	if cfg.Calibration != nil {
+		// One manager for every shard: sessions of a class calibrate
+		// together no matter which shard (or admission tier) they land on,
+		// so a degraded-tier session keeps the class's fitted threshold.
+		mgr, err := calib.NewManager(*cfg.Calibration)
 		if err != nil {
 			return nil, err
 		}
+		e.calib = mgr
 	}
-	pipelines := cfg.Pipelines
-	e := &Engine{cfg: cfg, shard: cfg.shard, calib: mgr, byName: make(map[string]*enginePipe, len(pipelines)), q: newJobQueue(cfg.QueueDepth)}
-	for i, p := range pipelines {
+	for i, p := range cfg.Pipelines {
 		if p == nil || p.Receiver == nil || p.Detector == nil {
 			return nil, fmt.Errorf("stream: pipeline %d is incomplete", i)
 		}
@@ -124,18 +149,49 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.pipes = append(e.pipes, ep)
 		e.byName[p.Protocol] = ep
 	}
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
+	for i := 0; i < cfg.Shards; i++ {
+		sh := newShard(i, cfg)
+		sh.wg.Add(cfg.Workers)
+		for w := 0; w < cfg.Workers; w++ {
+			go e.worker(sh)
+		}
+		e.shards = append(e.shards, sh)
+	}
+	e.sample = func(i int) admissionSample {
+		sh := e.shards[i]
+		return admissionSample{queueDepth: sh.q.depth(), scanP95NS: sh.scanNS.Windowed().Last60s.P95}
 	}
 	return e, nil
 }
 
-// Workers returns the pool width.
-func (e *Engine) Workers() int { return e.cfg.Workers }
+// shardFor maps a session key to its shard: FNV-1a over the key for
+// consistent assignment, round-robin for keyless sessions.
+func (e *Engine) shardFor(key string) int {
+	if len(e.shards) == 1 {
+		return 0
+	}
+	if key == "" {
+		return int(e.rr.Add(1) % uint64(len(e.shards)))
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return int(h.Sum64() % uint64(len(e.shards)))
+}
 
-// QueueDepth returns the current number of frames waiting for a worker.
-func (e *Engine) QueueDepth() int { return e.q.depth() }
+// Shards returns the shard count.
+func (e *Engine) Shards() int { return len(e.shards) }
+
+// Workers returns the total pool width across shards.
+func (e *Engine) Workers() int { return len(e.shards) * e.cfg.Workers }
+
+// QueueDepth returns the engine-wide count of frames waiting for workers.
+func (e *Engine) QueueDepth() int {
+	n := 0
+	for _, sh := range e.shards {
+		n += sh.q.depth()
+	}
+	return n
+}
 
 // Protocols returns the served protocol names in configuration order
 // (the first is the default).
@@ -147,8 +203,8 @@ func (e *Engine) Protocols() []string {
 	return names
 }
 
-// DefaultProtocol returns the protocol Process binds sessions to.
-func (e *Engine) DefaultProtocol() string { return e.pipes[0].name }
+// AdmissionEnabled reports whether tiered admission control is on.
+func (e *Engine) AdmissionEnabled() bool { return e.cfg.Admission.Enabled }
 
 // Calibration returns the engine's online-calibration manager — the admin
 // surface for threshold overrides, warmup re-arm, and drift status. nil
@@ -167,16 +223,76 @@ func (e *Engine) pipeline(proto string) (*enginePipe, error) {
 	return p, nil
 }
 
-// ActiveSessions returns how many sessions are currently running.
+// ActiveSessions returns the engine-wide count of running sessions.
 func (e *Engine) ActiveSessions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.active
+	n := 0
+	for _, sh := range e.shards {
+		n += int(sh.active.Load())
+	}
+	return n
 }
 
-// Close drains the queue, stops the workers, and waits for them to exit.
-// It must not race with in-flight Process calls: finish (or cancel and
-// drain) sessions first. Close is idempotent.
+// ShardStatus is one row of Engine.ShardTable: a shard's identity, load,
+// and admission tier, as served by the daemon's /healthz.
+type ShardStatus struct {
+	Shard          int     `json:"shard"`
+	Workers        int     `json:"workers"`
+	ActiveSessions int     `json:"active_sessions"`
+	QueueDepth     int     `json:"queue_depth"`
+	Tier           string  `json:"tier"`
+	ScanP95NS      float64 `json:"scan_p95_ns"`
+}
+
+// ShardTable returns a per-shard status snapshot (the daemon serves it
+// on /healthz). Tier is the shard's current admission tier; "accept"
+// when admission control is disabled.
+func (e *Engine) ShardTable() []ShardStatus {
+	table := make([]ShardStatus, len(e.shards))
+	for i, sh := range e.shards {
+		table[i] = ShardStatus{
+			Shard:          i,
+			Workers:        e.cfg.Workers,
+			ActiveSessions: int(sh.active.Load()),
+			QueueDepth:     sh.q.depth(),
+			Tier:           sh.adm.current().String(),
+			ScanP95NS:      sh.scanNS.Windowed().Last60s.P95,
+		}
+	}
+	return table
+}
+
+// TopKTable is the engine-wide heavy-hitter report: the top session keys
+// by frames scanned, frames dropped, sessions shed, and summed verdict
+// latency. Counts may overestimate by at most each entry's Err (the
+// space-saving bound); merged across shards, the bounds add.
+type TopKTable struct {
+	Frames    []obs.TopKEntry `json:"frames"`
+	Dropped   []obs.TopKEntry `json:"dropped,omitempty"`
+	Shed      []obs.TopKEntry `json:"shed,omitempty"`
+	LatencyNS []obs.TopKEntry `json:"latency_ns"`
+}
+
+// Top merges the per-shard sketches and returns up to k heavy hitters
+// per dimension (k <= 0: up to the sketch capacity).
+func (e *Engine) Top(k int) TopKTable {
+	pick := func(sel func(*shard) *obs.TopK) []obs.TopKEntry {
+		m := obs.NewTopK(e.cfg.TopK)
+		for _, sh := range e.shards {
+			m.Merge(sel(sh).Top(0))
+		}
+		return m.Top(k)
+	}
+	return TopKTable{
+		Frames:    pick(func(sh *shard) *obs.TopK { return sh.topFrames }),
+		Dropped:   pick(func(sh *shard) *obs.TopK { return sh.topDropped }),
+		Shed:      pick(func(sh *shard) *obs.TopK { return sh.topShed }),
+		LatencyNS: pick(func(sh *shard) *obs.TopK { return sh.topLatency }),
+	}
+}
+
+// Close drains every shard's queue, stops the workers, and waits for them
+// to exit. It must not race with in-flight Process calls: finish (or
+// cancel and drain) sessions first. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -185,22 +301,26 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	e.q.close()
-	e.wg.Wait()
+	for _, sh := range e.shards {
+		sh.q.close()
+	}
+	for _, sh := range e.shards {
+		sh.wg.Wait()
+	}
 }
 
 // worker is the decode/detect stage: one receiver clone per served
 // protocol (receivers reuse internal scratch and are not
 // concurrency-safe; Clone shares the immutable references and plans),
 // shared stateless detectors.
-func (e *Engine) worker() {
-	defer e.wg.Done()
+func (e *Engine) worker(sh *shard) {
+	defer sh.wg.Done()
 	rxs := make([]phy.Receiver, len(e.pipes))
 	for i, p := range e.pipes {
 		rxs[i] = p.rx.Clone()
 	}
 	for {
-		j, ok := e.q.pop()
+		j, ok := sh.q.pop()
 		if !ok {
 			return
 		}
@@ -213,9 +333,7 @@ func (e *Engine) worker() {
 		// included.
 		total := v.ScanNS + v.QueueNS + v.DecodeNS + v.DetectNS
 		obsVerdictNS.Observe(float64(total))
-		if e.shard != nil {
-			e.shard.topLatency.Add(j.sess.tenant, float64(total))
-		}
+		sh.topLatency.Add(j.sess.tenant, float64(total))
 		// The frame copy is dead once the verdict is built (payloads and
 		// features never alias it); recycle it through the arena.
 		putCF32(j.frame)

@@ -26,7 +26,7 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 	cfg := testConfig(t)
 	want := batchVerdicts(t, capture)
 
-	f, err := NewFleet(FleetConfig{Config: cfg})
+	f, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 // TestFleetShardAffinity: equal keys always land on the same shard,
 // different keys spread out, and keyless sessions cycle every shard.
 func TestFleetShardAffinity(t *testing.T) {
-	f, err := NewFleet(FleetConfig{Config: testConfig(t), Shards: 4})
+	f, err := NewEngine(fleetConfig(t, 4, AdmissionConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,10 @@ func TestFleetShardAffinity(t *testing.T) {
 // TestFleetShedsUnderOverload: a shard in TierShed rejects sessions at
 // admission with a *ShedError before reading any sample, and counts them.
 func TestFleetShedsUnderOverload(t *testing.T) {
-	f, err := NewFleet(FleetConfig{
-		Config: testConfig(t),
-		Shards: 2,
-		Admission: AdmissionConfig{
-			Enabled:           true,
-			DegradeQueueDepth: 4, ShedQueueDepth: 8,
-		},
-	})
+	f, err := NewEngine(fleetConfig(t, 2, AdmissionConfig{
+		Enabled:           true,
+		DegradeQueueDepth: 4, ShedQueueDepth: 8,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +96,7 @@ func TestFleetShedsUnderOverload(t *testing.T) {
 	f.sample = func(int) admissionSample { return admissionSample{queueDepth: 64} }
 
 	shard := f.shardFor("overloaded-client")
-	shedBefore := f.shards[shard].shard.shed.Value()
+	shedBefore := f.shards[shard].shed.Value()
 	emitted := 0
 	_, err = f.Process(context.Background(), NewSliceSource(make([]complex128, 4096)),
 		func(Verdict) { emitted++ }, WithSessionKey("overloaded-client"))
@@ -117,7 +113,7 @@ func TestFleetShedsUnderOverload(t *testing.T) {
 	if emitted != 0 {
 		t.Fatalf("%d verdicts emitted from a shed session, want 0", emitted)
 	}
-	if got := f.shards[shard].shard.shed.Value() - shedBefore; got != 1 {
+	if got := f.shards[shard].shed.Value() - shedBefore; got != 1 {
 		t.Fatalf("shard shed counter advanced %d, want 1", got)
 	}
 	if tier := f.ShardTable()[shard].Tier; tier != "shed" {
@@ -134,21 +130,18 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(FleetConfig{
-		Config: testConfig(t),
-		Admission: AdmissionConfig{
-			Enabled:           true,
-			DegradeQueueDepth: 4, ShedQueueDepth: 1 << 20,
-			DegradeScanP95NS: 1e6, ShedScanP95NS: 1e12,
-		},
-	})
+	f, err := NewEngine(fleetConfig(t, 1, AdmissionConfig{
+		Enabled:           true,
+		DegradeQueueDepth: 4, ShedQueueDepth: 1 << 20,
+		DegradeScanP95NS: 1e6, ShedScanP95NS: 1e12,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	f.sample = func(int) admissionSample { return admissionSample{queueDepth: 5} }
 
-	degBefore := f.shards[0].shard.degraded.Value()
+	degBefore := f.shards[0].degraded.Value()
 	var got []Verdict
 	stats, err := f.Process(context.Background(), NewSliceSource(capture), func(v Verdict) {
 		got = append(got, v)
@@ -170,7 +163,7 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 			t.Fatalf("verdict %d has empty Proto", v.Seq)
 		}
 	}
-	if got := f.shards[0].shard.degraded.Value() - degBefore; got != 1 {
+	if got := f.shards[0].degraded.Value() - degBefore; got != 1 {
 		t.Fatalf("shard degraded counter advanced %d, want 1", got)
 	}
 }
@@ -178,14 +171,11 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 // TestFleetRecoversViaHysteresis drives the admission clock directly:
 // shed under overload, then step down tier by tier as cool samples hold.
 func TestFleetRecoversViaHysteresis(t *testing.T) {
-	f, err := NewFleet(FleetConfig{
-		Config: testConfig(t),
-		Admission: AdmissionConfig{
-			Enabled:           true,
-			DegradeQueueDepth: 4, ShedQueueDepth: 8,
-			RecoveryFrac: 0.8, RecoveryHold: 5 * time.Second,
-		},
-	})
+	f, err := NewEngine(fleetConfig(t, 1, AdmissionConfig{
+		Enabled:           true,
+		DegradeQueueDepth: 4, ShedQueueDepth: 8,
+		RecoveryFrac: 0.8, RecoveryHold: 5 * time.Second,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +228,15 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t)
 	cfg.Workers = 2
-	f, err := NewFleet(FleetConfig{
-		Config: cfg,
-		Shards: 4,
-		Admission: AdmissionConfig{
-			Enabled:           true,
-			DegradeQueueDepth: 1 << 19, ShedQueueDepth: 1 << 20,
-			// Latency thresholds far above anything a loaded CI box hits:
-			// this test is about churn and teardown, not tiering.
-			DegradeScanP95NS: 1e15, ShedScanP95NS: 1e15,
-		},
-	})
+	cfg.Shards = 4
+	cfg.Admission = AdmissionConfig{
+		Enabled:           true,
+		DegradeQueueDepth: 1 << 19, ShedQueueDepth: 1 << 20,
+		// Latency thresholds far above anything a loaded CI box hits:
+		// this test is about churn and teardown, not tiering.
+		DegradeScanP95NS: 1e15, ShedScanP95NS: 1e15,
+	}
+	f, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +271,13 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 	waitNoGoroutineLeak(t, before)
 }
 
+// fleetConfig is testConfig spread over shards, with admission adm.
+func fleetConfig(t *testing.T, shards int, adm AdmissionConfig) Config {
+	cfg := testConfig(t)
+	cfg.Shards, cfg.Admission = shards, adm
+	return cfg
+}
+
 // waitNoGoroutineLeak polls for up to 2 s until the goroutine count is
 // back at or below before, and fails the test if it is not.
 func waitNoGoroutineLeak(t *testing.T, before int) {
@@ -310,17 +305,13 @@ func TestFleetSaturationAccounting(t *testing.T) {
 	const sessions = 256
 	capture := soakCapture(t)
 	before := runtime.NumGoroutine()
-	f, err := NewFleet(FleetConfig{
-		Config:    testConfig(t),
-		Shards:    4,
-		Admission: AdmissionConfig{Enabled: true},
-	})
+	f, err := NewEngine(fleetConfig(t, 4, AdmissionConfig{Enabled: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	shedBefore := make([]int64, len(f.shards))
 	for i, e := range f.shards {
-		shedBefore[i] = e.shard.shed.Value()
+		shedBefore[i] = e.shed.Value()
 	}
 	var (
 		wg           sync.WaitGroup
@@ -363,7 +354,7 @@ func TestFleetSaturationAccounting(t *testing.T) {
 	}
 	var shedCounted int64
 	for i, e := range f.shards {
-		shedCounted += e.shard.shed.Value() - shedBefore[i]
+		shedCounted += e.shed.Value() - shedBefore[i]
 	}
 	if shedCounted != shed.Load() {
 		t.Errorf("shard shed counters rose by %d, %d sessions returned ErrShed", shedCounted, shed.Load())
@@ -401,19 +392,20 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 	// Queue-eviction tombstone: two jobs through a depth-1 queue with no
 	// workers; the second push evicts the first, which must surface as a
 	// fully labelled Dropped verdict.
-	e := &Engine{cfg: Config{MaxPending: 8}, q: newJobQueue(1)}
+	e := &Engine{cfg: Config{MaxPending: 8}}
+	sh := newShard(0, Config{QueueDepth: 1, TopK: defaultTopK})
 	var (
 		mu   sync.Mutex
 		tomb []Verdict
 	)
-	s := newSession(e, testPipe(t), func(v Verdict) {
+	s := newSession(e, sh, testPipe(t), func(v Verdict) {
 		mu.Lock()
 		tomb = append(tomb, v)
 		mu.Unlock()
 	}, sessionOpts{degraded: true, syncScale: 1})
 	s.submit(job{sess: s, pipe: s.pipe, seq: 0, offset: 100})
 	s.submit(job{sess: s, pipe: s.pipe, seq: 1, offset: 200})
-	j, ok := e.q.pop() // hand-deliver the surviving job so drain can finish
+	j, ok := sh.q.pop() // hand-deliver the surviving job so drain can finish
 	if !ok || j.seq != 1 {
 		t.Fatalf("queue pop: seq %d ok %v, want surviving seq 1", j.seq, ok)
 	}
@@ -425,7 +417,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newSession(e2, e2.pipes[0], func(v Verdict) {
+	s2 := newSession(e2, e2.shards[0], e2.pipes[0], func(v Verdict) {
 		mu.Lock()
 		tomb = append(tomb, v)
 		mu.Unlock()

@@ -211,7 +211,7 @@ func TestScanRetentionInvariant(t *testing.T) {
 				mu       sync.Mutex
 				verdicts []Verdict
 			)
-			s := newSession(e, e.pipes[0], func(v Verdict) {
+			s := newSession(e, e.shards[0], e.pipes[0], func(v Verdict) {
 				mu.Lock()
 				verdicts = append(verdicts, v)
 				mu.Unlock()
@@ -307,9 +307,6 @@ func TestConcurrentProtocolsOneEngine(t *testing.T) {
 	defer e.Close()
 	if got := e.Protocols(); len(got) != 2 || got[0] != "zigbee" || got[1] != "lora" {
 		t.Fatalf("Protocols() = %v, want [zigbee lora]", got)
-	}
-	if e.DefaultProtocol() != "zigbee" {
-		t.Fatalf("DefaultProtocol() = %q", e.DefaultProtocol())
 	}
 
 	zbAuth, zbEmu := testFrames(t, []byte("zb-concurrent"))

@@ -70,16 +70,14 @@ func newProtoObs(proto string) protoObs {
 	}
 }
 
-// shardObs is the shard-labelled slice of the stream instruments a Fleet
-// wires into each shard engine ("stream.shard0.sessions", ...). The scan
-// latency histogram's windowed p95 is the admission controller's load
-// signal, so each shard keeps its own. The top-K sketches attribute the
-// shard's frames, drops, sheds, and verdict latency to session keys —
+// shardObs is the shard-labelled slice of the stream instruments every
+// shard carries ("stream.shard0.sessions", ...). The scan latency
+// histogram's windowed p95 is the admission controller's load signal, so
+// each shard keeps its own. The top-K sketches attribute the shard's
+// frames, drops, sheds, and verdict latency to session keys —
 // space-saving sketches, so per-key memory is bounded by the capacity
-// no matter how many tenants a shard serves. All four are nil on a
-// standalone Engine (obs.TopK methods are nil-safe).
+// no matter how many tenants a shard serves.
 type shardObs struct {
-	index      int
 	sessions   *obs.Counter
 	shed       *obs.Counter
 	degraded   *obs.Counter
@@ -96,10 +94,9 @@ type shardObs struct {
 // WithSessionKey, so round-robin traffic still shows up in /v1/top.
 const unkeyedTenant = "(unkeyed)"
 
-func newShardObs(i, topK int) *shardObs {
+func newShardObs(i, topK int) shardObs {
 	pre := "stream.shard" + strconv.Itoa(i) + "."
-	return &shardObs{
-		index:      i,
+	return shardObs{
 		sessions:   obs.C(pre + "sessions"),
 		shed:       obs.C(pre + "shed_sessions"),
 		degraded:   obs.C(pre + "degraded_sessions"),

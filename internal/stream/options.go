@@ -24,7 +24,7 @@ type sessionOpts struct {
 	calibClass  string
 	warmupLabel calib.Label
 
-	// Degraded operating point, set by fleet admission control (never by
+	// Degraded operating point, set by admission control (never by
 	// callers): raised sync threshold scale and a tightened in-flight
 	// budget (0 = engine default).
 	degraded   bool
@@ -38,10 +38,11 @@ func WithProto(proto string) SessionOption {
 	return func(o *sessionOpts) { o.proto = proto }
 }
 
-// WithSessionKey sets the session's shard-affinity key: a Fleet routes
+// WithSessionKey sets the session's shard-affinity key: the Engine routes
 // equal keys to the same shard (consistent assignment), so one client's
-// sessions share a queue and a latency budget. Keyless sessions are
-// spread round-robin. On a bare Engine the key is accepted and ignored.
+// sessions share a queue and a latency budget, and attributes the
+// session's traffic to the key in the top-K sketches. Keyless sessions
+// are spread round-robin.
 func WithSessionKey(key string) SessionOption {
 	return func(o *sessionOpts) { o.key = key }
 }

@@ -293,6 +293,9 @@ func TestConfigValidation(t *testing.T) {
 		{ChunkSize: -1, Pipelines: zb},
 		{QueueDepth: -1, Pipelines: zb},
 		{MaxPending: -1, Pipelines: zb},
+		{Shards: -1, Pipelines: zb},
+		{TopK: -1, Pipelines: zb},
+		{Admission: AdmissionConfig{Enabled: true, SyncScale: 0.5}, Pipelines: zb},
 		{}, // no pipelines
 	} {
 		if e, err := NewEngine(cfg); err == nil {

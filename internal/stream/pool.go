@@ -8,7 +8,7 @@ import (
 // Sample-buffer arena: size-classed sync.Pools for the three per-session
 // allocations the pipeline makes in steady state — the chunk ingest
 // buffer, the sliding window backing, and the per-frame copy handed to
-// the worker pool. At fleet scale (thousands of sessions churning per
+// the worker pool. At daemon scale (thousands of sessions churning per
 // node) these dominate the allocation rate; recycling them through the
 // arena keeps 10k-session churn from thrashing the GC while leaving the
 // scan/decode/detect results untouched (buffers are always fully

@@ -121,7 +121,7 @@ func TestDeliverReordersAndCountsTombstones(t *testing.T) {
 		mu  sync.Mutex
 		got []uint64
 	)
-	s := newSession(&Engine{cfg: Config{MaxPending: 8}}, testPipe(t), func(v Verdict) {
+	s := newSession(&Engine{cfg: Config{MaxPending: 8}}, nil, testPipe(t), func(v Verdict) {
 		mu.Lock()
 		got = append(got, v.Seq)
 		mu.Unlock()

@@ -19,7 +19,7 @@ import (
 // (each connection gets its own). A session is bound to one protocol
 // pipeline for its whole life.
 type Session struct {
-	e          *Engine
+	sh         *shard // the shard whose queue and workers serve the session
 	pipe       *enginePipe
 	rx         phy.Receiver // scanner-side receiver (sync + header decode)
 	refLen     int          // pipe.refLen: sync reference length
@@ -75,10 +75,10 @@ type commit struct {
 	ns     int64     // the deciding step's scanner time, when it ended in a wait
 }
 
-// newSession builds a session bound to one protocol pipe and starts its
-// delivery goroutine. The goroutine exits (and flushed closes) after
-// drain.
-func newSession(e *Engine, pipe *enginePipe, emit func(Verdict), so sessionOpts) *Session {
+// newSession builds a session bound to one shard and one protocol pipe
+// and starts its delivery goroutine. The goroutine exits (and flushed
+// closes) after drain.
+func newSession(e *Engine, sh *shard, pipe *enginePipe, emit func(Verdict), so sessionOpts) *Session {
 	rx := pipe.rx
 	if so.degraded {
 		rx = pipe.degradedRx(so.syncScale)
@@ -88,7 +88,7 @@ func newSession(e *Engine, pipe *enginePipe, emit func(Verdict), so sessionOpts)
 		maxPending = e.cfg.MaxPending
 	}
 	s := &Session{
-		e:          e,
+		sh:         sh,
 		pipe:       pipe,
 		rx:         rx.Clone(),
 		refLen:     pipe.refLen,
@@ -147,12 +147,15 @@ func (s *Session) detector() (phy.Detector, float64, string) {
 	return s.calDet, s.calThr, src.String()
 }
 
-// Process streams src through the engine's shared pool as one session:
-// the calling goroutine runs ingest + preamble scanning, workers run
-// decode + the defense, and emit observes every Verdict in stream order.
-// Options select the session's protocol (WithProto; default = the first
-// configured pipeline) and its shard-affinity key (WithSessionKey —
-// meaningful on a Fleet, accepted and ignored here).
+// Process admits src as one session on its shard and streams it
+// through that shard's pool: the calling goroutine runs ingest +
+// preamble scanning, workers run decode + the defense, and emit observes
+// every Verdict in stream order. Options select the session's protocol
+// (WithProto; default = the first configured pipeline) and its
+// shard-affinity key (WithSessionKey: equal keys → equal shards).
+// Admission control, when enabled, may degrade the session's operating
+// point or reject it with a *ShedError (match with errors.Is(err,
+// ErrShed)) before any sample is read.
 //
 // emit is called from a dedicated per-session delivery goroutine with no
 // locks held — a slow consumer throttles only its own session (its
@@ -174,12 +177,25 @@ func (s *Session) detector() (phy.Detector, float64, string) {
 // including the one accepted divergence after a frame whose header
 // validates but whose body fails to decode).
 func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), opts ...SessionOption) (Stats, error) {
-	return e.process(ctx, src, emit, resolveOpts(opts))
-}
-
-// process runs one session from resolved options; Fleet calls it
-// directly after admission so options are parsed exactly once.
-func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so sessionOpts) (Stats, error) {
+	so := resolveOpts(opts)
+	i := e.shardFor(so.key)
+	sh := e.shards[i]
+	if e.cfg.Admission.Enabled {
+		ld := e.sample(i)
+		switch sh.adm.Decide(e.now(), ld) {
+		case TierShed:
+			obsShed.Inc()
+			sh.shed.Inc()
+			sh.topShed.Add(tenantKey(so.key), 1)
+			return Stats{}, &ShedError{Shard: i, QueueDepth: ld.queueDepth, ScanP95NS: ld.scanP95NS}
+		case TierDegrade:
+			obsDegradedSess.Inc()
+			sh.degraded.Inc()
+			so.degraded = true
+			so.syncScale = e.cfg.Admission.SyncScale
+			so.maxPending = e.cfg.Admission.DegradedMaxPending
+		}
+	}
 	if src == nil {
 		return Stats{}, fmt.Errorf("stream: nil source")
 	}
@@ -192,20 +208,14 @@ func (e *Engine) process(ctx context.Context, src Source, emit func(Verdict), so
 		e.mu.Unlock()
 		return Stats{}, fmt.Errorf("stream: engine is closed")
 	}
-	e.active++
+	sh.active.Add(1)
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.active--
-		e.mu.Unlock()
-	}()
+	defer sh.active.Add(-1)
 	obsSessions.Inc()
 	pipe.obs.sessions.Inc()
-	if e.shard != nil {
-		e.shard.sessions.Inc()
-	}
+	sh.sessions.Inc()
 
-	s := newSession(e, pipe, emit, so)
+	s := newSession(e, sh, pipe, emit, so)
 
 	buf := getCF32(e.cfg.ChunkSize)
 	defer putCF32(buf)
@@ -367,10 +377,8 @@ func (s *Session) scan(eof bool) {
 		obsFrames.Inc()
 		s.pipe.obs.frames.Inc()
 		obsScanNS.Observe(float64(scanNS))
-		if s.e.shard != nil {
-			s.e.shard.scanNS.Observe(float64(scanNS))
-			s.e.shard.topFrames.Add(s.tenant, 1)
-		}
+		s.sh.scanNS.Observe(float64(scanNS))
+		s.sh.topFrames.Add(s.tenant, 1)
 		adv := relStart + s.cmt.span
 		if adv > s.win.size() {
 			adv = s.win.size()
@@ -394,12 +402,10 @@ func (s *Session) submit(j job) {
 	s.inflight++
 	s.mu.Unlock()
 	j.enqueued = time.Now()
-	evicted, ok := s.e.q.push(j)
-	depth := float64(s.e.q.depth())
+	evicted, ok := s.sh.q.push(j)
+	depth := float64(s.sh.q.depth())
 	obsQueueDepth.Observe(depth)
-	if s.e.shard != nil {
-		s.e.shard.queueDepth.Observe(depth)
-	}
+	s.sh.queueDepth.Observe(depth)
 	for _, ev := range evicted {
 		ev.tombstone(errDroppedOldest)
 	}
@@ -416,9 +422,7 @@ func (j job) tombstone(err error) {
 	s := j.sess
 	obsDropped.Inc()
 	j.pipe.obs.dropped.Inc()
-	if s.e.shard != nil {
-		s.e.shard.topDropped.Add(s.tenant, 1)
-	}
+	s.sh.topDropped.Add(s.tenant, 1)
 	wait := time.Since(j.enqueued)
 	j.trace.AddSpanDur(traceStageQueue, j.enqueued, wait, err)
 	putCF32(j.frame)

@@ -3,11 +3,16 @@
 // emulation defense over unbounded I/Q streams. The pipeline is generic
 // over the phy.Receiver/phy.Detector plugin contract (internal/phy): one
 // Engine can serve several protocols (ZigBee O-QPSK, LoRa CSS, ...) from
-// one worker pool, with each session bound to one protocol.
+// its worker pools, with each session bound to one protocol.
 //
 // Shape of the pipeline:
 //
-//	Source ──chunks──▶ session scanner ──frames──▶ engine queue ──▶ workers ──▶ ordered Verdicts
+//	Source ──chunks──▶ session scanner ──frames──▶ shard queue ──▶ shard workers ──▶ ordered Verdicts
+//
+// The Engine is the one serving type. It runs Config.Shards shards (one
+// worker pool and bounded queue each, default 1) and pins every session
+// to one shard by its key (WithSessionKey); with Config.Admission
+// enabled, each shard degrades or sheds new sessions under load.
 //
 // Stage by stage:
 //   - A Source yields fixed-size sample blocks (wrap iq.ReaderCF32 for
@@ -23,12 +28,12 @@
 //     advance identically too; see DESIGN.md §9 for the one accepted
 //     divergence after a frame whose body fails to decode, and §12 for
 //     the obligations a phy plugin owes this scanner).
-//   - Detected frames are copied out of the window and fanned out to a
-//     bounded worker pool shared by every session on the Engine. The
-//     queue is explicitly bounded with a drop-oldest policy (dropped
-//     frames surface as Verdicts with Dropped set and count in
-//     "stream.dropped_frames"); nothing in the pipeline grows without
-//     bound.
+//   - Detected frames are copied out of the window and fanned out to the
+//     bounded worker pool of the session's shard, shared by every session
+//     on that shard. The queue is explicitly bounded with a drop-oldest
+//     policy (dropped frames surface as Verdicts with Dropped set and
+//     count in "stream.dropped_frames"); nothing in the pipeline grows
+//     without bound.
 //   - Workers run the full frame decode (phy.Receiver.DecodeAt) and the
 //     protocol's defense (phy.Detector); each session reassembles
 //     worker results into verdict order, so callers observe frames in
@@ -57,7 +62,8 @@ import (
 )
 
 // Config parameterizes an Engine (and, via Process, a one-shot pipeline).
-// The zero value of every field selects a sensible default.
+// The zero value of every field selects a sensible default. Workers,
+// QueueDepth and MaxPending apply per shard.
 type Config struct {
 	// ChunkSize is the samples-per-block the session reads from its
 	// Source (default 4096).
@@ -92,16 +98,25 @@ type Config struct {
 	// analyzes with the pipeline detector as configured and emits
 	// byte-identical Verdicts.
 	Calibration *calib.Config
-
-	// shard carries the fleet's shard-labelled instruments into the
-	// engine; nil for standalone engines.
-	shard *shardObs
-	// calibMgr carries the fleet's shared calibration manager into shard
-	// engines, so every shard (and tier) of a class sees one calibrated
-	// threshold; nil for standalone engines, which build their own from
-	// Calibration.
-	calibMgr *calib.Manager
+	// Shards is the number of independent worker pools (default 1). Each
+	// shard has Workers workers, a QueueDepth-bounded queue, and its own
+	// admission tier; a session is pinned to one shard for its whole
+	// life. Every shard clones its receivers from the same pipeline
+	// prototypes, so the FFT sync reference spectrum and plans exist once
+	// per protocol regardless of shard count.
+	Shards int
+	// Admission configures tiered admission control per shard (zero value
+	// = disabled: every session is accepted at full fidelity).
+	Admission AdmissionConfig
+	// TopK is the per-shard heavy-hitter sketch capacity: how many
+	// session keys each shard monitors for frame/drop/shed/latency
+	// attribution (default 128). Any key whose share of a shard's
+	// traffic exceeds 1/TopK is guaranteed to be reported.
+	TopK int
 }
+
+// defaultTopK is the per-shard sketch capacity when Config.TopK is 0.
+const defaultTopK = 128
 
 func (c *Config) applyDefaults() error {
 	if c.ChunkSize == 0 {
@@ -124,6 +139,21 @@ func (c *Config) applyDefaults() error {
 	}
 	if len(c.Pipelines) == 0 {
 		return errors.New("stream: no pipelines configured")
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
+	if c.Shards < 1 {
+		return fmt.Errorf("stream: shard count %d < 1", c.Shards)
+	}
+	if c.TopK == 0 {
+		c.TopK = defaultTopK
+	}
+	if c.TopK < 1 {
+		return fmt.Errorf("stream: top-K capacity %d < 1", c.TopK)
+	}
+	if c.Admission.Enabled {
+		return c.Admission.applyDefaults(c)
 	}
 	return nil
 }
@@ -164,7 +194,7 @@ type Verdict struct {
 	// Dropped marks a frame discarded by the bounded queue before any
 	// analysis ran.
 	Dropped bool `json:"dropped,omitempty"`
-	// Degraded marks a verdict from a session admitted under the fleet's
+	// Degraded marks a verdict from a session admitted under the engine's
 	// degrade tier (raised sync threshold, tightened in-flight budget).
 	// Stamped on every verdict of such a session, including dropped-frame
 	// tombstones, so consumers can weigh reduced-fidelity decisions.

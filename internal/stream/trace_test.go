@@ -178,7 +178,7 @@ func TestDroppedFrameTraceRecordsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSession(e, e.pipes[0], nil, sessionOpts{})
+	s := newSession(e, e.shards[0], e.pipes[0], nil, sessionOpts{})
 	e.Close() // push now refuses jobs: submit takes the dropped-verdict path
 	tr := tracer.StartAt(time.Now(), s.sid, 0, 100)
 	s.submit(job{sess: s, pipe: s.pipe, seq: 0, offset: 100, trace: tr})

@@ -33,6 +33,16 @@ func TestNewReceiverDefaultsAndValidation(t *testing.T) {
 	}
 }
 
+// TestEdgeSyncThreshold pins the tools' ZigBee operating point. The
+// frame-path benchmark (framebench/zigbee.go, daemonPipeline) builds
+// hideseekd's pipeline with its own 0.3 literal, so the constant must
+// keep that value for the benchmark to replay the daemon exactly.
+func TestEdgeSyncThreshold(t *testing.T) {
+	if EdgeSyncThreshold != 0.3 {
+		t.Fatalf("EdgeSyncThreshold = %v, want 0.3 (framebench's daemon pipeline)", EdgeSyncThreshold)
+	}
+}
+
 func TestTransmitReceiveCleanChannel(t *testing.T) {
 	tx := NewTransmitter()
 	rx, err := NewReceiver(ReceiverConfig{})

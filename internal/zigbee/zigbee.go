@@ -41,6 +41,12 @@ const (
 // distance 10 of a codeword decodes; anything farther is dropped.
 const DefaultHammingThreshold = 10
 
+// EdgeSyncThreshold is the preamble sync threshold the command-line tools
+// and hideseekd run ZigBee receivers at: below ReceiverConfig's 0.5
+// default, so weak preambles at the edge of the victim's range still
+// sync.
+const EdgeSyncThreshold = 0.3
+
 // BytesToSymbols expands octets into 4-bit symbols, low nibble first, per
 // IEEE 802.15.4 §12.2.3.
 func BytesToSymbols(data []byte) []byte {
