@@ -1,8 +1,10 @@
 // Command benchreport is the same-host perf gate for the defense's
 // per-frame path. It takes two checkouts of this module, OLD and NEW,
-// runs the StreamScan, DecodeAt and DetectorAnalyze benchmarks in each
-// for ten rounds, alternating which side goes first, and compares each
-// side's fastest repeat. NEW fails the gate when a benchmark
+// runs the StreamScan, StreamScanLoRa, DecodeAt and DetectorAnalyze
+// benchmarks in each for ten rounds with the collector off (GOGC=off),
+// alternating which side goes first, and compares each side's fastest
+// repeat. NEW fails the gate when a
+// benchmark
 //
 //   - runs more than 25 % slower in ns/op than in OLD,
 //   - allocates more per op than in OLD at all, or
@@ -31,15 +33,21 @@ import (
 )
 
 const (
-	benchRegexp = "StreamScan|DecodeAt|DetectorAnalyze"
-	benchtime   = "100ms"
-	rounds      = 10
+	rounds = 10
 	// maxRatio is the largest NEW/OLD fastest-repeat ns/op ratio that
 	// passes.
 	maxRatio = 1.25
 )
 
-var packages = []string{"./internal/zigbee", "./internal/stream", "./internal/emulation"}
+// benchRuns are one side's go test calls per round. StreamScanLoRa gets
+// a call of its own at a fixed 40 ops: at 100 ms it runs about 8.
+var benchRuns = []struct {
+	regexp, benchtime string
+	packages          []string
+}{
+	{"StreamScan$|DecodeAt|DetectorAnalyze", "100ms", []string{"./internal/zigbee", "./internal/stream", "./internal/emulation"}},
+	{"StreamScanLoRa$", "40x", []string{"./internal/stream"}},
+}
 
 // sample is one benchmark's ns/op and allocs/op.
 type sample struct {
@@ -78,17 +86,29 @@ func run(oldDir, newDir string, stdout, stderr io.Writer) error {
 
 // benchOnce runs the gated benchmarks once in the module at dir and
 // returns go test's plain-text output. -p 1 serializes the package test
-// binaries so they do not contend for the CPU.
+// binaries so they do not contend for the CPU. GOGC=off keeps allocs/op
+// a count of the code's own allocations: with the collector on, each
+// collection empties the stream buffer pools at a varying point, so a
+// session benchmark reads one allocation more or less from run to run
+// (StreamScan 26 or 27, StreamScanLoRa 27 to 29) and the fastest of ten
+// rounds differed between two copies of one tree. With it off they read
+// 26 and 25 in nearly every run, and a session that allocates once more
+// reads one higher.
 func benchOnce(dir string, stderr io.Writer) (string, error) {
-	args := append([]string{"test", "-p", "1", "-run", "^$", "-bench", benchRegexp,
-		"-benchmem", "-benchtime", benchtime}, packages...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
 	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = stderr
-	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("%s: go %s: %w\n%s", dir, strings.Join(args, " "), err, out.String())
+	for _, r := range benchRuns {
+		args := append([]string{"test", "-p", "1", "-run", "^$", "-bench", r.regexp,
+			"-benchmem", "-benchtime", r.benchtime}, r.packages...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOGC=off")
+		var runOut bytes.Buffer
+		cmd.Stdout = &runOut
+		cmd.Stderr = stderr
+		if err := cmd.Run(); err != nil {
+			return "", fmt.Errorf("%s: go %s: %w\n%s", dir, strings.Join(args, " "), err, runOut.String())
+		}
+		out.Write(runOut.Bytes())
 	}
 	return out.String(), nil
 }
@@ -168,7 +188,7 @@ func keepFastest(best, run map[string]sample) {
 // allocates more.
 func gate(w io.Writer, old, fresh map[string]sample) error {
 	if len(old) == 0 {
-		return fmt.Errorf("no %q benchmarks ran in OLD", benchRegexp)
+		return fmt.Errorf("no gated benchmarks ran in OLD")
 	}
 	names := make([]string, 0, len(old))
 	for name := range old {

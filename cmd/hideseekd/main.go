@@ -25,7 +25,8 @@
 // authentic/emulated decision boundary from labeled warmup traffic
 // (?calib_label=authentic|emulated on /v1/classify and /v1/stream marks a
 // session's frames with operator ground truth; ?calib_class=<name> groups
-// sessions into a non-default class), and monitor for drift. GET /v1/calib
+// sessions into a non-default class, named by 1-64 of [A-Za-z0-9_], at
+// most 64 classes, else 400), and monitor for drift. GET /v1/calib
 // reports every class's threshold, source, fit, and drift status; PUT
 // /v1/calib applies operator overrides, clears them, or re-arms warmup.
 //
@@ -86,7 +87,7 @@
 //	          [-threshold q] [-real] [-sync t] [-deadline d] [-manifest out.json]
 //	          [-traces n] [-tracefile out.ndjson]
 //	          [-calib] [-calib-warmup n] [-calib-drift-every d]
-//	          [-slo] [-slo-rules file] [-slo-every d] [-topk n]
+//	          [-slo] [-slo-rules file] [-slo-every d]
 //	          [-debug-addr host:port]
 package main
 
@@ -156,7 +157,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	sloOn := fs.Bool("slo", true, "evaluate SLO rules continuously; states on /v1/alerts, ALERTS series on /metrics")
 	sloRules := fs.String("slo-rules", "", "SLO rules file, one rule per line (empty = built-in defaults; see internal/obs/alert)")
 	sloEvery := fs.Duration("slo-every", 0, "SLO evaluation period (0 = 1s)")
-	topK := fs.Int("topk", 0, "per-shard heavy-hitter sketch capacity for /v1/top (0 = 128)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this SEPARATE listener (empty = disabled; bind loopback, e.g. 127.0.0.1:6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -257,8 +257,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		Tracer:      tracer,
 		Calibration: calCfg,
 		Shards:      *shards,
-		Admission:   stream.AdmissionConfig{Enabled: *admission},
-		TopK:        *topK,
+		Admission:   *admission,
 	})
 	if err != nil {
 		return err

@@ -10,13 +10,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hideseek/internal/calib"
 	"hideseek/internal/emulation"
 	"hideseek/internal/iq"
+	"hideseek/internal/obs"
 	"hideseek/internal/phy"
 	"hideseek/internal/stream"
 	"hideseek/internal/zigbee"
@@ -241,20 +244,15 @@ func TestObsEndpointExposesDropCounter(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsWith503: with admission enabled and the latency
-// thresholds set to one nanosecond, the first session (cold shard, empty
-// latency window) is served normally; once it has scanned frames the
-// shard's windowed scan p95 trips both tiers and the next session on the
-// same shard is shed — /v1/classify and /v1/stream must answer 503, not
-// a half-open NDJSON stream.
+// TestAdmissionShedsWith503: with admission on at its default limits and
+// the shard's rolling scan p95 heated past the 20 ms shed limit, the next
+// session on the shard is shed — /v1/classify and /v1/stream must answer
+// 503, not a half-open NDJSON stream.
 func TestAdmissionShedsWith503(t *testing.T) {
 	engine, err := stream.NewEngine(stream.Config{
 		Workers:   2,
 		Pipelines: zigbeePipelines(t),
-		Admission: stream.AdmissionConfig{
-			Enabled:          true,
-			DegradeScanP95NS: 1, ShedScanP95NS: 1,
-		},
+		Admission: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,19 +264,12 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		engine.Close()
 	})
 
+	// Heat the signal admission reads. Instruments are name-registered
+	// and process-global, so a million one-second scans hold shard 0's
+	// windowed p95 past the shed limit whatever else this binary has
+	// observed there.
+	obs.H("stream.shard0.scan_ns").ObserveN(1e9, 1<<20)
 	capture, _ := testCapture(t, 23)
-	// Warm the shard's latency window. Instruments are name-registered and
-	// process-global, so an earlier test in this binary may already have
-	// heated shard 0's scan histogram — then this request itself sheds,
-	// which is fine: either way the follow-ups below must see 503.
-	warm, err := http.Post(ts.URL+"/v1/classify?session=hot-client", "application/octet-stream", bytes.NewReader(capture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Body.Close()
-	if warm.StatusCode != http.StatusOK && warm.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("warming classify: status %d, want 200 or 503", warm.StatusCode)
-	}
 	for _, path := range []string{"/v1/classify", "/v1/stream"} {
 		resp, err := http.Post(ts.URL+path+"?session=hot-client", "application/octet-stream", bytes.NewReader(capture))
 		if err != nil {
@@ -288,6 +279,64 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("%s on hot shard: status %d, want 503", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestCalibClassBound: with calibration on, ?calib_class= may name at
+// most calib.MaxClasses classes of [A-Za-z0-9_]{1,64}. Any other class is
+// a 400 before the session starts, even on an empty body, so a client
+// can neither grow the class table without bound nor put two classes on
+// one exported gauge name (a.b and a-b would both be
+// hideseek_calib_threshold_a_b) and break the /metrics exposition.
+func TestCalibClassBound(t *testing.T) {
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:     1,
+		Pipelines:   zigbeePipelines(t),
+		Calibration: &calib.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDaemon(engine, 30*time.Second)
+	ts := httptest.NewServer(d.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		engine.Close()
+	})
+
+	classify := func(class string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/classify?calib_class="+url.QueryEscape(class), "application/octet-stream", http.NoBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, class := range []string{"a.b", "a-b", "a b", strings.Repeat("x", calib.MaxClassName+1)} {
+		if got := classify(class); got != http.StatusBadRequest {
+			t.Errorf("class %q: status %d, want 400", class, got)
+		}
+	}
+	for i := 0; i < calib.MaxClasses; i++ {
+		if got := classify(fmt.Sprintf("class_%d", i)); got != http.StatusOK {
+			t.Fatalf("class %d of %d: status %d, want 200", i+1, calib.MaxClasses, got)
+		}
+	}
+	if got := classify("one_too_many"); got != http.StatusBadRequest {
+		t.Errorf("class %d: status %d, want 400", calib.MaxClasses+1, got)
+	}
+	if got := len(engine.Calibration().Status()); got != calib.MaxClasses {
+		t.Errorf("%d calibration classes, want %d", got, calib.MaxClasses)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := obs.LintPrometheus(resp.Body); err != nil {
+		t.Fatalf("/metrics after hostile classes: %v", err)
 	}
 }
 

@@ -23,7 +23,7 @@
 //     protocol's configured default threshold applies.
 //   - After the fit, a drift monitor compares the last 60 s of authentic
 //     quantiles (p50/p95) against the fitted baseline and raises a typed
-//     DriftEvent when the relative shift exceeds Config.DriftFrac.
+//     DriftEvent when the relative shift exceeds 50%.
 //
 // Threshold precedence is operator override > fitted boundary > protocol
 // default; Calibrator.Threshold reports both the value and its source.
@@ -92,44 +92,47 @@ type Config struct {
 	// WarmupPerClass is how many labeled samples each class needs inside
 	// the rolling window before the boundary is fitted (default 32).
 	WarmupPerClass int
-	// DriftFrac is the relative shift of a windowed authentic quantile
-	// (p50 or p95 of the last 60 s) against the fitted baseline that
-	// raises a DriftEvent (default 0.5 = 50%).
-	DriftFrac float64
-	// MinWindowCount is the minimum authentic sample count inside the
-	// drift window before a drift verdict is trusted (default 16). A
-	// fully-stale ring reports zero samples and never flags drift.
-	MinWindowCount int
 	// DriftCheckEvery throttles drift evaluation (default 1 s): the
 	// monitor runs per frame but re-derives quantiles at most this often.
 	DriftCheckEvery time.Duration
-	// Bins and MaxValue set the distribution geometry: Bins linear bins
-	// over [0, MaxValue) (defaults 256 and 2.5, sized for both defense
-	// statistics — zigbee D²E and the lora off-peak ratio).
-	Bins     int
-	MaxValue float64
 	// Now is the clock (default time.Now; tests inject a fake).
 	Now func() time.Time
 }
+
+// Fixed calibration parameters.
+const (
+	// driftFrac is the relative shift of a windowed authentic quantile
+	// (p50 or p95 of the last 60 s) against the fitted baseline that
+	// raises a DriftEvent (50%).
+	driftFrac = 0.5
+	// minWindowCount is the minimum authentic sample count inside the
+	// drift window before a drift verdict is trusted. A fully-stale ring
+	// reports zero samples and never flags drift.
+	minWindowCount = 16
+	// bins linear bins over [0, maxValue) are the distribution geometry,
+	// sized for both defense statistics: zigbee D²E and the lora
+	// off-peak ratio.
+	bins     = 256
+	maxValue = 2.5
+)
+
+// Class bounds. Class names arrive from clients (hideseekd's
+// ?calib_class=) and every class keeps a Calibrator and a process-wide
+// calib_threshold.<class> gauge for the life of the process, so a
+// Manager creates classes only for names of 1 to MaxClassName bytes
+// from [A-Za-z0-9_] (which keeps gauge names distinct once exported) and
+// at most MaxClasses of them.
+const (
+	MaxClassName = 64
+	MaxClasses   = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.WarmupPerClass == 0 {
 		c.WarmupPerClass = 32
 	}
-	if c.DriftFrac == 0 {
-		c.DriftFrac = 0.5
-	}
-	if c.MinWindowCount == 0 {
-		c.MinWindowCount = 16
-	}
 	if c.DriftCheckEvery == 0 {
 		c.DriftCheckEvery = time.Second
-	}
-	if c.Bins == 0 {
-		c.Bins = 256
-	}
-	if c.MaxValue == 0 {
-		c.MaxValue = 2.5
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -141,15 +144,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.WarmupPerClass < 0 {
 		return fmt.Errorf("calib: WarmupPerClass %d < 0", c.WarmupPerClass)
-	}
-	if c.DriftFrac < 0 {
-		return fmt.Errorf("calib: DriftFrac %v < 0", c.DriftFrac)
-	}
-	if c.Bins < 0 || (c.Bins > 0 && c.Bins < 8) {
-		return fmt.Errorf("calib: Bins %d < 8", c.Bins)
-	}
-	if c.MaxValue < 0 {
-		return fmt.Errorf("calib: MaxValue %v < 0", c.MaxValue)
 	}
 	return nil
 }
@@ -175,15 +169,36 @@ func NewManager(cfg Config) (*Manager, error) {
 // Class returns the named class's calibrator, creating it (warmup state,
 // the given fallback threshold) on first use. Later calls ignore
 // fallback: the first session of a class pins its protocol default.
+// Class returns nil instead of creating a class whose name breaks the
+// class bounds, or one past MaxClasses.
 func (m *Manager) Class(class string, fallback float64) *Calibrator {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.classes[class]
 	if !ok {
+		if len(m.classes) >= MaxClasses || !validClass(class) {
+			return nil
+		}
 		c = newCalibrator(m.cfg, class, fallback)
 		m.classes[class] = c
 	}
 	return c
+}
+
+// validClass reports whether name is 1 to MaxClassName bytes of
+// [A-Za-z0-9_].
+func validClass(name string) bool {
+	if len(name) == 0 || len(name) > MaxClassName {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		switch b := name[i]; {
+		case b == '_', '0' <= b && b <= '9', 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup returns the named class's calibrator without creating it.

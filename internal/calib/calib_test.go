@@ -1,7 +1,9 @@
 package calib
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,7 +146,6 @@ func TestWindowDistStaleRing(t *testing.T) {
 func testConfig(clk *fakeClock) Config {
 	return Config{
 		WarmupPerClass:  8,
-		MinWindowCount:  4,
 		DriftCheckEvery: time.Millisecond,
 		Now:             clk.now,
 	}
@@ -223,10 +224,11 @@ func TestDriftEventAndThrottle(t *testing.T) {
 	baseline := c.Status().Fit.AuthP50
 
 	// Age the warmup samples out of the drift window, then feed authentic
-	// traffic whose D² has walked an order of magnitude above baseline.
+	// traffic whose D² has walked an order of magnitude above baseline,
+	// enough of it to fill the drift window.
 	clk.advance(obs.WindowLong + 10*time.Second)
 	var ev *DriftEvent
-	for i := 0; i < 8; i++ {
+	for i := 0; i < minWindowCount; i++ {
 		if got := c.Observe(0.50, LabelAuthentic); got != nil {
 			ev = got
 		}
@@ -242,7 +244,7 @@ func TestDriftEventAndThrottle(t *testing.T) {
 		t.Fatalf("drift metric %q", ev.Metric)
 	}
 	if ev.Shift <= 0.5 {
-		t.Fatalf("shift %v, want > DriftFrac 0.5", ev.Shift)
+		t.Fatalf("shift %v, want > driftFrac %v", ev.Shift, driftFrac)
 	}
 	if ev.Baseline != baseline && ev.Metric == "p50" {
 		t.Fatalf("baseline %v, want fit AuthP50 %v", ev.Baseline, baseline)
@@ -397,12 +399,38 @@ func TestManagerClassesAndStatus(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if _, err := NewManager(Config{Bins: 4}); err == nil {
-		t.Fatal("Bins 4 accepted")
+// TestManagerClassBounds: Class creates no calibrator for a name outside
+// [A-Za-z0-9_]{1,64} or past MaxClasses classes, and still returns the
+// classes it already holds.
+func TestManagerClassBounds(t *testing.T) {
+	m, _ := NewManager(testConfig(newFakeClock()))
+	for _, name := range []string{"", "a.b", "a-b", "sp ace", "ü", strings.Repeat("x", MaxClassName+1)} {
+		if c := m.Class(name, 0.2); c != nil {
+			t.Fatalf("class %q accepted", name)
+		}
 	}
-	if _, err := NewManager(Config{DriftFrac: -1}); err == nil {
-		t.Fatal("negative DriftFrac accepted")
+	if c := m.Class(strings.Repeat("x", MaxClassName), 0.2); c == nil {
+		t.Fatal("longest legal name refused")
+	}
+	for i := 1; i < MaxClasses; i++ {
+		if c := m.Class(fmt.Sprintf("Class_%d", i), 0.2); c == nil {
+			t.Fatalf("class %d of %d refused", i+1, MaxClasses)
+		}
+	}
+	if c := m.Class("one_too_many", 0.2); c != nil {
+		t.Fatalf("class %d accepted", MaxClasses+1)
+	}
+	if c := m.Class("Class_1", 0.2); c == nil {
+		t.Fatal("existing class refused at the cap")
+	}
+	if got := len(m.Status()); got != MaxClasses {
+		t.Fatalf("%d classes, want %d", got, MaxClasses)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	if _, err := NewManager(Config{WarmupPerClass: -1}); err == nil {
+		t.Fatal("negative WarmupPerClass accepted")
 	}
 	if _, err := NewManager(Config{}); err != nil {
 		t.Fatalf("zero config rejected: %v", err)

@@ -9,7 +9,7 @@ import (
 )
 
 // DriftEvent is the typed drift alarm: a windowed authentic quantile has
-// shifted past Config.DriftFrac of its fitted baseline. It implements
+// shifted past driftFrac of its fitted baseline. It implements
 // error so the stream pipeline can record it on the frame trace's calib
 // span.
 type DriftEvent struct {
@@ -102,10 +102,10 @@ func newCalibrator(cfg Config, class string, fallback float64) *Calibrator {
 		class:    class,
 		fallback: fallback,
 		gauge:    obs.G("calib_threshold." + class),
-		auth:     newWindowDist(cfg.Bins, cfg.MaxValue),
-		emul:     newWindowDist(cfg.Bins, cfg.MaxValue),
-		scratchA: make([]uint64, cfg.Bins),
-		scratchE: make([]uint64, cfg.Bins),
+		auth:     newWindowDist(bins, maxValue),
+		emul:     newWindowDist(bins, maxValue),
+		scratchA: make([]uint64, bins),
+		scratchE: make([]uint64, bins),
 	}
 	c.gauge.Set(fallback)
 	return c
@@ -146,7 +146,7 @@ func (c *Calibrator) Calibrated() bool {
 // the boundary fit (completing it once both classes reach
 // WarmupPerClass inside the rolling window); after the fit it feeds the
 // drift monitor, which returns a non-nil DriftEvent when the windowed
-// authentic quantiles have shifted past DriftFrac of the fitted
+// authentic quantiles have shifted past driftFrac of the fitted
 // baseline (throttled to one evaluation per DriftCheckEvery).
 // LabelNone samples are discarded.
 func (c *Calibrator) Observe(d2 float64, label Label) *DriftEvent {
@@ -178,13 +178,13 @@ func (c *Calibrator) maybeFitLocked(now time.Time) {
 	if an < uint64(c.cfg.WarmupPerClass) || en < uint64(c.cfg.WarmupPerClass) {
 		return
 	}
-	cut, cost := fitBinned(c.scratchA, c.scratchE, an, en, c.cfg.MaxValue)
+	cut, cost := fitBinned(c.scratchA, c.scratchE, an, en, maxValue)
 	c.fit = &Fit{
 		Threshold:   cut,
 		OverlapCost: cost,
-		AuthP50:     quantileOf(c.scratchA, an, 0.50, c.cfg.MaxValue),
-		AuthP95:     quantileOf(c.scratchA, an, 0.95, c.cfg.MaxValue),
-		EmulP50:     quantileOf(c.scratchE, en, 0.50, c.cfg.MaxValue),
+		AuthP50:     quantileOf(c.scratchA, an, 0.50, maxValue),
+		AuthP95:     quantileOf(c.scratchA, an, 0.95, maxValue),
+		EmulP50:     quantileOf(c.scratchE, en, 0.50, maxValue),
 		AuthN:       an,
 		EmulN:       en,
 		At:          now,
@@ -196,7 +196,7 @@ func (c *Calibrator) maybeFitLocked(now time.Time) {
 
 // checkDriftLocked compares the last-60 s authentic quantiles against
 // the fit baseline, at most once per DriftCheckEvery. A check that finds
-// fewer than MinWindowCount samples evaluates nothing, so it does not
+// fewer than minWindowCount samples evaluates nothing, so it does not
 // start a new throttle period: the sample that fills the window is
 // checked at once.
 func (c *Calibrator) checkDriftLocked(now time.Time) *DriftEvent {
@@ -204,14 +204,14 @@ func (c *Calibrator) checkDriftLocked(now time.Time) *DriftEvent {
 		return nil
 	}
 	n := c.auth.merged(c.scratchA, now, obs.WindowShort)
-	if n < uint64(c.cfg.MinWindowCount) {
+	if n < minWindowCount {
 		return nil
 	}
 	c.lastCheck = now
-	p50 := quantileOf(c.scratchA, n, 0.50, c.cfg.MaxValue)
-	p95 := quantileOf(c.scratchA, n, 0.95, c.cfg.MaxValue)
-	ev := driftOf(c.class, "p50", c.fit.AuthP50, p50, c.cfg.DriftFrac, now)
-	if ev95 := driftOf(c.class, "p95", c.fit.AuthP95, p95, c.cfg.DriftFrac, now); ev95 != nil && (ev == nil || ev95.Shift > ev.Shift) {
+	p50 := quantileOf(c.scratchA, n, 0.50, maxValue)
+	p95 := quantileOf(c.scratchA, n, 0.95, maxValue)
+	ev := driftOf(c.class, "p50", c.fit.AuthP50, p50, driftFrac, now)
+	if ev95 := driftOf(c.class, "p95", c.fit.AuthP95, p95, driftFrac, now); ev95 != nil && (ev == nil || ev95.Shift > ev.Shift) {
 		ev = ev95
 	}
 	if ev != nil {

@@ -62,10 +62,11 @@ type DefenseConfig struct {
 	// analogue of |C40|, cancelling the bias a carrier frequency offset
 	// leaves on the frequency stream.
 	RemoveMean bool
-	// MinSamples guards against estimating cumulants from too few chips
-	// (default 64 — two ZigBee symbols).
-	MinSamples int
 }
+
+// minSamples guards against estimating cumulants from too few chips: 64,
+// two ZigBee symbols.
+const minSamples = 64
 
 func (c *DefenseConfig) applyDefaults() error {
 	if c.Threshold == 0 {
@@ -79,12 +80,6 @@ func (c *DefenseConfig) applyDefaults() error {
 	}
 	if c.Source < SourceDiscriminator || c.Source > SourceMatched {
 		return fmt.Errorf("emulation: unknown chip source %d", c.Source)
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 64
-	}
-	if c.MinSamples < 8 {
-		return fmt.Errorf("emulation: MinSamples %d too small", c.MinSamples)
 	}
 	return nil
 }
@@ -187,11 +182,8 @@ var detectPool = sync.Pool{New: func() any { return new(detectScratch) }}
 // test. The chip pairing runs in pooled scratch, so the caller's slice is
 // never retained and the steady state allocates nothing.
 func (d *Detector) Analyze(softChips []float64) (Verdict, error) {
-	if len(softChips) < d.cfg.MinSamples {
-		return Verdict{}, fmt.Errorf("emulation: %d chip samples below minimum %d", len(softChips), d.cfg.MinSamples)
-	}
-	if len(softChips) < 2 {
-		return Verdict{}, fmt.Errorf("emulation: need at least one chip pair, got %d", len(softChips))
+	if len(softChips) < minSamples {
+		return Verdict{}, fmt.Errorf("emulation: %d chip samples below minimum %d", len(softChips), minSamples)
 	}
 	s := detectPool.Get().(*detectScratch)
 	defer detectPool.Put(s)

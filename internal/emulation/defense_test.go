@@ -42,9 +42,6 @@ func TestNewDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(DefenseConfig{Threshold: -1}); err == nil {
 		t.Error("accepted negative threshold")
 	}
-	if _, err := NewDetector(DefenseConfig{MinSamples: 2}); err == nil {
-		t.Error("accepted tiny MinSamples")
-	}
 	d, err := NewDetector(DefenseConfig{})
 	if err != nil {
 		t.Fatal(err)

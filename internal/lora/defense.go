@@ -56,11 +56,6 @@ type DetectorConfig struct {
 	// RemoveMean/UseAbsC40 real-environment mode). Emulation distortion
 	// is broadband, so it still lands outside the widened window.
 	WidePeak bool
-	// MinSymbols is the minimum symbol count required for a verdict.
-	// Defaults to 1; the shortest legal frame carries PreambleSymbols +
-	// HeaderSymbols + 1 = 11 symbols, so the default never rejects a
-	// decoded frame.
-	MinSymbols int
 }
 
 // NewDetector builds a detector, applying config defaults.
@@ -73,12 +68,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	}
 	if cfg.Threshold < 0 || cfg.Threshold >= 1 {
 		return nil, fmt.Errorf("lora: detector threshold %v outside (0, 1)", cfg.Threshold)
-	}
-	if cfg.MinSymbols == 0 {
-		cfg.MinSymbols = 1
-	}
-	if cfg.MinSymbols < 0 {
-		return nil, fmt.Errorf("lora: negative MinSymbols %d", cfg.MinSymbols)
 	}
 	return &Detector{cfg: cfg}, nil
 }
@@ -103,9 +92,6 @@ func (d *Detector) CloneWithThreshold(t float64) (*Detector, error) {
 func (d *Detector) AnalyzeReception(rec *Reception) (Verdict, error) {
 	if rec == nil || len(rec.Concentrations) == 0 {
 		return Verdict{}, fmt.Errorf("lora: no demodulated symbols to analyze")
-	}
-	if len(rec.Concentrations) < d.cfg.MinSymbols {
-		return Verdict{}, fmt.Errorf("lora: %d symbols below MinSymbols %d", len(rec.Concentrations), d.cfg.MinSymbols)
 	}
 	conc := rec.Concentrations
 	if d.cfg.WidePeak {

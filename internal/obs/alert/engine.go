@@ -66,11 +66,12 @@ type Config struct {
 	Rules []Rule
 	// Every is the evaluation period (1s when 0).
 	Every time.Duration
-	// History is the transition ring capacity (256 when 0).
-	History int
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
+
+// historyCap is the transition ring capacity.
+const historyCap = 256
 
 // compiledRule is a rule plus its live state.
 type compiledRule struct {
@@ -163,10 +164,6 @@ func New(cfg Config) (*Engine, error) {
 	if every <= 0 {
 		every = time.Second
 	}
-	histCap := cfg.History
-	if histCap <= 0 {
-		histCap = 256
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -176,7 +173,7 @@ func New(cfg Config) (*Engine, error) {
 		rings:   map[string]*counterRing{},
 		every:   every,
 		now:     now,
-		histCap: histCap,
+		histCap: historyCap,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}

@@ -87,8 +87,8 @@ type TracerConfig struct {
 	Ring int
 	// Sink, when set, receives every completed trace as one NDJSON line.
 	// Writes happen on a dedicated exporter goroutine with a bounded
-	// hand-off queue: a slow sink drops traces (counted, see SinkDrops)
-	// instead of stalling the pipeline.
+	// hand-off queue: a slow sink drops traces (counted in the
+	// trace.sink_drops counter) instead of stalling the pipeline.
 	Sink io.Writer
 }
 
@@ -107,8 +107,11 @@ type Tracer struct {
 	sinkCh   chan *Trace
 	sinkDone chan struct{}
 	sinkErr  error
-	drops    atomic.Int64
 }
+
+// traceSinkDrops counts traces the bounded sink hand-off dropped, across
+// every Tracer of the process.
+var traceSinkDrops = C("trace.sink_drops")
 
 // NewTracer builds a tracer. Close must be called when a Sink is
 // configured, or the exporter goroutine (and its buffered writes) leak.
@@ -165,7 +168,7 @@ func (tr *Tracer) Finish(t *Trace) {
 		select {
 		case tr.sinkCh <- t:
 		default:
-			tr.drops.Add(1)
+			traceSinkDrops.Inc()
 		}
 	}
 	tr.mu.Unlock()
@@ -203,14 +206,6 @@ func (tr *Tracer) WriteRecent(w io.Writer, max int) error {
 		}
 	}
 	return nil
-}
-
-// SinkDrops reports how many traces the bounded sink hand-off dropped.
-func (tr *Tracer) SinkDrops() int64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.drops.Load()
 }
 
 // exportLoop is the exporter goroutine: one NDJSON line per trace on a

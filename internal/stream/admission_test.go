@@ -6,26 +6,13 @@ import (
 	"time"
 )
 
-func admissionForTest(t *testing.T, cfg AdmissionConfig) *admission {
-	t.Helper()
-	base := testConfig(t)
-	if err := base.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Enabled = true
-	if err := cfg.applyDefaults(&base); err != nil {
-		t.Fatal(err)
-	}
-	return &admission{cfg: cfg}
-}
+// testLimits are explicit admission limits for the tier-machine tests.
+var testLimits = admissionLimits{degradeQueue: 10, shedQueue: 20, degradeScanNS: 1e6, shedScanNS: 4e6}
 
 // TestAdmissionEscalatesImmediately: one overloaded sample is enough to
 // raise the tier, including jumping straight from accept to shed.
 func TestAdmissionEscalatesImmediately(t *testing.T) {
-	a := admissionForTest(t, AdmissionConfig{
-		DegradeQueueDepth: 10, ShedQueueDepth: 20,
-		DegradeScanP95NS: 1e6, ShedScanP95NS: 4e6,
-	})
+	a := &admission{admissionLimits: testLimits}
 	now := time.Unix(1000, 0)
 	if got := a.Decide(now, admissionSample{queueDepth: 5, scanP95NS: 5e5}); got != TierAccept {
 		t.Fatalf("calm sample: tier %v, want accept", got)
@@ -34,24 +21,17 @@ func TestAdmissionEscalatesImmediately(t *testing.T) {
 		t.Fatalf("queue at degrade threshold: tier %v, want degrade", got)
 	}
 	// Latency alone can escalate too, straight past degrade.
-	a2 := admissionForTest(t, AdmissionConfig{
-		DegradeQueueDepth: 10, ShedQueueDepth: 20,
-		DegradeScanP95NS: 1e6, ShedScanP95NS: 4e6,
-	})
+	a2 := &admission{admissionLimits: testLimits}
 	if got := a2.Decide(now, admissionSample{scanP95NS: 4e6}); got != TierShed {
 		t.Fatalf("p95 at shed threshold: tier %v, want shed", got)
 	}
 }
 
 // TestAdmissionRecoveryHysteresis: stepping down needs the load to hold
-// below RecoveryFrac × the thresholds for RecoveryHold, one tier per
-// hold period; a hot sample mid-hold restarts the clock.
+// below recoveryFrac (0.8) × the limits for recoveryHold (5 s), one tier
+// per hold period; a hot sample mid-hold restarts the clock.
 func TestAdmissionRecoveryHysteresis(t *testing.T) {
-	a := admissionForTest(t, AdmissionConfig{
-		DegradeQueueDepth: 10, ShedQueueDepth: 20,
-		DegradeScanP95NS: 1e6, ShedScanP95NS: 4e6,
-		RecoveryFrac: 0.8, RecoveryHold: 5 * time.Second,
-	})
+	a := &admission{admissionLimits: testLimits}
 	now := time.Unix(2000, 0)
 	if got := a.Decide(now, admissionSample{queueDepth: 25}); got != TierShed {
 		t.Fatalf("overload: tier %v, want shed", got)
@@ -99,38 +79,37 @@ func TestAdmissionRecoveryHysteresis(t *testing.T) {
 	}
 }
 
-// TestAdmissionConfigDefaultsAndValidation pins the derived defaults and
-// the rejection of inconsistent thresholds.
-func TestAdmissionConfigDefaultsAndValidation(t *testing.T) {
-	base := testConfig(t)
-	if err := base.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	a := AdmissionConfig{Enabled: true}
-	if err := a.applyDefaults(&base); err != nil {
-		t.Fatal(err)
-	}
-	if a.DegradeQueueDepth != (base.QueueDepth+1)/2 || a.ShedQueueDepth != base.QueueDepth {
-		t.Errorf("queue thresholds %d/%d, want %d/%d", a.DegradeQueueDepth, a.ShedQueueDepth, (base.QueueDepth+1)/2, base.QueueDepth)
-	}
-	if a.DegradedMaxPending != base.MaxPending/4 {
-		t.Errorf("degraded max pending %d, want %d", a.DegradedMaxPending, base.MaxPending/4)
-	}
-	if a.SyncScale != 1.5 || a.RecoveryFrac != 0.8 || a.RecoveryHold != 5*time.Second {
-		t.Errorf("defaults %g/%g/%v, want 1.5/0.8/5s", a.SyncScale, a.RecoveryFrac, a.RecoveryHold)
-	}
-	bad := []AdmissionConfig{
-		{Enabled: true, DegradeQueueDepth: 20, ShedQueueDepth: 10},
-		{Enabled: true, DegradeScanP95NS: 4e6, ShedScanP95NS: 1e6},
-		{Enabled: true, SyncScale: 0.5},
-		{Enabled: true, DegradedMaxPending: -1},
-		{Enabled: true, RecoveryFrac: 1.5},
-	}
-	for i, cfg := range bad {
-		c := cfg
-		if err := c.applyDefaults(&base); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, cfg)
+// TestAdmissionDerivedLimits pins the limits derived from the engine
+// config: a shard degrades at half its queue and sheds when it is full,
+// and a degrade-tier session syncs at 1.5× the threshold (at most 1) with
+// a quarter of MaxPending (at least 1) in flight.
+func TestAdmissionDerivedLimits(t *testing.T) {
+	for _, q := range []int{1, 2, 7, 64} {
+		want := admissionLimits{degradeQueue: (q + 1) / 2, shedQueue: q, degradeScanNS: 5e6, shedScanNS: 20e6}
+		if got := limitsFor(q); got != want {
+			t.Errorf("limitsFor(%d) = %+v, want %+v", q, got, want)
 		}
+	}
+	for _, pending := range []int{1, 3, 32} {
+		cfg := testConfig(t)
+		cfg.MaxPending = pending
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := e.pipes[0]
+		full := newSession(e, e.shards[0], pipe, nil, sessionOpts{}, nil)
+		deg := newSession(e, e.shards[0], pipe, nil, sessionOpts{degraded: true}, nil)
+		if full.maxPending != pending || deg.maxPending != max(1, pending/4) {
+			t.Errorf("MaxPending %d: sessions keep %d / %d in flight, want %d / %d",
+				pending, full.maxPending, deg.maxPending, pending, max(1, pending/4))
+		}
+		if got, want := deg.rx.SyncThreshold(), min(pipe.rx.SyncThreshold()*1.5, 1); got != want {
+			t.Errorf("degraded sync threshold %v, want %v", got, want)
+		}
+		full.drain()
+		deg.drain()
+		e.Close()
 	}
 }
 

@@ -158,7 +158,7 @@ func BenchmarkEngineSaturation(b *testing.B) {
 				f, err := NewEngine(Config{
 					Pipelines: []*phy.Pipeline{zigbeePipeline(b)},
 					Shards:    4,
-					Admission: AdmissionConfig{Enabled: true},
+					Admission: true,
 				})
 				if err != nil {
 					b.Fatal(err)

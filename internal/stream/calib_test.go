@@ -44,7 +44,6 @@ func calibTestConfig(tb testing.TB, clk *tickClock) Config {
 	cfg := testConfig(tb)
 	cfg.Calibration = &calib.Config{
 		WarmupPerClass:  6,
-		MinWindowCount:  4,
 		DriftCheckEvery: time.Millisecond,
 		Now:             clk.now,
 	}
@@ -219,13 +218,15 @@ func TestCalibDriftCounterAndSpan(t *testing.T) {
 	// Age the baseline window out, then feed operator-labeled authentic
 	// traffic whose D² sits an order of magnitude above the fitted
 	// baseline (emulated waveforms asserted authentic — the labeled-replay
-	// shape of an oscillator-drift regression test).
+	// shape of an oscillator-drift regression test), more frames than the
+	// 16 the drift window needs before it is judged.
 	clk.jump(3 * time.Minute)
 	globalBefore := obsCalibDrift.Value()
 	protoBefore := e.pipes[0].obs.calibDrift.Value()
-	driftV := runSession(t, e, repeatCapture(t, 33, emulated, 8), WithWarmupLabel(calib.LabelAuthentic))
-	if len(driftV) != 8 {
-		t.Fatalf("%d drift-phase verdicts, want 8", len(driftV))
+	const driftFrames = 20
+	driftV := runSession(t, e, repeatCapture(t, 33, emulated, driftFrames), WithWarmupLabel(calib.LabelAuthentic))
+	if len(driftV) != driftFrames {
+		t.Fatalf("%d drift-phase verdicts, want %d", len(driftV), driftFrames)
 	}
 	if cal.DriftTotal() == 0 {
 		t.Fatalf("shifted authentic population raised no drift events: %+v", cal.Status())
@@ -305,5 +306,35 @@ func TestCalibSharedAcrossFleetShards(t *testing.T) {
 					key, v.CalibThreshold, v.CalibSource, thr)
 			}
 		}
+	}
+}
+
+// TestCalibClassRefusedBeforeSession: a class name the manager refuses
+// fails Process before the session starts, creates no class, and is
+// ignored when calibration is off.
+func TestCalibClassRefusedBeforeSession(t *testing.T) {
+	e, err := NewEngine(calibTestConfig(t, newTickClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sessions := e.shards[0].sessions.Value()
+	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithCalibClass("a.b")); err == nil {
+		t.Fatal("class a.b accepted")
+	}
+	if got := e.shards[0].sessions.Value(); got != sessions {
+		t.Fatalf("refused session counted: %d sessions, want %d", got, sessions)
+	}
+	if st := e.Calibration().Status(); len(st) != 0 {
+		t.Fatalf("refused class created %+v", st)
+	}
+
+	off, err := NewEngine(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	if _, err := off.Process(context.Background(), NewSliceSource(nil), nil, WithCalibClass("a.b")); err != nil {
+		t.Fatalf("calibration off: class a.b failed the session: %v", err)
 	}
 }

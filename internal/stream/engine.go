@@ -33,18 +33,15 @@ type enginePipe struct {
 }
 
 // degradedRx returns the protocol's degraded-tier receiver prototype: the
-// served prototype with its sync threshold scaled up by syncScale
+// served prototype with its sync threshold scaled up by degradedSyncScale
 // (clamped to 1), sharing the same immutable reference spectrum and FFT
 // plan.
-func (ep *enginePipe) degradedRx(syncScale float64) phy.Receiver {
+func (ep *enginePipe) degradedRx() phy.Receiver {
 	ep.degMu.Lock()
 	defer ep.degMu.Unlock()
-	if ep.deg != nil {
-		return ep.deg
-	}
-	ep.deg = ep.rx
-	if syncScale > 1 {
-		if deg, err := ep.rx.CloneWithSyncThreshold(min(ep.rx.SyncThreshold()*syncScale, 1)); err == nil {
+	if ep.deg == nil {
+		ep.deg = ep.rx
+		if deg, err := ep.rx.CloneWithSyncThreshold(min(ep.rx.SyncThreshold()*degradedSyncScale, 1)); err == nil {
 			ep.deg = deg
 		}
 	}
@@ -63,7 +60,7 @@ func (ep *enginePipe) degradedRx(syncScale float64) phy.Receiver {
 // Sessions with equal shard-affinity keys (WithSessionKey) land on the
 // same shard — consistent assignment by FNV-1a hash — so one client's
 // sessions share a queue and a latency budget; keyless sessions spread
-// round-robin. With Config.Admission enabled, an overloaded shard
+// round-robin. With Config.Admission on, an overloaded shard
 // degrades new sessions (raised sync threshold, tightened in-flight
 // budget) and past that sheds them at admission with a typed
 // *ShedError, keeping accepted sessions' latency bounded instead of
@@ -98,7 +95,7 @@ type shard struct {
 }
 
 func newShard(i int, cfg Config) *shard {
-	return &shard{shardObs: newShardObs(i, cfg.TopK), q: newJobQueue(cfg.QueueDepth), adm: admission{cfg: cfg.Admission}}
+	return &shard{shardObs: newShardObs(i), q: newJobQueue(cfg.QueueDepth), adm: admission{admissionLimits: limitsFor(cfg.QueueDepth)}}
 }
 
 // NewEngine validates cfg, builds the served pipelines and the shards,
@@ -204,7 +201,7 @@ func (e *Engine) Protocols() []string {
 }
 
 // AdmissionEnabled reports whether tiered admission control is on.
-func (e *Engine) AdmissionEnabled() bool { return e.cfg.Admission.Enabled }
+func (e *Engine) AdmissionEnabled() bool { return e.cfg.Admission }
 
 // Calibration returns the engine's online-calibration manager — the admin
 // surface for threshold overrides, warmup re-arm, and drift status. nil
@@ -276,7 +273,7 @@ type TopKTable struct {
 // per dimension (k <= 0: up to the sketch capacity).
 func (e *Engine) Top(k int) TopKTable {
 	pick := func(sel func(*shard) *obs.TopK) []obs.TopKEntry {
-		m := obs.NewTopK(e.cfg.TopK)
+		m := obs.NewTopK(topK)
 		for _, sh := range e.shards {
 			m.Merge(sel(sh).Top(0))
 		}

@@ -48,7 +48,7 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 // TestFleetShardAffinity: equal keys always land on the same shard,
 // different keys spread out, and keyless sessions cycle every shard.
 func TestFleetShardAffinity(t *testing.T) {
-	f, err := NewEngine(fleetConfig(t, 4, AdmissionConfig{}))
+	f, err := NewEngine(fleetConfig(t, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,7 @@ func TestFleetShardAffinity(t *testing.T) {
 // TestFleetShedsUnderOverload: a shard in TierShed rejects sessions at
 // admission with a *ShedError before reading any sample, and counts them.
 func TestFleetShedsUnderOverload(t *testing.T) {
-	f, err := NewEngine(fleetConfig(t, 2, AdmissionConfig{
-		Enabled:           true,
-		DegradeQueueDepth: 4, ShedQueueDepth: 8,
-	}))
+	f, err := NewEngine(fleetConfig(t, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +127,13 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewEngine(fleetConfig(t, 1, AdmissionConfig{
-		Enabled:           true,
-		DegradeQueueDepth: 4, ShedQueueDepth: 1 << 20,
-		DegradeScanP95NS: 1e6, ShedScanP95NS: 1e12,
-	}))
+	f, err := NewEngine(fleetConfig(t, 1, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.sample = func(int) admissionSample { return admissionSample{queueDepth: 5} }
+	hot := admissionSample{queueDepth: f.shards[0].adm.degradeQueue}
+	f.sample = func(int) admissionSample { return hot }
 
 	degBefore := f.shards[0].degraded.Value()
 	var got []Verdict
@@ -171,16 +165,12 @@ func TestFleetDegradesUnderLoad(t *testing.T) {
 // TestFleetRecoversViaHysteresis drives the admission clock directly:
 // shed under overload, then step down tier by tier as cool samples hold.
 func TestFleetRecoversViaHysteresis(t *testing.T) {
-	f, err := NewEngine(fleetConfig(t, 1, AdmissionConfig{
-		Enabled:           true,
-		DegradeQueueDepth: 4, ShedQueueDepth: 8,
-		RecoveryFrac: 0.8, RecoveryHold: 5 * time.Second,
-	}))
+	f, err := NewEngine(fleetConfig(t, 1, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	load := admissionSample{queueDepth: 10}
+	load := admissionSample{queueDepth: f.shards[0].adm.shedQueue}
 	clock := time.Unix(5000, 0)
 	f.now = func() time.Time { return clock }
 	f.sample = func(int) admissionSample { return load }
@@ -229,17 +219,14 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Workers = 2
 	cfg.Shards = 4
-	cfg.Admission = AdmissionConfig{
-		Enabled:           true,
-		DegradeQueueDepth: 1 << 19, ShedQueueDepth: 1 << 20,
-		// Latency thresholds far above anything a loaded CI box hits:
-		// this test is about churn and teardown, not tiering.
-		DegradeScanP95NS: 1e15, ShedScanP95NS: 1e15,
-	}
+	cfg.Admission = true
 	f, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A calm load reading whatever the box's real latency: this test is
+	// about churn and teardown, not tiering.
+	f.sample = func(int) admissionSample { return admissionSample{} }
 	const clients = 16
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
@@ -271,8 +258,8 @@ func TestFleetChurnNoGoroutineLeak(t *testing.T) {
 	waitNoGoroutineLeak(t, before)
 }
 
-// fleetConfig is testConfig spread over shards, with admission adm.
-func fleetConfig(t *testing.T, shards int, adm AdmissionConfig) Config {
+// fleetConfig is testConfig spread over shards, with admission on or off.
+func fleetConfig(t *testing.T, shards int, adm bool) Config {
 	cfg := testConfig(t)
 	cfg.Shards, cfg.Admission = shards, adm
 	return cfg
@@ -305,7 +292,7 @@ func TestFleetSaturationAccounting(t *testing.T) {
 	const sessions = 256
 	capture := soakCapture(t)
 	before := runtime.NumGoroutine()
-	f, err := NewEngine(fleetConfig(t, 4, AdmissionConfig{Enabled: true}))
+	f, err := NewEngine(fleetConfig(t, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +380,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 	// workers; the second push evicts the first, which must surface as a
 	// fully labelled Dropped verdict.
 	e := &Engine{cfg: Config{MaxPending: 8}}
-	sh := newShard(0, Config{QueueDepth: 1, TopK: defaultTopK})
+	sh := newShard(0, Config{QueueDepth: 1})
 	var (
 		mu   sync.Mutex
 		tomb []Verdict
@@ -402,7 +389,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 		mu.Lock()
 		tomb = append(tomb, v)
 		mu.Unlock()
-	}, sessionOpts{degraded: true, syncScale: 1})
+	}, sessionOpts{degraded: true}, nil)
 	s.submit(job{sess: s, pipe: s.pipe, seq: 0, offset: 100})
 	s.submit(job{sess: s, pipe: s.pipe, seq: 1, offset: 200})
 	j, ok := sh.q.pop() // hand-deliver the surviving job so drain can finish
@@ -421,7 +408,7 @@ func TestVerdictsAlwaysCarryProto(t *testing.T) {
 		mu.Lock()
 		tomb = append(tomb, v)
 		mu.Unlock()
-	}, sessionOpts{degraded: true, syncScale: 1})
+	}, sessionOpts{degraded: true}, nil)
 	e2.Close()
 	s2.submit(job{sess: s2, pipe: s2.pipe, seq: 0, offset: 300})
 	s2.drain()

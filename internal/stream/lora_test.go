@@ -215,7 +215,7 @@ func TestScanRetentionInvariant(t *testing.T) {
 				mu.Lock()
 				verdicts = append(verdicts, v)
 				mu.Unlock()
-			}, sessionOpts{})
+			}, sessionOpts{}, nil)
 			refLen := s.refLen
 			rng := rand.New(rand.NewSource(int64(refLen)))
 			noise := func(n int) []complex128 {

@@ -90,11 +90,16 @@ type shardObs struct {
 	topLatency *obs.TopK // summed verdict latency ns, by session key
 }
 
+// topK is the per-shard heavy-hitter sketch capacity: how many session
+// keys each shard monitors. Any key whose share of a shard's traffic
+// exceeds 1/topK is guaranteed to be reported.
+const topK = 128
+
 // unkeyedTenant is the attribution bucket for sessions started without
 // WithSessionKey, so round-robin traffic still shows up in /v1/top.
 const unkeyedTenant = "(unkeyed)"
 
-func newShardObs(i, topK int) shardObs {
+func newShardObs(i int) shardObs {
 	pre := "stream.shard" + strconv.Itoa(i) + "."
 	return shardObs{
 		sessions:   obs.C(pre + "sessions"),

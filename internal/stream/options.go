@@ -9,8 +9,8 @@ import "hideseek/internal/calib"
 type SessionOption func(*sessionOpts)
 
 // sessionOpts is the resolved option set for one session. The zero value
-// means: default protocol, engine-default MaxPending, no shard-affinity
-// key, full-fidelity (non-degraded) operating point.
+// means: default protocol, no shard-affinity key, full-fidelity
+// (non-degraded) operating point.
 type sessionOpts struct {
 	proto string
 	key   string // shard-affinity key ("" = unpinned)
@@ -24,12 +24,9 @@ type sessionOpts struct {
 	calibClass  string
 	warmupLabel calib.Label
 
-	// Degraded operating point, set by admission control (never by
-	// callers): raised sync threshold scale and a tightened in-flight
-	// budget (0 = engine default).
-	degraded   bool
-	syncScale  float64
-	maxPending int
+	// degraded is set by admission control (never by callers): the
+	// session runs at the degrade tier's operating point.
+	degraded bool
 }
 
 // WithProto binds the session to the named victim-PHY protocol ("" = the
@@ -50,8 +47,9 @@ func WithSessionKey(key string) SessionOption {
 // WithCalibClass assigns the session to the named calibration class: all
 // sessions of one class share one rolling D² distribution, one fitted
 // threshold, and one drift monitor ("" = the session's protocol name, so
-// by default calibration is per-protocol). Ignored when the engine runs
-// without Config.Calibration.
+// by default calibration is per-protocol). A class the manager refuses
+// (see calib.MaxClasses) fails Process before the session starts.
+// Ignored when the engine runs without Config.Calibration.
 func WithCalibClass(class string) SessionOption {
 	return func(o *sessionOpts) { o.calibClass = class }
 }

@@ -294,8 +294,6 @@ func TestConfigValidation(t *testing.T) {
 		{QueueDepth: -1, Pipelines: zb},
 		{MaxPending: -1, Pipelines: zb},
 		{Shards: -1, Pipelines: zb},
-		{TopK: -1, Pipelines: zb},
-		{Admission: AdmissionConfig{Enabled: true, SyncScale: 0.5}, Pipelines: zb},
 		{}, // no pipelines
 	} {
 		if e, err := NewEngine(cfg); err == nil {

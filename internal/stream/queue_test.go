@@ -125,7 +125,7 @@ func TestDeliverReordersAndCountsTombstones(t *testing.T) {
 		mu.Lock()
 		got = append(got, v.Seq)
 		mu.Unlock()
-	}, sessionOpts{})
+	}, sessionOpts{}, nil)
 	s.mu.Lock()
 	s.inflight = 4
 	s.mu.Unlock()

@@ -75,17 +75,15 @@ type commit struct {
 	ns     int64     // the deciding step's scanner time, when it ended in a wait
 }
 
-// newSession builds a session bound to one shard and one protocol pipe
+// newSession builds a session bound to one shard, one protocol pipe and
+// its calibration class (cal, nil when the session runs uncalibrated),
 // and starts its delivery goroutine. The goroutine exits (and flushed
-// closes) after drain.
-func newSession(e *Engine, sh *shard, pipe *enginePipe, emit func(Verdict), so sessionOpts) *Session {
-	rx := pipe.rx
+// closes) after drain. A degrade-tier session syncs at the raised
+// threshold and may keep only a quarter of MaxPending in flight.
+func newSession(e *Engine, sh *shard, pipe *enginePipe, emit func(Verdict), so sessionOpts, cal *calib.Calibrator) *Session {
+	rx, maxPending := pipe.rx, e.cfg.MaxPending
 	if so.degraded {
-		rx = pipe.degradedRx(so.syncScale)
-	}
-	maxPending := so.maxPending
-	if maxPending == 0 {
-		maxPending = e.cfg.MaxPending
+		rx, maxPending = pipe.degradedRx(), max(1, maxPending/4)
 	}
 	s := &Session{
 		sh:         sh,
@@ -104,21 +102,32 @@ func newSession(e *Engine, sh *shard, pipe *enginePipe, emit func(Verdict), so s
 		flushed:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if e.calib != nil {
-		if dt, ok := pipe.det.(phy.DetectTuner); ok {
-			class := so.calibClass
-			if class == "" {
-				class = pipe.name
-			}
-			s.cal = e.calib.Class(class, dt.DetectThreshold())
-			s.warmupLabel = so.warmupLabel
-			s.baseDet = dt
-			s.calDet = pipe.det
-			s.calThr = dt.DetectThreshold()
-		}
+	if cal != nil {
+		dt := pipe.det.(phy.DetectTuner)
+		s.cal, s.warmupLabel = cal, so.warmupLabel
+		s.baseDet, s.calDet, s.calThr = dt, pipe.det, dt.DetectThreshold()
 	}
 	go s.flush()
 	return s
+}
+
+// calibrator resolves a session's calibration class before the session
+// starts ("" = the protocol name). It is nil when the stage is off or the
+// protocol's detector lacks the phy.DetectTuner capability, and an error
+// when the manager refuses the class.
+func (e *Engine) calibrator(pipe *enginePipe, class string) (*calib.Calibrator, error) {
+	dt, ok := pipe.det.(phy.DetectTuner)
+	if e.calib == nil || !ok {
+		return nil, nil
+	}
+	if class == "" {
+		class = pipe.name
+	}
+	if cal := e.calib.Class(class, dt.DetectThreshold()); cal != nil {
+		return cal, nil
+	}
+	return nil, fmt.Errorf("stream: calibration class %q refused (want 1-%d of [A-Za-z0-9_], at most %d classes)",
+		class, calib.MaxClassName, calib.MaxClasses)
 }
 
 // detector resolves the analyzer for one frame: the pipeline detector
@@ -180,7 +189,7 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 	so := resolveOpts(opts)
 	i := e.shardFor(so.key)
 	sh := e.shards[i]
-	if e.cfg.Admission.Enabled {
+	if e.cfg.Admission {
 		ld := e.sample(i)
 		switch sh.adm.Decide(e.now(), ld) {
 		case TierShed:
@@ -192,14 +201,16 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 			obsDegradedSess.Inc()
 			sh.degraded.Inc()
 			so.degraded = true
-			so.syncScale = e.cfg.Admission.SyncScale
-			so.maxPending = e.cfg.Admission.DegradedMaxPending
 		}
 	}
 	if src == nil {
 		return Stats{}, fmt.Errorf("stream: nil source")
 	}
 	pipe, err := e.pipeline(so.proto)
+	if err != nil {
+		return Stats{}, err
+	}
+	cal, err := e.calibrator(pipe, so.calibClass)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -215,7 +226,7 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 	pipe.obs.sessions.Inc()
 	sh.sessions.Inc()
 
-	s := newSession(e, sh, pipe, emit, so)
+	s := newSession(e, sh, pipe, emit, so, cal)
 
 	buf := getCF32(e.cfg.ChunkSize)
 	defer putCF32(buf)

@@ -11,8 +11,8 @@
 //
 // The Engine is the one serving type. It runs Config.Shards shards (one
 // worker pool and bounded queue each, default 1) and pins every session
-// to one shard by its key (WithSessionKey); with Config.Admission
-// enabled, each shard degrades or sheds new sessions under load.
+// to one shard by its key (WithSessionKey); with Config.Admission on,
+// each shard degrades or sheds new sessions under load.
 //
 // Stage by stage:
 //   - A Source yields fixed-size sample blocks (wrap iq.ReaderCF32 for
@@ -105,18 +105,13 @@ type Config struct {
 	// prototypes, so the FFT sync reference spectrum and plans exist once
 	// per protocol regardless of shard count.
 	Shards int
-	// Admission configures tiered admission control per shard (zero value
-	// = disabled: every session is accepted at full fidelity).
-	Admission AdmissionConfig
-	// TopK is the per-shard heavy-hitter sketch capacity: how many
-	// session keys each shard monitors for frame/drop/shed/latency
-	// attribution (default 128). Any key whose share of a shard's
-	// traffic exceeds 1/TopK is guaranteed to be reported.
-	TopK int
+	// Admission turns on tiered admission control per shard: under load
+	// new sessions are degraded, past that shed with a *ShedError. The
+	// limits are fixed or derive from QueueDepth and MaxPending (see
+	// DESIGN.md §13). Off (the default), every session is accepted at
+	// full fidelity.
+	Admission bool
 }
-
-// defaultTopK is the per-shard sketch capacity when Config.TopK is 0.
-const defaultTopK = 128
 
 func (c *Config) applyDefaults() error {
 	if c.ChunkSize == 0 {
@@ -145,15 +140,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("stream: shard count %d < 1", c.Shards)
-	}
-	if c.TopK == 0 {
-		c.TopK = defaultTopK
-	}
-	if c.TopK < 1 {
-		return fmt.Errorf("stream: top-K capacity %d < 1", c.TopK)
-	}
-	if c.Admission.Enabled {
-		return c.Admission.applyDefaults(c)
 	}
 	return nil
 }
