@@ -1,15 +1,17 @@
 // Command benchreport is the same-host perf gate for the defense's
 // per-frame path. It takes two checkouts of this module, OLD and NEW,
-// runs the StreamScan, StreamScanLoRa, DecodeAt and DetectorAnalyze
-// benchmarks in each for ten rounds with the collector off (GOGC=off),
-// alternating which side goes first, and compares each side's fastest
-// repeat. NEW fails the gate when a
+// builds the gated packages' test binaries in each once, runs the
+// StreamScan, StreamScanLoRa, DecodeAt and DetectorAnalyze benchmarks
+// in each for ten rounds, alternating which side goes first, and
+// compares each side's fastest repeat. NEW fails the gate when a
 // benchmark
 //
 //   - runs more than 25 % slower in ns/op than in OLD,
 //   - allocates more per op than in OLD at all, or
 //   - is missing.
 //
+// ns/op is read with the collector on, so it includes collection cost;
+// allocs/op is read from a second run with the collector off.
 // Both sides run on one host in one job, so the ratio compares like
 // with like; the fastest repeat discounts the host's speed drift.
 //
@@ -27,6 +29,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,9 +49,12 @@ var benchRuns = []struct {
 	regexp, benchtime string
 	packages          []string
 }{
-	{"StreamScan$|DecodeAt|DetectorAnalyze", "100ms", []string{"./internal/zigbee", "./internal/stream", "./internal/emulation"}},
+	{"StreamScan$|DecodeAt|DetectorAnalyze", "100ms", packages},
 	{"StreamScanLoRa$", "40x", []string{"./internal/stream"}},
 }
+
+// packages holds every gated benchmark.
+var packages = []string{"./internal/zigbee", "./internal/stream", "./internal/emulation"}
 
 // sample is one benchmark's ns/op and allocs/op.
 type sample struct {
@@ -68,49 +75,93 @@ func main() {
 // run measures both checkouts over alternating rounds and gates NEW
 // against OLD.
 func run(oldDir, newDir string, stdout, stderr io.Writer) error {
+	tmp, err := os.MkdirTemp("", "benchreport")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
 	dirs := [2]string{oldDir, newDir}
+	bins := [2]string{filepath.Join(tmp, "old"), filepath.Join(tmp, "new")}
+	for side := range dirs {
+		if err := build(dirs[side], bins[side], stderr); err != nil {
+			return err
+		}
+	}
 	best := [2]map[string]sample{{}, {}}
 	for r := 0; r < rounds; r++ {
 		fmt.Fprintf(stderr, "round %d/%d: %s first\n", r+1, rounds, dirs[r%2])
 		for k := 0; k < 2; k++ {
 			side := (r + k) % 2
-			out, err := benchOnce(dirs[side], stderr)
+			res, err := benchOnce(dirs[side], bins[side], stderr)
 			if err != nil {
 				return err
 			}
-			keepFastest(best[side], parseBenchOutput(out))
+			keepFastest(best[side], res)
 		}
 	}
 	return gate(stdout, best[0], best[1])
 }
 
-// benchOnce runs the gated benchmarks once in the module at dir and
-// returns go test's plain-text output. -p 1 serializes the package test
-// binaries so they do not contend for the CPU. GOGC=off keeps allocs/op
-// a count of the code's own allocations: with the collector on, each
-// collection empties the stream buffer pools at a varying point, so a
-// session benchmark reads one allocation more or less from run to run
-// (StreamScan 26 or 27, StreamScanLoRa 27 to 29) and the fastest of ten
-// rounds differed between two copies of one tree. With it off they read
-// 26 and 25 in nearly every run, and a session that allocates once more
-// reads one higher.
-func benchOnce(dir string, stderr io.Writer) (string, error) {
-	var out bytes.Buffer
-	for _, r := range benchRuns {
-		args := append([]string{"test", "-p", "1", "-run", "^$", "-bench", r.regexp,
-			"-benchmem", "-benchtime", r.benchtime}, r.packages...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), "GOGC=off")
-		var runOut bytes.Buffer
-		cmd.Stdout = &runOut
-		cmd.Stderr = stderr
-		if err := cmd.Run(); err != nil {
-			return "", fmt.Errorf("%s: go %s: %w\n%s", dir, strings.Join(args, " "), err, runOut.String())
-		}
-		out.Write(runOut.Bytes())
+// build compiles the test binaries of the gated packages of the module
+// at dir into the directory bin, so the rounds run binaries and never
+// rebuild them.
+func build(dir, bin string, stderr io.Writer) error {
+	args := append([]string{"test", "-c", "-o", bin + string(filepath.Separator)}, packages...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	cmd.Stdout = stderr
+	cmd.Stderr = stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s: go %s: %w", dir, strings.Join(args, " "), err)
 	}
-	return out.String(), nil
+	return nil
+}
+
+// benchOnce runs the gated benchmarks of the module at dir once from the
+// test binaries in bin, one binary at a time. ns/op comes from a run
+// with the collector on, allocs/op from a second run with GOGC=off:
+// each collection empties the stream buffer pools at a varying point and
+// moves a session benchmark's allocs/op by one (DESIGN.md §10).
+func benchOnce(dir, bin string, stderr io.Writer) (map[string]sample, error) {
+	res := make(map[string]sample)
+	for _, r := range benchRuns {
+		for _, pkg := range r.packages {
+			timed, err := benchBinary(dir, bin, pkg, r.regexp, r.benchtime, "", stderr)
+			if err != nil {
+				return nil, err
+			}
+			counted, err := benchBinary(dir, bin, pkg, r.regexp, r.benchtime, "GOGC=off", stderr)
+			if err != nil {
+				return nil, err
+			}
+			for name, s := range timed {
+				if c, ok := counted[name]; ok {
+					res[name] = sample{ns: s.ns, allocs: c.allocs}
+				}
+			}
+		}
+	}
+	return res, nil
+}
+
+// benchBinary runs one package's test binary from bin on the benchmarks
+// matching regexp, in the package's directory under dir and with env
+// (if any) added to the environment, and parses its output.
+func benchBinary(dir, bin, pkg, regexp, benchtime, env string, stderr io.Writer) (map[string]sample, error) {
+	args := []string{"-test.run", "^$", "-test.bench", regexp, "-test.benchmem", "-test.benchtime", benchtime}
+	cmd := exec.Command(filepath.Join(bin, path.Base(pkg)+".test"), args...)
+	cmd.Dir = filepath.Join(dir, pkg)
+	cmd.Env = os.Environ()
+	if env != "" {
+		cmd.Env = append(cmd.Env, env)
+	}
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("%s: %s %s %s: %w\n%s", dir, env, cmd.Path, strings.Join(args, " "), err, out.String())
+	}
+	return parseBenchOutput(out.String()), nil
 }
 
 // parseBenchOutput reads plain `go test -bench -benchmem` output and

@@ -195,8 +195,8 @@ func TestCalibSmoke(t *testing.T) {
 	// Drift injection: the authentic population walks an order of
 	// magnitude above its fitted baseline (operator-labeled replay of
 	// drifted-oscillator captures). 16 frames push the 60 s window past
-	// the default MinWindowCount gate; the windowed quantiles cross
-	// DriftFrac and the drift counter must move.
+	// the 16-sample drift gate; the windowed quantiles cross the 50%
+	// drift limit and the drift counter must move.
 	classify(t, fmt.Sprintf("http://%s/v1/classify?calib_label=authentic", httpAddr),
 		calibCapture(t, 64, true, 16))
 	st = getCalib(t, httpAddr)

@@ -26,7 +26,7 @@
 // (?calib_label=authentic|emulated on /v1/classify and /v1/stream marks a
 // session's frames with operator ground truth; ?calib_class=<name> groups
 // sessions into a non-default class, named by 1-64 of [A-Za-z0-9_], at
-// most 64 classes, else 400), and monitor for drift. GET /v1/calib
+// most 64 besides the protocols' own, else 400), and monitor for drift. GET /v1/calib
 // reports every class's threshold, source, fit, and drift status; PUT
 // /v1/calib applies operator overrides, clears them, or re-arms warmup.
 //

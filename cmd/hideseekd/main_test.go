@@ -287,7 +287,9 @@ func TestAdmissionShedsWith503(t *testing.T) {
 // a 400 before the session starts, even on an empty body, so a client
 // can neither grow the class table without bound nor put two classes on
 // one exported gauge name (a.b and a-b would both be
-// hideseek_calib_threshold_a_b) and break the /metrics exposition.
+// hideseek_calib_threshold_a_b) and break the /metrics exposition. The
+// cap never locks out a protocol's own class: a session naming no class
+// is still served after the hostile ones.
 func TestCalibClassBound(t *testing.T) {
 	engine, err := stream.NewEngine(stream.Config{
 		Workers:     1,
@@ -326,8 +328,11 @@ func TestCalibClassBound(t *testing.T) {
 	if got := classify("one_too_many"); got != http.StatusBadRequest {
 		t.Errorf("class %d: status %d, want 400", calib.MaxClasses+1, got)
 	}
-	if got := len(engine.Calibration().Status()); got != calib.MaxClasses {
-		t.Errorf("%d calibration classes, want %d", got, calib.MaxClasses)
+	if got := classify(""); got != http.StatusOK {
+		t.Errorf("protocol default class after %d hostile classes: status %d, want 200", calib.MaxClasses, got)
+	}
+	if got := len(engine.Calibration().Status()); got != calib.MaxClasses+1 {
+		t.Errorf("%d calibration classes, want %d", got, calib.MaxClasses+1)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -121,11 +121,16 @@ const (
 // calib_threshold.<class> gauge for the life of the process, so a
 // Manager creates classes only for names of 1 to MaxClassName bytes
 // from [A-Za-z0-9_] (which keeps gauge names distinct once exported) and
-// at most MaxClasses of them.
+// at most MaxClasses of them besides its reserved classes.
 const (
 	MaxClassName = 64
 	MaxClasses   = 64
 )
+
+// ErrClassRefused is why Class returns nil: the name breaks the class
+// bounds.
+var ErrClassRefused = fmt.Errorf("calib: class refused (want 1-%d bytes of [A-Za-z0-9_], at most %d classes besides the protocol defaults)",
+	MaxClassName, MaxClasses)
 
 func (c Config) withDefaults() Config {
 	if c.WarmupPerClass == 0 {
@@ -153,31 +158,48 @@ func (c Config) Validate() error {
 // calibrated threshold wherever admission lands it (including the
 // degraded tier). Managers are safe for concurrent use.
 type Manager struct {
-	cfg     Config
-	mu      sync.Mutex
-	classes map[string]*Calibrator
+	cfg      Config
+	reserved map[string]bool
+	mu       sync.Mutex
+	classes  map[string]*Calibrator
+	named    int // classes outside reserved, at most MaxClasses
 }
 
-// NewManager validates cfg and returns an empty manager.
-func NewManager(cfg Config) (*Manager, error) {
+// NewManager validates cfg and returns an empty manager. The reserved
+// classes (an engine passes its protocol names, the classes of sessions
+// that name none) are created on first use like any other but never
+// count toward MaxClasses, so client-named classes cannot lock a
+// protocol's default class out.
+func NewManager(cfg Config, reserved ...string) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg.withDefaults(), classes: make(map[string]*Calibrator)}, nil
+	m := &Manager{cfg: cfg.withDefaults(), reserved: make(map[string]bool, len(reserved)), classes: make(map[string]*Calibrator)}
+	for _, class := range reserved {
+		if !validClass(class) {
+			return nil, fmt.Errorf("reserved class %q: %w", class, ErrClassRefused)
+		}
+		m.reserved[class] = true
+	}
+	return m, nil
 }
 
 // Class returns the named class's calibrator, creating it (warmup state,
 // the given fallback threshold) on first use. Later calls ignore
 // fallback: the first session of a class pins its protocol default.
-// Class returns nil instead of creating a class whose name breaks the
-// class bounds, or one past MaxClasses.
+// Class returns nil, creating nothing, for a class ErrClassRefused
+// describes.
 func (m *Manager) Class(class string, fallback float64) *Calibrator {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.classes[class]
 	if !ok {
-		if len(m.classes) >= MaxClasses || !validClass(class) {
+		reserved := m.reserved[class]
+		if !reserved && (m.named >= MaxClasses || !validClass(class)) {
 			return nil
+		}
+		if !reserved {
+			m.named++
 		}
 		c = newCalibrator(m.cfg, class, fallback)
 		m.classes[class] = c

@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -266,7 +267,7 @@ func TestDriftEventAndThrottle(t *testing.T) {
 }
 
 // TestThinWindowDoesNotRestartThrottle: a drift check that bails out on
-// a window thinner than MinWindowCount must not start a new
+// a window thinner than minWindowCount (16) must not start a new
 // DriftCheckEvery period. Nine drifted samples arrive 2 ms apart (each
 // check sees a thin window), then seven more land 10 µs apart, inside
 // one throttle period; the check on the sixteenth sample must evaluate
@@ -320,6 +321,12 @@ func TestCalibratorObserveZeroAllocs(t *testing.T) {
 		c.Observe(0.05, LabelAuthentic)
 		c.Observe(0.80, LabelEmulated)
 		clk.advance(10 * time.Second)
+	}
+	// Fill the drift window past minWindowCount so every measured run
+	// evaluates drift instead of bailing out on a thin window.
+	for i := 0; i < minWindowCount; i++ {
+		c.Observe(0.05, LabelAuthentic)
+		clk.advance(time.Second)
 	}
 	drifted := false
 	allocs := testing.AllocsPerRun(100, func() {
@@ -400,10 +407,16 @@ func TestManagerClassesAndStatus(t *testing.T) {
 }
 
 // TestManagerClassBounds: Class creates no calibrator for a name outside
-// [A-Za-z0-9_]{1,64} or past MaxClasses classes, and still returns the
-// classes it already holds.
+// [A-Za-z0-9_]{1,64} or past MaxClasses classes, still returns the
+// classes it already holds, and creates a reserved class past the cap.
 func TestManagerClassBounds(t *testing.T) {
-	m, _ := NewManager(testConfig(newFakeClock()))
+	if _, err := NewManager(testConfig(newFakeClock()), "a.b"); !errors.Is(err, ErrClassRefused) {
+		t.Fatalf("reserved class a.b: err %v, want ErrClassRefused", err)
+	}
+	m, err := NewManager(testConfig(newFakeClock()), "zigbee")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"", "a.b", "a-b", "sp ace", "ü", strings.Repeat("x", MaxClassName+1)} {
 		if c := m.Class(name, 0.2); c != nil {
 			t.Fatalf("class %q accepted", name)
@@ -423,8 +436,11 @@ func TestManagerClassBounds(t *testing.T) {
 	if c := m.Class("Class_1", 0.2); c == nil {
 		t.Fatal("existing class refused at the cap")
 	}
-	if got := len(m.Status()); got != MaxClasses {
-		t.Fatalf("%d classes, want %d", got, MaxClasses)
+	if c := m.Class("zigbee", 0.2); c == nil {
+		t.Fatal("reserved class refused at the cap")
+	}
+	if got := len(m.Status()); got != MaxClasses+1 {
+		t.Fatalf("%d classes, want %d", got, MaxClasses+1)
 	}
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -319,8 +320,8 @@ func TestCalibClassRefusedBeforeSession(t *testing.T) {
 	}
 	defer e.Close()
 	sessions := e.shards[0].sessions.Value()
-	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithCalibClass("a.b")); err == nil {
-		t.Fatal("class a.b accepted")
+	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithCalibClass("a.b")); !errors.Is(err, calib.ErrClassRefused) {
+		t.Fatalf("class a.b: err %v, want calib.ErrClassRefused", err)
 	}
 	if got := e.shards[0].sessions.Value(); got != sessions {
 		t.Fatalf("refused session counted: %d sessions, want %d", got, sessions)

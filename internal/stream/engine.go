@@ -109,16 +109,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.Workers = runner.DefaultWorkers()
 	}
 	e := &Engine{cfg: cfg, byName: make(map[string]*enginePipe, len(cfg.Pipelines)), now: time.Now}
-	if cfg.Calibration != nil {
-		// One manager for every shard: sessions of a class calibrate
-		// together no matter which shard (or admission tier) they land on,
-		// so a degraded-tier session keeps the class's fitted threshold.
-		mgr, err := calib.NewManager(*cfg.Calibration)
-		if err != nil {
-			return nil, err
-		}
-		e.calib = mgr
-	}
 	for i, p := range cfg.Pipelines {
 		if p == nil || p.Receiver == nil || p.Detector == nil {
 			return nil, fmt.Errorf("stream: pipeline %d is incomplete", i)
@@ -145,6 +135,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.pipes = append(e.pipes, ep)
 		e.byName[p.Protocol] = ep
+	}
+	if cfg.Calibration != nil {
+		// One manager for every shard: sessions of a class calibrate
+		// together no matter which shard (or admission tier) they land on,
+		// so a degraded-tier session keeps the class's fitted threshold.
+		mgr, err := calib.NewManager(*cfg.Calibration, e.Protocols()...)
+		if err != nil {
+			return nil, err
+		}
+		e.calib = mgr
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg)

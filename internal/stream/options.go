@@ -48,7 +48,7 @@ func WithSessionKey(key string) SessionOption {
 // sessions of one class share one rolling D² distribution, one fitted
 // threshold, and one drift monitor ("" = the session's protocol name, so
 // by default calibration is per-protocol). A class the manager refuses
-// (see calib.MaxClasses) fails Process before the session starts.
+// (see calib.ErrClassRefused) fails Process before the session starts.
 // Ignored when the engine runs without Config.Calibration.
 func WithCalibClass(class string) SessionOption {
 	return func(o *sessionOpts) { o.calibClass = class }

@@ -126,8 +126,7 @@ func (e *Engine) calibrator(pipe *enginePipe, class string) (*calib.Calibrator, 
 	if cal := e.calib.Class(class, dt.DetectThreshold()); cal != nil {
 		return cal, nil
 	}
-	return nil, fmt.Errorf("stream: calibration class %q refused (want 1-%d of [A-Za-z0-9_], at most %d classes)",
-		class, calib.MaxClassName, calib.MaxClasses)
+	return nil, fmt.Errorf("stream: calibration class %q: %w", class, calib.ErrClassRefused)
 }
 
 // detector resolves the analyzer for one frame: the pipeline detector
