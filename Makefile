@@ -23,10 +23,12 @@ bench:
 
 # Same-host perf gate on the defense's per-frame path: check BASE out
 # into a throwaway git worktree, then run the StreamScan, DecodeAt and
-# DetectorAnalyze benchmarks (StreamScanLoRa at a fixed 40 ops) with
-# GOGC=off in it and in the working tree for 10 alternating rounds. Fails when a benchmark's fastest repeat is >25%
-# slower than BASE's, allocates more per op, or is missing. The
-# worktree is removed whether the gate passes or fails.
+# DetectorAnalyze benchmarks (StreamScanLoRa at a fixed 40 ops) in it
+# and in the working tree for 10 alternating rounds: ns/op with the
+# collector on, allocs/op from a second run with GOGC=off. Fails when a
+# benchmark's fastest repeat is >25% slower than BASE's, allocates more
+# per op, or is missing. The worktree is removed whether the gate passes
+# or fails.
 BASE ?= HEAD~1
 
 bench-compare:

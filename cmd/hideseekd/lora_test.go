@@ -64,7 +64,7 @@ func testDaemonProtos(t *testing.T, workers int) (*daemon, *httptest.Server) {
 		t.Fatal(err)
 	}
 	d := newDaemon(engine, 30*time.Second)
-	ts := httptest.NewServer(d.routes())
+	ts, _ := serve(d)
 	t.Cleanup(func() {
 		ts.Close()
 		engine.Close()

@@ -70,6 +70,17 @@
 // bytes (an SDR pipe, netcat) and answers with NDJSON verdicts on the
 // same connection.
 //
+// All three ingest surfaces run one session runner, so their bounds are
+// the same. A session refused before its first sample — an unserved
+// protocol, a bad calibration selector, a shed, or the open-session cap —
+// gets 400 or 503 with Connection: close on both HTTP endpoints and an
+// error trailer on raw TCP. Open sessions are capped at -shards × -queue
+// (256 at the defaults); past that new ones get 503. A /v1/classify
+// request past 1024 verdicts stops being read and gets 413: stream long
+// captures to /v1/stream. -deadline is the idle bound on every session's
+// reads and writes, and the HTTP server's header-read and keep-alive
+// idle timeouts (0 = none); no timeout caps a whole session.
+//
 // Every scanned frame gets a span trace (scan→sync→queue→decode→detect→
 // deliver) kept in a bounded in-memory ring (-traces) and, with
 // -tracefile, exported as NDJSON; Verdict.trace_id joins a verdict to
@@ -108,6 +119,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 	"unicode"
@@ -141,13 +153,13 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	shards := fs.Int("shards", 1, "independent engine shards; sessions pin to shards by session key")
 	admission := fs.Bool("admission", false, "tiered admission control per shard: degrade under load, shed past that (503)")
 	workers := fs.Int("workers", 0, "decode/detect worker pool width per shard (0 = derived from GOMAXPROCS)")
-	queue := fs.Int("queue", 256, "shared frame queue depth; oldest frames drop past this")
+	queue := fs.Int("queue", 256, "frame queue depth per shard; oldest frames drop past this, and -shards × -queue caps open sessions")
 	chunk := fs.Int("chunk", 4096, "samples per ingest block")
 	pending := fs.Int("pending", 64, "max in-flight frames per session before its reads block")
 	threshold := fs.Float64("threshold", 0, "decision threshold Q for every served protocol (0 = per-protocol default)")
 	realEnv := fs.Bool("real", false, "real-environment statistics: mean removal + |C40| (Sec. VI-C)")
 	syncThr := fs.Float64("sync", 0, fmt.Sprintf("preamble sync correlation threshold for every served protocol (0 = per-protocol default; zigbee's daemon default is %v)", zigbee.EdgeSyncThreshold))
-	deadline := fs.Duration("deadline", 30*time.Second, "per-request idle read/write deadline (0 = none)")
+	deadline := fs.Duration("deadline", 30*time.Second, "idle read/write deadline per session, and the HTTP header-read and keep-alive idle timeout (0 = none)")
 	manifest := fs.String("manifest", "", "write a kind=service run manifest here on shutdown")
 	traces := fs.Int("traces", 256, "per-frame span traces kept queryable at /v1/traces (0 disables tracing)")
 	traceFile := fs.String("tracefile", "", "append every completed span trace as NDJSON here")
@@ -312,12 +324,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 	fmt.Fprintf(logw, "hideseekd: serving protocols %v on %d shard(s), admission control %v\n",
 		engine.Protocols(), engine.Shards(), engine.AdmissionEnabled())
-	srv := &http.Server{
-		Handler: d.routes(),
-		// Request contexts descend from the signal context, so streaming
-		// handlers observe shutdown and drain instead of running forever.
-		BaseContext: func(net.Listener) context.Context { return sigCtx },
-	}
+	srv := d.httpServer(sigCtx)
 	fmt.Fprintf(logw, "hideseekd: listening on http://%s\n", httpLn.Addr())
 
 	if *tcpAddr != "" {
@@ -380,6 +387,8 @@ type daemon struct {
 	alerts   *alert.Engine // nil when -slo is off
 	deadline time.Duration
 	start    time.Time
+	open     atomic.Int64 // sessions in runSession, every surface
+	maxOpen  int64        // open-session cap (see newDaemon)
 }
 
 // snap is the daemon's snapshot: the registry snapshot plus the SLO
@@ -393,8 +402,31 @@ func (d *daemon) snap() obs.Snapshot {
 	return s
 }
 
+// newDaemon binds e to the handlers. It caps open sessions at e's
+// frame-queue capacity, -shards × -queue (256 at the defaults): past
+// that, one frame in flight per session already overfills the queues, so
+// a further session would only evict other sessions' frames as dropped
+// verdicts while holding a scan window, a receiver clone and a delivery
+// goroutine of its own.
 func newDaemon(e *stream.Engine, deadline time.Duration) *daemon {
-	return &daemon{engine: e, deadline: deadline, start: time.Now()}
+	return &daemon{engine: e, deadline: deadline, start: time.Now(), maxOpen: int64(e.QueueCapacity())}
+}
+
+// httpServer is the daemon's HTTP server; base is every request's parent
+// context, so streaming sessions observe shutdown and drain instead of
+// running forever. ReadHeaderTimeout and IdleTimeout are -deadline (0 =
+// none): a client that trickles its request header, or parks an idle
+// keep-alive connection, is closed after it. ReadTimeout and
+// WriteTimeout stay unset because they would cap a whole request, and a
+// /v1/stream upload may run for hours; runSession bounds its reads and
+// writes block by block instead.
+func (d *daemon) httpServer(base context.Context) *http.Server {
+	return &http.Server{
+		Handler:           d.routes(),
+		ReadHeaderTimeout: d.deadline,
+		IdleTimeout:       d.deadline,
+		BaseContext:       func(net.Listener) context.Context { return base },
+	}
 }
 
 func (d *daemon) routes() *http.ServeMux {
@@ -418,46 +450,42 @@ type classifyResponse struct {
 	Stats    stream.Stats     `json:"stats"`
 }
 
-// trailer is the final NDJSON record of a streaming response; its "stats"
-// key distinguishes it from verdict records (which always carry "seq").
-type trailer struct {
-	Stats *stream.Stats `json:"stats,omitempty"`
-	Err   string        `json:"error,omitempty"`
-}
+// maxClassifyVerdicts caps one /v1/classify reply. The reply holds every
+// verdict in memory until the body ends and then marshals them into one
+// document, about 1 KiB per verdict in all, so the cap bounds a request's
+// heap at about 1 MiB; clients send a capture of a few frames. Past it
+// the session stops reading and the client gets 413.
+const maxClassifyVerdicts = 1024
 
-// sessionProto resolves a request's ?proto= selector against the served
-// set, so protocol typos fail with 400 before any samples are consumed
-// ("" = the engine default).
-func (d *daemon) sessionProto(r *http.Request) (string, error) {
-	proto := r.URL.Query().Get("proto")
-	if proto == "" {
-		return "", nil
-	}
-	for _, served := range d.engine.Protocols() {
-		if proto == served {
-			return proto, nil
-		}
-	}
-	return "", fmt.Errorf("protocol %q not served (have %v)", proto, d.engine.Protocols())
-}
+var errVerdictCap = fmt.Errorf("more than %d verdicts in one /v1/classify request: stream long captures to /v1/stream", maxClassifyVerdicts)
 
-// calibOptions resolves a request's calibration selectors: operator
-// ground truth for warmup traffic (?calib_label=authentic|emulated) and a
-// non-default session class (?calib_class=<name>). Both are no-ops when
-// the daemon runs without -calib, matching the stream package's contract.
-func calibOptions(r *http.Request) ([]stream.SessionOption, error) {
-	var opts []stream.SessionOption
-	if s := r.URL.Query().Get("calib_label"); s != "" {
-		l, err := calib.ParseLabel(s)
-		if err != nil {
-			return nil, err
+// errSessionCap refuses a session while the daemon's open-session cap is
+// reached (see newDaemon).
+var errSessionCap = errors.New("open-session cap reached, retry later")
+
+// queryOptions resolves an HTTP session's options from its query:
+// ?proto=<name> ("" = the engine default; the engine refuses an unserved
+// one before admission), the shard-affinity key, operator ground truth
+// for warmup traffic (?calib_label=authentic|emulated) and a non-default
+// calibration class (?calib_class=<name>). The calibration selectors are
+// no-ops when the daemon runs without -calib, matching the stream
+// package's contract.
+func queryOptions(r *http.Request) func() ([]stream.SessionOption, error) {
+	return func() ([]stream.SessionOption, error) {
+		q := r.URL.Query()
+		opts := []stream.SessionOption{stream.WithProto(q.Get("proto")), stream.WithSessionKey(sessionKey(r))}
+		if s := q.Get("calib_label"); s != "" {
+			l, err := calib.ParseLabel(s)
+			if err != nil {
+				return nil, err
+			}
+			opts = append(opts, stream.WithWarmupLabel(l))
 		}
-		opts = append(opts, stream.WithWarmupLabel(l))
+		if class := q.Get("calib_class"); class != "" {
+			opts = append(opts, stream.WithCalibClass(class))
+		}
+		return opts, nil
 	}
-	if class := r.URL.Query().Get("calib_class"); class != "" {
-		opts = append(opts, stream.WithCalibClass(class))
-	}
-	return opts, nil
 }
 
 // sessionKey picks a request's shard-affinity key: an explicit
@@ -479,13 +507,27 @@ func hostOf(addr string) string {
 	return addr
 }
 
-// sessionStatus maps a Process error to an HTTP status: shed-at-admission
-// is backpressure (503, retry later), everything else a client error.
+// sessionStatus maps a session error to an HTTP status: backpressure (a
+// shed at admission, or the open-session cap) is 503, retry later; a
+// /v1/classify body past the verdict cap is 413; everything else is a
+// client error.
 func sessionStatus(err error) int {
-	if errors.Is(err, stream.ErrShed) {
+	switch {
+	case errors.Is(err, stream.ErrShed), errors.Is(err, errSessionCap):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errVerdictCap):
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// refuse answers an HTTP session that ended without its reply. The body
+// may be unread and /v1/stream runs full duplex, so the connection closes
+// rather than letting the server reuse it while the client is still
+// mid-upload.
+func refuse(w http.ResponseWriter, err error) {
+	w.Header().Set("Connection", "close")
+	http.Error(w, err.Error(), sessionStatus(err))
 }
 
 func (d *daemon) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -493,33 +535,17 @@ func (d *daemon) handleClassify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a cf32 capture", http.StatusMethodNotAllowed)
 		return
 	}
-	proto, err := d.sessionProto(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	calOpts, err := calibOptions(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	rc := http.NewResponseController(w)
-	// Unblock a pending body read when the daemon shuts down mid-upload.
-	stopAfter := context.AfterFunc(ctx, func() { rc.SetReadDeadline(time.Now()) })
-	defer stopAfter()
-	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
 	verdicts := make([]stream.Verdict, 0)
-	opts := append([]stream.SessionOption{stream.WithProto(proto), stream.WithSessionKey(sessionKey(r))}, calOpts...)
-	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
+	stats, _, err := d.runSession(r.Context(), http.NewResponseController(w), r.Body, queryOptions(r), func(v stream.Verdict) error {
+		if len(verdicts) == maxClassifyVerdicts {
+			return errVerdictCap
+		}
 		verdicts = append(verdicts, v)
-	}, opts...)
+		return nil
+	})
 	if err != nil {
-		http.Error(w, err.Error(), sessionStatus(err))
+		refuse(w, err)
 		return
-	}
-	if d.deadline > 0 {
-		rc.SetWriteDeadline(time.Now().Add(d.deadline))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(classifyResponse{Verdicts: verdicts, Stats: stats})
@@ -530,74 +556,20 @@ func (d *daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a cf32 stream", http.StatusMethodNotAllowed)
 		return
 	}
-	proto, err := d.sessionProto(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	calOpts, err := calibOptions(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	rc := http.NewResponseController(w)
 	// Full duplex lets us emit verdicts while the client is still sending
 	// samples (best effort: HTTP/2 already behaves this way).
 	_ = rc.EnableFullDuplex()
-	enc := json.NewEncoder(w)
-	// The 200 goes out with the first verdict (or the trailer): admission
-	// rejects a session before anything is emitted, and that must still be
-	// able to surface as a 503 status line.
-	var headerOnce sync.Once
-	writeHeader := func() {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	// Unblock pending body reads and response writes when the daemon shuts
-	// down (or the session is cancelled) mid-stream.
-	stopAfter := context.AfterFunc(ctx, func() {
-		rc.SetReadDeadline(time.Now())
-		rc.SetWriteDeadline(time.Now())
-	})
-	defer stopAfter()
-	src := d.idleSource(ctx, r.Body, rc.SetReadDeadline)
-	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
-		headerOnce.Do(writeHeader)
-		// A write deadline per verdict: a client that streams samples but
-		// never reads responses errors the session instead of blocking its
-		// delivery goroutine (and the session's drain) forever.
-		if d.deadline > 0 {
-			rc.SetWriteDeadline(time.Now().Add(d.deadline))
-		}
-		if encErr := enc.Encode(v); encErr != nil {
-			cancel()
-			return
-		}
-		rc.Flush()
-	}, append([]stream.SessionOption{stream.WithProto(proto), stream.WithSessionKey(sessionKey(r))}, calOpts...)...)
-	if errors.Is(err, stream.ErrShed) {
-		// Rejected at admission: no verdict was emitted, the header is
-		// still ours to set. The body was never read (admission decides
-		// before the first sample) and full duplex is on, so close the
-		// connection rather than letting the server try to reuse it while
-		// the client is still mid-upload.
-		w.Header().Set("Connection", "close")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	// The 200 goes out with the first verdict or the trailer, so a session
+	// refused before it starts still gets its own status line.
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	out := ndjson{json.NewEncoder(w), rc.Flush}
+	stats, started, err := d.runSession(r.Context(), rc, r.Body, queryOptions(r), out.verdict)
+	if !started {
+		refuse(w, err)
 		return
 	}
-	headerOnce.Do(writeHeader)
-	if d.deadline > 0 {
-		rc.SetWriteDeadline(time.Now().Add(d.deadline))
-	}
-	t := trailer{Stats: &stats}
-	if err != nil {
-		t.Err = err.Error()
-	}
-	enc.Encode(t)
-	rc.Flush()
+	out.end(stats, err)
 }
 
 func (d *daemon) handleObs(w http.ResponseWriter, r *http.Request) {
@@ -860,69 +832,128 @@ func sniffProto(br *bufio.Reader) (string, error) {
 // selector line, cf32 bytes in, NDJSON verdicts out, a stats trailer,
 // then close.
 func (d *daemon) serveConn(ctx context.Context, conn net.Conn) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopAfter := context.AfterFunc(ctx, func() {
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	out := ndjson{json.NewEncoder(bw), bw.Flush}
+	stats, _, err := d.runSession(ctx, conn, br, func() ([]stream.SessionOption, error) {
+		proto, err := sniffProto(br)
+		return []stream.SessionOption{stream.WithProto(proto), stream.WithSessionKey(hostOf(conn.RemoteAddr().String()))}, err
+	}, out.verdict)
+	out.end(stats, err)
+}
+
+// deadliner bounds a session's connection I/O; *http.ResponseController
+// and net.Conn both implement it.
+type deadliner interface {
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
+
+// runSession is the one session runner behind /v1/classify, /v1/stream
+// and raw TCP. It resolves the session's options with opts, which may
+// read a selector line from body, then streams body through the engine
+// and hands every verdict to sink in stream order. The read deadline
+// moves -deadline ahead before every block, the write deadline before
+// every verdict and once more on return, for the transport's last
+// record. The session ends at EOF, at shutdown (ctx done), or at the
+// first sink error, which cancels it and becomes its error: reading stops
+// at the next block, and the read deadline stays pushed, so an HTTP
+// server can still drain a little of the body and deliver the reply.
+// started is false when the session was refused before its first sample
+// (by the open-session cap, by opts, or by the engine: an unserved
+// protocol, a refused calibration class, a shed); sink then saw nothing.
+func (d *daemon) runSession(ctx context.Context, conn deadliner, body io.Reader, opts func() ([]stream.SessionOption, error), sink func(stream.Verdict) error) (stats stream.Stats, started bool, err error) {
+	defer d.push(conn.SetWriteDeadline)
+	if d.open.Add(1) > d.maxOpen {
+		d.open.Add(-1)
+		return stats, false, errSessionCap
+	}
+	defer d.open.Add(-1)
+	// Shutdown unblocks a pending body read or verdict write.
+	defer context.AfterFunc(ctx, func() {
 		conn.SetReadDeadline(time.Now())
 		conn.SetWriteDeadline(time.Now())
-	})
-	defer stopAfter()
-	enc := json.NewEncoder(conn)
-	if d.deadline > 0 {
-		conn.SetReadDeadline(time.Now().Add(d.deadline))
-	}
-	br := bufio.NewReader(conn)
-	proto, err := sniffProto(br)
+	})()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	d.push(conn.SetReadDeadline)
+	so, err := opts()
 	if err != nil {
-		enc.Encode(trailer{Err: err.Error()})
-		return
+		return stats, false, err
 	}
-	src := d.idleSource(ctx, br, conn.SetReadDeadline)
-	stats, err := d.engine.Process(ctx, src, func(v stream.Verdict) {
-		// Bound every verdict write so a peer that stops reading errors the
-		// session rather than wedging its delivery goroutine.
-		if d.deadline > 0 {
-			conn.SetWriteDeadline(time.Now().Add(d.deadline))
+	src := &idleSource{d: d, ctx: ctx, conn: conn, src: iq.NewReaderCF32(body)}
+	var sinkErr error
+	stats, err = d.engine.Process(ctx, src, func(v stream.Verdict) {
+		if sinkErr != nil {
+			return
 		}
-		if encErr := enc.Encode(v); encErr != nil {
+		d.push(conn.SetWriteDeadline)
+		if sinkErr = sink(v); sinkErr != nil {
 			cancel()
 		}
-	}, stream.WithProto(proto), stream.WithSessionKey(hostOf(conn.RemoteAddr().String())))
-	if d.deadline > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d.deadline))
+	}, so...)
+	if sinkErr != nil {
+		err = sinkErr
 	}
-	t := trailer{Stats: &stats}
-	if err != nil {
-		t.Err = err.Error()
-	}
-	enc.Encode(t)
+	return stats, src.started, err
 }
 
-// idleSource reads cf32 samples from r. Before every block it fails once
-// ctx is done and pushes the read deadline, through setRead, the
-// daemon's idle deadline into the future, so a stalled client cannot
-// hold a session (and its MaxPending budget) open forever while an
+// push moves a connection deadline -deadline ahead (none when 0).
+func (d *daemon) push(set func(time.Time) error) error {
+	if d.deadline <= 0 {
+		return nil
+	}
+	return set(time.Now().Add(d.deadline))
+}
+
+// idleSource reads a session's cf32 samples. Before every block it fails
+// once ctx is done and pushes the read deadline, so a stalled client
+// cannot hold a session (and its MaxPending budget) open forever while an
 // actively uploading one may take as long as it needs.
-func (d *daemon) idleSource(ctx context.Context, r io.Reader, setRead func(time.Time) error) stream.Source {
-	return &deadlineSource{src: iq.NewReaderCF32(r), ctx: ctx, idle: d.deadline, setRead: setRead}
-}
-
-// deadlineSource is idleSource's reader.
-type deadlineSource struct {
-	src     stream.Source
+type idleSource struct {
+	d       *daemon
 	ctx     context.Context
-	idle    time.Duration // 0 = no deadline
-	setRead func(time.Time) error
+	conn    deadliner
+	src     stream.Source
+	started bool // the engine admitted the session and asked for samples
 }
 
-func (s *deadlineSource) ReadBlock(dst []complex128) (int, error) {
+func (s *idleSource) ReadBlock(dst []complex128) (int, error) {
+	s.started = true
 	if err := s.ctx.Err(); err != nil {
 		return 0, err
 	}
-	if s.idle > 0 {
-		if err := s.setRead(time.Now().Add(s.idle)); err != nil {
-			return 0, err
-		}
+	if err := s.d.push(s.conn.SetReadDeadline); err != nil {
+		return 0, err
 	}
 	return s.src.ReadBlock(dst)
+}
+
+// ndjson writes the /v1/stream and raw-TCP records: one verdict per
+// line, then the trailer, each flushed to the client as it is written.
+type ndjson struct {
+	enc   *json.Encoder
+	flush func() error
+}
+
+func (n ndjson) verdict(v stream.Verdict) error {
+	if err := n.enc.Encode(v); err != nil {
+		return err
+	}
+	return n.flush()
+}
+
+// trailer is the final NDJSON record of a session; its "stats" key
+// distinguishes it from verdict records (which always carry "seq").
+type trailer struct {
+	Stats stream.Stats `json:"stats"`
+	Err   string       `json:"error,omitempty"`
+}
+
+func (n ndjson) end(stats stream.Stats, err error) {
+	t := trailer{Stats: stats}
+	if err != nil {
+		t.Err = err.Error()
+	}
+	n.enc.Encode(t)
+	n.flush()
 }

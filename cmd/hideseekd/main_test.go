@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,12 +78,41 @@ func testDaemon(t *testing.T, workers int) (*daemon, *httptest.Server) {
 		t.Fatal(err)
 	}
 	d := newDaemon(engine, 30*time.Second)
-	ts := httptest.NewServer(d.routes())
+	ts, _ := serve(d)
 	t.Cleanup(func() {
 		ts.Close()
 		engine.Close()
 	})
 	return d, ts
+}
+
+// serve starts d's HTTP server, the one run builds, on a loopback test
+// listener. The returned buffer collects the server's error log.
+func serve(d *daemon) (*httptest.Server, *logBuffer) {
+	logs := new(logBuffer)
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = d.httpServer(context.Background())
+	ts.Config.ErrorLog = log.New(logs, "", 0)
+	ts.Start()
+	return ts, logs
+}
+
+// logBuffer is a log destination that goroutines may share.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestClassifyEndpoint(t *testing.T) {
@@ -342,6 +374,232 @@ func TestCalibClassBound(t *testing.T) {
 	defer resp.Body.Close()
 	if err := obs.LintPrometheus(resp.Body); err != nil {
 		t.Fatalf("/metrics after hostile classes: %v", err)
+	}
+}
+
+// TestRefusalIsAStatusOnBothEndpoints: a session the engine refuses
+// before its first sample (a calibration class the manager refuses, an
+// unserved protocol) answers 400 on /v1/classify and on /v1/stream alike,
+// never a 200 with an error trailer, even though a whole capture is still
+// on the wire; and the server never panics over the unread body.
+func TestRefusalIsAStatusOnBothEndpoints(t *testing.T) {
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:     1,
+		Pipelines:   zigbeePipelines(t),
+		Calibration: &calib.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	ts, logs := serve(newDaemon(engine, 30*time.Second))
+	defer ts.Close()
+
+	capture, _ := testCapture(t, 29)
+	for _, path := range []string{"/v1/classify", "/v1/stream"} {
+		for _, query := range []string{"calib_class=a.b", "proto=nope"} {
+			resp, err := http.Post(ts.URL+path+"?"+query, "application/octet-stream", bytes.NewReader(capture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s?%s: status %d (%q), want 400", path, query, resp.StatusCode, body)
+			}
+		}
+	}
+	ts.Close() // wait for every connection, so the log is complete
+	if strings.Contains(logs.String(), "panic") {
+		t.Fatalf("server error log:\n%s", logs)
+	}
+}
+
+// TestClassifyVerdictCap: a /v1/classify client that never ends its body
+// gets 413 once its session passes maxClassifyVerdicts, and the server
+// stops reading there: it consumes at most the captures those verdicts
+// came from plus 2 MiB, for in-flight frames and read-ahead.
+func TestClassifyVerdictCap(t *testing.T) {
+	engine, err := stream.NewEngine(stream.Config{Workers: 2, Pipelines: zigbeePipelines(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newDaemon(engine, 30*time.Second).httpServer(context.Background())
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+
+	capture, want := testCapture(t, 31)
+	bound := int64((maxClassifyVerdicts/len(want)+1)*len(capture) + 2<<20)
+	pr, pw := io.Pipe()
+	go func() {
+		// Endless as far as the server can tell; the writer gives up only
+		// well past the bound, so a server that never answers fails the
+		// test instead of hanging it.
+		for sent := int64(0); sent < 4*bound; sent += int64(len(capture)) {
+			if _, err := pw.Write(capture); err != nil {
+				return
+			}
+		}
+		pw.CloseWithError(fmt.Errorf("server read %d bytes without answering", 4*bound))
+	}()
+	defer pr.Close()
+	resp, err := http.Post(ts.URL+"/v1/classify", "application/octet-stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if n := ln.read.Load(); n > bound {
+		t.Fatalf("server read %d bytes, want at most %d", n, bound)
+	}
+}
+
+// countingListener counts the bytes its connections read.
+type countingListener struct {
+	net.Listener
+	read atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, read: &l.read}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	read *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// TestHeaderTrickleIsClosed: the HTTP server's ReadHeaderTimeout is
+// -deadline, so a client that sends its request header a byte at a time
+// is cut off soon after the deadline rather than holding the connection.
+func TestHeaderTrickleIsClosed(t *testing.T) {
+	engine, err := stream.NewEngine(stream.Config{Workers: 1, Pipelines: zigbeePipelines(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	const deadline = 300 * time.Millisecond
+	ts, _ := serve(newDaemon(engine, deadline))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	closed := make(chan time.Duration, 1)
+	go func() {
+		io.Copy(io.Discard, conn)
+		closed <- time.Since(start)
+	}()
+	head := "POST /v1/stream HTTP/1.1\r\nHost: trickle\r\n" + strings.Repeat("X-Trickle: a\r\n", 1000)
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	limit := time.After(deadline + 5*time.Second)
+	for i := 0; ; i++ {
+		select {
+		case took := <-closed:
+			if took < deadline {
+				t.Fatalf("closed after %v, before the %v deadline", took, deadline)
+			}
+			return
+		case <-limit:
+			t.Fatalf("still open %v after the %v header deadline (%d header bytes sent)", deadline+5*time.Second, deadline, i)
+		case <-tick.C:
+			conn.Write([]byte{head[i%len(head)]})
+		}
+	}
+}
+
+// TestSessionCap: open sessions are capped at the engine's frame-queue
+// capacity. With one shard of depth 2, two stalled /v1/stream sessions
+// hold the cap, a third HTTP session gets 503 and a raw-TCP one an error
+// trailer; once the two end, sessions are served again.
+func TestSessionCap(t *testing.T) {
+	engine, err := stream.NewEngine(stream.Config{Workers: 1, QueueDepth: 2, Pipelines: zigbeePipelines(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	d := newDaemon(engine, 30*time.Second)
+	ts, _ := serve(d)
+	defer ts.Close()
+
+	capture, _ := testCapture(t, 37)
+	var stalled sync.WaitGroup
+	var writers []*io.PipeWriter
+	for i := 0; i < 2; i++ {
+		pr, pw := io.Pipe()
+		writers = append(writers, pw)
+		go pw.Write(capture) // then stall: the body never ends
+		stalled.Add(1)
+		go func() {
+			defer stalled.Done()
+			resp, err := http.Post(ts.URL+"/v1/stream", "application/octet-stream", pr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.open.Load() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions open, want the 2 stalled ones", d.open.Load())
+		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/stream", "application/octet-stream", bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !resp.Close {
+		t.Errorf("third session: status %d, close %v; want 503 with Connection: close", resp.StatusCode, resp.Close)
+	}
+	client, server := net.Pipe()
+	go func() {
+		d.serveConn(context.Background(), server)
+		server.Close()
+	}()
+	go func() {
+		client.Write(capture)
+	}()
+	var trail trailer
+	if err := json.NewDecoder(client).Decode(&trail); err != nil || trail.Err == "" {
+		t.Errorf("raw-TCP session past the cap: trailer %+v (%v), want an error", trail, err)
+	}
+	client.Close()
+
+	for _, pw := range writers {
+		pw.Close()
+	}
+	stalled.Wait()
+	resp, err = http.Post(ts.URL+"/v1/classify", "application/octet-stream", bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("after the stalled sessions end: status %d, want 200", resp.StatusCode)
 	}
 }
 

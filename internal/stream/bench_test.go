@@ -129,8 +129,8 @@ func BenchmarkStreamScanLoRa(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSaturation is the fleet capacity probe behind README's
-// capacity table: N concurrent replay sessions stampede a sharded fleet
+// BenchmarkEngineSaturation is the capacity probe behind README's
+// capacity table: N concurrent replay sessions stampede a sharded engine
 // with admission control on, and the run reports sustained frames/s per
 // node, p99 end-to-end verdict latency, and the drop/shed rate at that
 // offered load, plus heap and goroutine-leak gauges. Run it with

@@ -190,6 +190,10 @@ func (e *Engine) QueueDepth() int {
 	return n
 }
 
+// QueueCapacity returns the engine-wide frame-queue bound: QueueDepth
+// per shard, summed over shards.
+func (e *Engine) QueueCapacity() int { return len(e.shards) * e.cfg.QueueDepth }
+
 // Protocols returns the served protocol names in configuration order
 // (the first is the default).
 func (e *Engine) Protocols() []string {

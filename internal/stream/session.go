@@ -161,9 +161,11 @@ func (s *Session) detector() (phy.Detector, float64, string) {
 // every Verdict in stream order. Options select the session's protocol
 // (WithProto; default = the first configured pipeline) and its
 // shard-affinity key (WithSessionKey: equal keys → equal shards).
-// Admission control, when enabled, may degrade the session's operating
-// point or reject it with a *ShedError (match with errors.Is(err,
-// ErrShed)) before any sample is read.
+// An unserved protocol or a nil source fails before admission, so it is
+// never counted as a shed. Admission control, when enabled, may then
+// degrade the session's operating point or reject it with a *ShedError
+// (match with errors.Is(err, ErrShed)). Every refusal comes before any
+// sample is read.
 //
 // emit is called from a dedicated per-session delivery goroutine with no
 // locks held — a slow consumer throttles only its own session (its
@@ -186,6 +188,13 @@ func (s *Session) detector() (phy.Detector, float64, string) {
 // validates but whose body fails to decode).
 func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), opts ...SessionOption) (Stats, error) {
 	so := resolveOpts(opts)
+	if src == nil {
+		return Stats{}, fmt.Errorf("stream: nil source")
+	}
+	pipe, err := e.pipeline(so.proto)
+	if err != nil {
+		return Stats{}, err
+	}
 	i := e.shardFor(so.key)
 	sh := e.shards[i]
 	if e.cfg.Admission {
@@ -201,13 +210,6 @@ func (e *Engine) Process(ctx context.Context, src Source, emit func(Verdict), op
 			sh.degraded.Inc()
 			so.degraded = true
 		}
-	}
-	if src == nil {
-		return Stats{}, fmt.Errorf("stream: nil source")
-	}
-	pipe, err := e.pipeline(so.proto)
-	if err != nil {
-		return Stats{}, err
 	}
 	cal, err := e.calibrator(pipe, so.calibClass)
 	if err != nil {
