@@ -664,6 +664,12 @@ type calibUpdate struct {
 	Rearm bool `json:"rearm,omitempty"`
 }
 
+// maxCalibBody caps a PUT /v1/calib body. A valid body is under 200
+// bytes (a class name of at most calib.MaxClassName bytes and three
+// scalar fields); past the cap the body stops being read and the client
+// gets 413.
+const maxCalibBody = 4 << 10
+
 // handleCalib is the online-calibration admin surface: GET reports every
 // session class's threshold/fit/drift status, PUT applies operator
 // operations to one class.
@@ -683,7 +689,17 @@ func (d *daemon) handleCalib(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var up calibUpdate
-		if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCalibBody)).Decode(&up); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				// net/http drains up to 256 KiB of an unread body once the
+				// handler returns; an expired read deadline stops the drain
+				// at what the connection has already buffered.
+				http.NewResponseController(w).SetReadDeadline(time.Now())
+				w.Header().Set("Connection", "close")
+				http.Error(w, fmt.Sprintf("body over %d bytes", maxCalibBody), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

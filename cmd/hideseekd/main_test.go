@@ -377,6 +377,132 @@ func TestCalibClassBound(t *testing.T) {
 	}
 }
 
+// calibDaemon is a daemon serving ZigBee with online calibration on.
+func calibDaemon(t testing.TB) *daemon {
+	t.Helper()
+	zb, err := phy.Build("zigbee", phy.Options{SyncThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := stream.NewEngine(stream.Config{
+		Workers:     1,
+		Pipelines:   []*phy.Pipeline{zb},
+		Calibration: &calib.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	return newDaemon(engine, 30*time.Second)
+}
+
+// TestCalibBodyBound: a PUT /v1/calib client that never ends its body
+// gets 413 with Connection: close, and the server stops reading there:
+// it consumes at most maxCalibBody plus 16 KiB for the request head,
+// chunk framing and the connection's read-ahead.
+func TestCalibBodyBound(t *testing.T) {
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = calibDaemon(t).httpServer(context.Background())
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+
+	const bound = maxCalibBody + 16<<10
+	pr, pw := io.Pipe()
+	go func() {
+		// An unterminated class string, endless as far as the server can
+		// tell; the writer gives up only far past the bound.
+		if _, err := pw.Write([]byte(`{"class":"`)); err != nil {
+			return
+		}
+		pad := bytes.Repeat([]byte("a"), 1<<10)
+		for sent := 0; sent < 1024*bound; sent += len(pad) {
+			if _, err := pw.Write(pad); err != nil {
+				return
+			}
+		}
+		pw.CloseWithError(fmt.Errorf("server read %d bytes without answering", 1024*bound))
+	}()
+	defer pr.Close()
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/calib", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Fatalf("status %d, close %v; want 413 with Connection: close", resp.StatusCode, resp.Close)
+	}
+	pr.Close()
+	ts.Close() // wait for the connection, so the count is complete
+	if n := ln.read.Load(); n > bound {
+		t.Fatalf("server read %d bytes, want at most %d", n, bound)
+	}
+}
+
+// FuzzCalibPut sends arbitrary PUT /v1/calib bodies through the daemon's
+// handler with calibration on and the "zigbee" class created by one
+// session. It must not panic; the status is 200, 400, 404 or 413; the
+// handler reads at most maxCalibBody+1 bytes (the one past the cap is how
+// it sees the cap); and a 200 reply shows the body's operations in the
+// class status. Seeds are in testdata/fuzz/FuzzCalibPut.
+func FuzzCalibPut(f *testing.F) {
+	h := calibDaemon(f).routes()
+	ts := httptest.NewServer(h)
+	resp, err := http.Post(ts.URL+"/v1/classify", "application/octet-stream", http.NoBody)
+	if err != nil {
+		f.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode != http.StatusOK {
+		f.Fatalf("empty session: status %d, want 200", resp.StatusCode)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		br := &countingReader{r: bytes.NewReader(body)}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/calib", br))
+		if br.n > maxCalibBody+1 {
+			t.Fatalf("handler read %d bytes of the body, want at most %d", br.n, maxCalibBody+1)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for %q", rec.Code, body)
+		}
+		var up calibUpdate
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&up); err != nil {
+			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
+		}
+		var st calib.Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("200 reply %q: %v", rec.Body, err)
+		}
+		if st.Class != up.Class {
+			t.Fatalf("reply for class %q, body named %q", st.Class, up.Class)
+		}
+		switch {
+		case up.ClearOverride:
+			if st.Override != nil || st.Source == calib.SourceOperator.String() {
+				t.Fatalf("override still set after clear_override: %+v", st)
+			}
+		case up.Threshold != nil:
+			if st.Override == nil || *st.Override != *up.Threshold || st.Threshold != *up.Threshold || st.Source != calib.SourceOperator.String() {
+				t.Fatalf("threshold %v not the operator override: %+v", *up.Threshold, st)
+			}
+		}
+		if up.Rearm && (st.Fit != nil || st.State != "warmup") {
+			t.Fatalf("class not in warmup after rearm: %+v", st)
+		}
+	})
+}
+
 // TestRefusalIsAStatusOnBothEndpoints: a session the engine refuses
 // before its first sample (a calibration class the manager refuses, an
 // unserved protocol) answers 400 on /v1/classify and on /v1/stream alike,

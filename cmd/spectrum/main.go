@@ -7,6 +7,8 @@
 //
 //	spectrum -gen emulated -rate 4e6 > psd.csv
 //	spectrum -in capture.cf32 -rate 4e6 -segment 512 > psd.csv
+//
+// -segment must be a power of two; any other length is an error.
 package main
 
 import (
@@ -33,7 +35,7 @@ func run() error {
 	gen := flag.String("gen", "", "generate a waveform instead: zigbee or emulated")
 	payload := flag.String("payload", "0000000017", "payload for generated waveforms")
 	rate := flag.Float64("rate", zigbee.SampleRate, "sample rate in Hz")
-	segment := flag.Int("segment", 256, "Welch segment length")
+	segment := flag.Int("segment", 256, "Welch segment length (a power of two)")
 	flag.Parse()
 
 	wave, err := loadWaveform(*in, *gen, *payload)

@@ -26,14 +26,6 @@ func BenchmarkFFT1024(b *testing.B) {
 	}
 }
 
-func BenchmarkFFTBluestein60(b *testing.B) {
-	x := benchSignal(60)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
-
 func BenchmarkInterpolate5x(b *testing.B) {
 	x := benchSignal(1410)
 	ip, err := NewInterpolator(5, 16)

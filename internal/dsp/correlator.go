@@ -59,13 +59,12 @@ type Correlator struct {
 	refEnergy float64
 	direct    bool
 
-	// FFT overlap-save state (nil/0 when direct): block size n, valid
-	// lags per block step = n−len(ref)+1, the shared conj(FFT(ref))
-	// spectrum, a stateless power-of-two plan, and per-instance scratch.
+	// FFT overlap-save state (nil/0 when direct): power-of-two block size
+	// n, valid lags per block step = n−len(ref)+1, the shared
+	// conj(FFT(ref)) spectrum, and per-instance scratch.
 	n       int
 	step    int
 	refSpec []complex128 // immutable; shared across clones
-	plan    *Plan        // power-of-two ⇒ stateless, shared across clones
 	block   []complex128 // scratch; owned by this instance
 
 	screenBuf []float64 // sync-search scratch: screen values, grown lazily
@@ -105,14 +104,13 @@ func NewCorrelator(ref []complex128, cfg CorrelatorConfig) (*Correlator, error) 
 	}
 	c.n = n
 	c.step = n - m + 1
-	c.plan = NewPlan(n)
 	c.block = make([]complex128, n)
 	// Circular correlation in one multiply: IFFT(FFT(x)·conj(FFT(ref)))
 	// evaluates Σ_n x[(l+n) mod N]·conj(ref[n]); lags 0..N−M avoid the
 	// wraparound and are the block's valid outputs.
 	spec := make([]complex128, n)
 	copy(spec, c.ref)
-	c.plan.Forward(spec, spec)
+	FFTInto(spec, spec)
 	for i, v := range spec {
 		spec[i] = cmplx.Conj(v)
 	}
@@ -120,9 +118,9 @@ func NewCorrelator(ref []complex128, cfg CorrelatorConfig) (*Correlator, error) 
 	return c, nil
 }
 
-// Clone returns a correlator sharing the immutable reference, spectrum,
-// and (stateless, power-of-two) FFT plan, with fresh scratch — the cheap
-// way to hand each worker goroutine its own instance.
+// Clone returns a correlator sharing the immutable reference and
+// spectrum, with fresh scratch — the cheap way to hand each worker
+// goroutine its own instance.
 func (c *Correlator) Clone() *Correlator {
 	out := *c
 	if c.block != nil {
@@ -194,11 +192,11 @@ func (s *scan) computeThrough(lag int) {
 			c.block[i] = v
 		}
 		clear(c.block[len(src):])
-		c.plan.Forward(c.block, c.block)
+		FFTInto(c.block, c.block)
 		for i, v := range c.block {
 			c.block[i] = v * c.refSpec[i]
 		}
-		c.plan.Inverse(c.block, c.block)
+		IFFTInto(c.block, c.block)
 		v := min(c.step, lags-pos)
 		s.normalize(pos, pos+v)
 		c.screened += v

@@ -1,9 +1,11 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -81,30 +83,23 @@ func TestFFTRoundTripPow2(t *testing.T) {
 	}
 }
 
-func TestFFTRoundTripNonPow2(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{3, 5, 7, 12, 60, 100, 327} {
-		x := randComplexSlice(rng, n)
-		back := IFFT(FFT(x))
-		if d := maxDeviation(back, x); d > 1e-8 {
-			t.Errorf("n=%d round-trip deviation %g", n, d)
-		}
-	}
-}
-
-func TestBluesteinMatchesDirectDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{3, 5, 11, 24, 50} {
-		x := randComplexSlice(rng, n)
-		got := FFT(x)
-		want := make([]complex128, n)
-		for k := 0; k < n; k++ {
-			for i, v := range x {
-				want[k] += v * cmplx.Rect(1, -2*math.Pi*float64(k*i)/float64(n))
-			}
-		}
-		if d := maxDeviation(got, want); d > 1e-8 {
-			t.Errorf("n=%d bluestein vs direct DFT deviation %g", n, d)
+func TestFFTPanicsOnNonPow2(t *testing.T) {
+	for _, n := range []int{3, 100} {
+		x := make([]complex128, n)
+		for name, f := range map[string]func(){
+			"FFTInto":  func() { FFTInto(x, x) },
+			"IFFTInto": func() { IFFTInto(x, x) },
+			"FFT":      func() { FFT(x) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("length %d is not a power of two", n); !strings.Contains(msg, want) {
+						t.Errorf("%s(n=%d) panic %q, want one containing %q", name, n, msg, want)
+					}
+				}()
+				f()
+			}()
 		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 
 // WelchPSD estimates the power spectral density of x by Welch's method:
 // segment into windows of segmentLen with 50 % overlap, window, FFT,
-// average the periodograms. The result has segmentLen bins in natural FFT
-// order with total power ≈ mean signal power (one-sided scaling is left to
-// the caller). A nil window means Hann. Used by the spectrum tests, the
-// band-occupancy checks and zigbee's out-of-band SNR estimate.
+// average the periodograms. segmentLen must be a power of two ≥ 2. The
+// result has segmentLen bins in natural FFT order with total power ≈ mean
+// signal power (one-sided scaling is left to the caller). A nil window
+// means Hann. Used by the spectrum tests, the band-occupancy checks and
+// zigbee's out-of-band SNR estimate.
 func WelchPSD(x []complex128, segmentLen int, window WindowFunc) ([]float64, error) {
-	if segmentLen < 2 {
-		return nil, fmt.Errorf("dsp: segment length %d < 2", segmentLen)
+	if segmentLen < 2 || segmentLen&(segmentLen-1) != 0 {
+		return nil, fmt.Errorf("dsp: segment length %d is not a power of two ≥ 2", segmentLen)
 	}
 	if window == nil {
 		window = Hann

@@ -11,6 +11,9 @@ func TestWelchPSDValidation(t *testing.T) {
 	if _, err := WelchPSD(make([]complex128, 100), 1, nil); err == nil {
 		t.Error("accepted segment length 1")
 	}
+	if _, err := WelchPSD(make([]complex128, 400), 100, nil); err == nil {
+		t.Error("accepted segment length 100, not a power of two")
+	}
 	if _, err := WelchPSD(make([]complex128, 10), 64, nil); err == nil {
 		t.Error("accepted short signal")
 	}

@@ -9,6 +9,7 @@ import (
 
 // bandLimitedSignal builds a random signal whose spectrum is confined to
 // |f| < maxFreq cycles/sample, so interpolation can reconstruct it exactly.
+// It sums the inverse DFT directly, so n need not be a power of two.
 func bandLimitedSignal(rng *rand.Rand, n int, maxFreq float64) []complex128 {
 	spec := make([]complex128, n)
 	lim := int(maxFreq * float64(n))
@@ -18,7 +19,20 @@ func bandLimitedSignal(rng *rand.Rand, n int, maxFreq float64) []complex128 {
 			spec[n-k] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 	}
-	return IFFT(spec)
+	twiddle := make([]complex128, n) // e^{+j2πm/n}
+	for m := range twiddle {
+		twiddle[m] = cmplx.Rect(1/float64(n), 2*math.Pi*float64(m)/float64(n))
+	}
+	x := make([]complex128, n)
+	for k, v := range spec {
+		if v == 0 {
+			continue
+		}
+		for i := range x {
+			x[i] += v * twiddle[k*i%n]
+		}
+	}
+	return x
 }
 
 func TestNewInterpolatorValidation(t *testing.T) {

@@ -25,7 +25,7 @@ type ReceiverConfig struct {
 // A Receiver reuses internal dechirp/FFT scratch buffers across calls and
 // is therefore NOT safe for concurrent use; give each worker goroutine
 // its own via Clone, which shares the immutable sync reference, dechirp
-// references, correlation plan, and FFT plan but owns fresh scratch.
+// references and correlation plan but owns fresh scratch.
 //
 // Reception lifetime: Receive returns an owned Reception the caller keeps
 // forever. ReceiveAll and DecodeAt return views into receiver-owned
@@ -39,7 +39,6 @@ type Receiver struct {
 	sync      *dsp.Correlator // overlap-save (or direct) preamble correlation plan
 	dechirpUp []complex128    // conj(base upchirp): dechirps upchirp symbols
 	dechirpDn []complex128    // base upchirp: dechirps the preamble downchirps
-	plan      *dsp.Plan       // ChipsPerSymbol-point FFT (shared; pow2 plans are stateless)
 	dec       []complex128    // demodSymbol scratch: decimated dechirped symbol
 	spec      []complex128    // demodSymbol scratch: symbol spectrum
 	arena     frameArena      // backing store for scratch-lifetime Receptions
@@ -65,14 +64,13 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		sync:      cor,
 		dechirpUp: dsp.Conj(up),
 		dechirpDn: up,
-		plan:      dsp.NewPlan(ChipsPerSymbol),
 	}, nil
 }
 
 // Clone returns a receiver with the same configuration that shares the
-// immutable sync/dechirp references and precomputed correlation and FFT
-// plans (power-of-two FFT plans are stateless) but owns fresh scratch
-// buffers, so the clone is safe to use from another goroutine.
+// immutable sync/dechirp references and precomputed correlation plan but
+// owns fresh scratch buffers, so the clone is safe to use from another
+// goroutine.
 func (rx *Receiver) Clone() *Receiver {
 	return &Receiver{
 		cfg:       rx.cfg,
@@ -80,7 +78,6 @@ func (rx *Receiver) Clone() *Receiver {
 		sync:      rx.sync.Clone(),
 		dechirpUp: rx.dechirpUp,
 		dechirpDn: rx.dechirpDn,
-		plan:      rx.plan,
 	}
 }
 
@@ -144,7 +141,7 @@ func (rx *Receiver) demodSymbol(sym, ref []complex128) (bin int, concentration, 
 	for m := 0; m < ChipsPerSymbol; m++ {
 		rx.dec[m] = sym[m*Oversample] * ref[m*Oversample]
 	}
-	rx.plan.Forward(rx.spec, rx.dec)
+	dsp.FFTInto(rx.spec, rx.dec)
 	var total, best float64
 	for k, v := range rx.spec {
 		p := real(v)*real(v) + imag(v)*imag(v)

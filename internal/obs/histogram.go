@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"time"
 )
 
@@ -14,15 +13,14 @@ import (
 // extremes. Relative quantile error is bounded by one sub-bucket width,
 // 2^(1/8) ≈ 9%.
 const (
-	histShards       = 8
 	bucketsPerOctave = 8
 	histOctaves      = 40
 	histBuckets      = histOctaves * bucketsPerOctave
 )
 
 // histCounts is one accumulator of observations: count, sum, exact
-// extremes and log-bucket counts. Histogram shards and window slots are
-// both histCounts.
+// extremes and log-bucket counts. A histogram's since-boot total and its
+// window slots are all histCounts.
 type histCounts struct {
 	n      uint64
 	sum    float64
@@ -44,27 +42,16 @@ func (c *histCounts) add(v float64, n uint64) {
 	c.counts[bucketOf(v)] += clampUint32(n)
 }
 
-// histShard is one independently locked slice of a histogram. Shards are
-// padded to a cache line so neighboring shard mutexes do not false-share.
-type histShard struct {
-	mu sync.Mutex
-	histCounts
-	_ [64]byte
-}
-
-// Histogram is a lock-sharded, fixed-memory log-bucketed value histogram
-// for non-negative observations (latency nanoseconds, trial costs). The
-// zero value is ready to use. Observe picks a shard from the value's bit
-// pattern, so concurrent observers of distinct values almost never share
-// a mutex; Summary merges the shards.
+// Histogram is a fixed-memory log-bucketed value histogram for
+// non-negative observations (latency nanoseconds, trial costs). The zero
+// value is ready to use.
 //
-// Every observation also lands in a rolling ring of per-interval window
-// shards (12 × 10 s), so a histogram answers both "since boot" (Summary)
-// and "right now" (Window) without a second instrument or a second call
-// site.
+// Every observation lands both in the since-boot total and in a rolling
+// ring of per-interval window slots (12 × 10 s), under one mutex, so a
+// histogram answers both "since boot" (Summary) and "right now" (Window)
+// without a second instrument or a second call site.
 type Histogram struct {
-	shards [histShards]histShard
-	win    histWindow
+	win histWindow
 }
 
 // bucketOf maps a value to its bucket index.
@@ -90,10 +77,10 @@ func bucketLower(b int) float64 {
 // Observe records one value. Negative and NaN values are clamped to 0.
 func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
 
-// ObserveN records n observations of v in one shard critical section —
-// the bulk form the runtime profiler uses to replay a runtime/metrics
-// bucket delta (count of events at one representative value) without n
-// lock acquisitions. n == 0 is a no-op.
+// ObserveN records n observations of v in one critical section — the
+// bulk form the runtime profiler uses to replay a runtime/metrics bucket
+// delta (count of events at one representative value) without n lock
+// acquisitions. n == 0 is a no-op.
 func (h *Histogram) ObserveN(v float64, n uint64) {
 	if n == 0 {
 		return
@@ -101,13 +88,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	// Shard by the value's bit pattern (Fibonacci hash of the mantissa
-	// bits): no shared atomic, and near-identical values still spread.
-	idx := (math.Float64bits(v) * 0x9E3779B97F4A7C15) >> 61
-	s := &h.shards[idx&(histShards-1)]
-	s.mu.Lock()
-	s.add(v, n)
-	s.mu.Unlock()
 	h.win.observeN(v, n, time.Now())
 }
 
@@ -142,7 +122,7 @@ type HistogramStats struct {
 	Buckets []BucketCount `json:"-"`
 }
 
-// histMerge sums histCounts (shards or window slots) into one summary.
+// histMerge sums histCounts (the total or window slots) into one summary.
 type histMerge struct {
 	n      uint64
 	sum    float64
@@ -191,17 +171,13 @@ func (m *histMerge) stats() HistogramStats {
 	return st
 }
 
-// Summary merges the shards and returns counts, extremes, and the
-// p50/p95/p99 estimates. It locks each shard briefly, one at a time, so a
-// concurrent Observe stream only delays it, never blocks on it.
+// Summary returns the since-boot counts, extremes, and the p50/p95/p99
+// estimates.
 func (h *Histogram) Summary() HistogramStats {
 	var m histMerge
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		m.add(&s.histCounts)
-		s.mu.Unlock()
-	}
+	h.win.mu.Lock()
+	m.add(&h.win.total)
+	h.win.mu.Unlock()
 	return m.stats()
 }
 

@@ -1,5 +1,5 @@
 // Package obs is the zero-dependency observability layer: named atomic
-// counters, monotonic timers, and lock-sharded value histograms, all cheap
+// counters, monotonic timers, and mutex-guarded value histograms, all cheap
 // enough to stay enabled on the DSP hot path, plus a JSON-serializable
 // snapshot ("run manifest") of everything measured.
 //
@@ -12,7 +12,7 @@
 //     preserving the byte-identical-stdout guarantee of cmd/experiments.
 //
 //   - Hot-path cost is one or two atomic adds per event (Counter, Timer)
-//     or one short critical section on a value-sharded mutex (Histogram).
+//     or one short critical section on the histogram's mutex (Histogram).
 //     Callers look instruments up once (package-level vars) and keep the
 //     pointer; lookup itself takes the registry mutex.
 //

@@ -5,23 +5,25 @@ import (
 	"time"
 )
 
-// histWindow is the rolling ring behind Histogram.Window: one histCounts
-// per 10 s interval. One mutex guards the whole ring: windowed
-// observations ride the same per-frame / per-trial event rates as the
-// sharded cumulative path (never per-sample loops), so a single short
+// histWindow holds a Histogram's observations: the since-boot total
+// behind Summary and the rolling ring behind Window, one histCounts per
+// 10 s interval. One mutex guards both: observations come at per-frame /
+// per-trial event rates (never per-sample loops), so a single short
 // critical section is cheap enough.
 type histWindow struct {
-	mu   sync.Mutex
-	ring EpochRing[histCounts]
+	mu    sync.Mutex
+	total histCounts
+	ring  EpochRing[histCounts]
 }
 
-// observe records v into the interval containing now.
+// observe records v into the total and the interval containing now.
 func (w *histWindow) observe(v float64, now time.Time) { w.observeN(v, 1, now) }
 
-// observeN records n observations of v into the interval containing now
-// (the bulk form behind Histogram.ObserveN).
+// observeN records n observations of v into the total and the interval
+// containing now (the bulk form behind Histogram.ObserveN).
 func (w *histWindow) observeN(v float64, n uint64, now time.Time) {
 	w.mu.Lock()
+	w.total.add(v, n)
 	s, stale := w.ring.Slot(now)
 	if stale {
 		*s = histCounts{}

@@ -34,8 +34,7 @@ type enginePipe struct {
 
 // degradedRx returns the protocol's degraded-tier receiver prototype: the
 // served prototype with its sync threshold scaled up by degradedSyncScale
-// (clamped to 1), sharing the same immutable reference spectrum and FFT
-// plan.
+// (clamped to 1), sharing the same immutable reference spectrum.
 func (ep *enginePipe) degradedRx() phy.Receiver {
 	ep.degMu.Lock()
 	defer ep.degMu.Unlock()
